@@ -12,7 +12,6 @@ import math
 import time as _time
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable
 
 from .digraph import (
     DiGraph,
@@ -37,7 +36,6 @@ from .genus import (
     genus_exact,
     is_planar,
     trace_faces,
-    undirected_girth,
 )
 
 
@@ -374,9 +372,48 @@ def _cover_girth_floor(base: DiGraph) -> int:
     return 3
 
 
-def _fiber_vectors(n: int, max_fiber: int):
-    for vec in product(range(1, max_fiber + 1), repeat=n):
-        yield vec
+def _fiber_vectors_within_bound(
+    out_degrees: list[int], max_fiber: int, girth_floor: int, genus_bound: int
+):
+    """Fibre-size vectors in itertools.product order over 1..max_fiber, less
+    those whose covers the Euler/girth bound puts above genus_bound.
+
+    A cover with fibre sizes k has V = sum k_v vertices and E = sum outdeg(v) k_v
+    edges.  When its girth is at least y >= 3 and E >= 2, its genus is at least
+    ceil(1 - V/2 + E(y-2)/(2y)), which exceeds n exactly when
+    2y + sum k_v ((y-2) outdeg(v) - y) > 2yn.  The left side is linear in k,
+    so a prefix is cut as soon as its least completion (k_v = 1 where the
+    coefficient is >= 0, else max_fiber) breaks the bound with E >= 2.
+    A prefix that is kept has a kept completion, so the caller's time check
+    runs at least once every n * max_fiber steps.
+    """
+    n = len(out_degrees)
+    if girth_floor < 3:
+        yield from product(range(1, max_fiber + 1), repeat=n)
+        return
+    y = girth_floor
+    coef = [(y - 2) * d - y for d in out_degrees]
+    # least value of sum coef*k and of E over the positions i.. of a completion
+    least = [0] * (n + 1)
+    least_edges = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        least[i] = least[i + 1] + coef[i] * (1 if coef[i] >= 0 else max_fiber)
+        least_edges[i] = least_edges[i + 1] + out_degrees[i]
+    limit = 2 * y * genus_bound - 2 * y
+    vec: list[int] = []
+
+    def extend(i: int, value: int, edges: int):
+        if edges + least_edges[i] >= 2 and value + least[i] > limit:
+            return
+        if i == n:
+            yield tuple(vec)
+            return
+        for k in range(1, max_fiber + 1):
+            vec.append(k)
+            yield from extend(i + 1, value + coef[i] * k, edges + out_degrees[i] * k)
+            vec.pop()
+
+    yield from extend(0, 0, 0)
 
 
 def _assignment_canonical(base: DiGraph, sizes: dict[str, int], assignment, root) -> bool:
@@ -444,20 +481,14 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     base_out = {v: sorted(base.out_edges(v)) for v in base.vertices}
     vorder = sorted(base.vertices)
 
-    for vec in _fiber_vectors(len(vorder), spec.max_fiber):
+    out_degrees = [len(base_out[v]) for v in vorder]
+    vectors = _fiber_vectors_within_bound(
+        out_degrees, spec.max_fiber, girth_floor, spec.genus_bound
+    )
+    for vec in vectors:
         if _time.monotonic() > deadline:
             return SearchOutcome("budget_exceeded")
         sizes = dict(zip(vorder, vec))
-        total_v = sum(vec)
-        total_e = sum(len(base_out[v]) * sizes[v] for v in vorder)
-        if girth_floor >= 3 and total_e >= 2:
-            euler_bound = (
-                1
-                - total_v / 2
-                + total_e * (girth_floor - 2) / (2 * girth_floor)
-            )
-            if math.ceil(euler_bound) > spec.genus_bound:
-                continue
         slots = [
             (eid, i)
             for v in vorder

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
 from typing import Mapping
@@ -258,7 +259,8 @@ def _support(g: UndirectedGraph) -> tuple[UndirectedGraph, dict[tuple[str, str],
     return support, groups
 
 
-def _planar_embedding_support(support: UndirectedGraph):
+def _nx_support(support: UndirectedGraph):
+    """The support as a networkx graph, plus the support edge of each vertex pair."""
     nxg = nx.Graph()
     nxg.add_nodes_from(support.vertices)
     edge_of_pair = {}
@@ -267,10 +269,15 @@ def _planar_embedding_support(support: UndirectedGraph):
         nxg.add_edge(a, b)
         edge_of_pair[(a, b)] = e
         edge_of_pair[(b, a)] = e
-    ok, cert = nx.check_planarity(nxg, counterexample=True)
+    return nxg, edge_of_pair
+
+
+def _planar_embedding_support(support: UndirectedGraph):
+    """Rotations of a planar embedding of the support, or None if it has none."""
+    nxg, edge_of_pair = _nx_support(support)
+    ok, cert = nx.check_planarity(nxg)
     if not ok:
-        obstruction = sorted({edge_of_pair[(a, b)] for a, b in cert.edges()})
-        return None, obstruction
+        return None
     rotations = {}
     for v in support.vertices:
         order = []
@@ -279,7 +286,7 @@ def _planar_embedding_support(support: UndirectedGraph):
             a, _ = support.ends(e)
             order.append(f"{e}+" if a == v else f"{e}-")
         rotations[v] = tuple(order)
-    return rotations, None
+    return rotations
 
 
 def _insert_multiedges_and_loops(
@@ -313,22 +320,39 @@ def _insert_multiedges_and_loops(
 
 @dataclass(frozen=True)
 class PlanarityReport:
+    """Outcome of is_planar; support is the loopless simple graph tested,
+    kept for extracting the obstruction."""
+
     planar: bool
     witness: RotationSystem | None = None
-    obstruction: tuple[str, ...] | None = None
+    support: UndirectedGraph | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def obstruction(self) -> tuple[str, ...] | None:
+        """Support edges of a Kuratowski subgraph of a non-planar graph.
+
+        Extracting it costs dozens of planarity tests, so it is computed on
+        first read only.
+        """
+        if self.planar:
+            return None
+        nxg, edge_of_pair = _nx_support(self.support)
+        _, kuratowski = nx.check_planarity(nxg, counterexample=True)
+        return tuple(sorted({edge_of_pair[(a, b)] for a, b in kuratowski.edges()}))
 
 
 def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
     """Decide planarity; on success return a genus-0 rotation witness.
 
     The witness is re-verified by face tracing before being returned.  On
-    failure the obstruction lists the support edges of a Kuratowski subgraph.
+    failure the report's obstruction lists the support edges of a Kuratowski
+    subgraph, extracted when first read.
     """
     ug = forget(g) if isinstance(g, DiGraph) else g
     support, _ = _support(ug)
-    rotations, obstruction = _planar_embedding_support(support)
+    rotations = _planar_embedding_support(support)
     if rotations is None:
-        return PlanarityReport(False, obstruction=tuple(obstruction))
+        return PlanarityReport(False, support=support)
     witness = _insert_multiedges_and_loops(ug, rotations)
     _, genus = trace_faces(ug, witness)
     if genus != 0:
@@ -434,22 +458,56 @@ def _search_min_genus(
             "or raise REGULUS_BUDGET"
         )
     order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
-    twin = tables.twin
-    vertex_of = tables.vertex_of
+    darts_at = tables.darts_at
+    # darts at the vertices placed after depth i: each can still close a face
+    later_darts = [0] * nvert
+    for i in range(nvert - 2, -1, -1):
+        later_darts[i] = later_darts[i + 1] + degrees[order[i + 1]]
 
+    # rot_next[d] >= 0 exactly when the vertex of d has its rotation; the face
+    # successor of dart d is rot_next[twin(d)], with twin(d) = d ^ 1
     rot_next = [-1] * nd
-    assigned = [False] * nvert
+    vertex_of = tables.vertex_of
     f_stop = 2 - 2 * stop_genus - nvert + ne
     parity = (2 - nvert + ne) % 2
 
-    def closed_faces() -> int:
-        nxt = [
-            rot_next[twin[d]] if assigned[vertex_of[twin[d]]] else -1 for d in range(nd)
-        ]
-        return len(_orbit_faces(nxt))
+    def returns(v: int) -> dict[int, int]:
+        """For each dart t at v, the dart at v whose twin ends the face walk
+        from t back at v, or -1 if the walk meets a vertex without rotation.
+
+        The walks leave v and touch no link that v's rotation sets, so one
+        trace serves every candidate rotation of v.
+        """
+        back = {}
+        for t in darts_at[v]:
+            cur = t
+            while cur >= 0 and vertex_of[cur ^ 1] != v:
+                cur = rot_next[cur ^ 1]
+            back[t] = cur ^ 1 if cur >= 0 else -1
+        return back
+
+    def new_faces(rotation: tuple[int, ...], back: dict[int, int]) -> int:
+        """Faces closed by giving v this rotation.
+
+        Each gets a link from v's rotation and so passes through v: a face
+        entering at the twin of x leaves by the next dart y and comes back at
+        back[y].  The faces are the closed cycles of that map; a face closed
+        earlier has no link to gain.
+        """
+        k = len(rotation)
+        step = {x: back[rotation[i + 1 - k]] for i, x in enumerate(rotation)}
+        count = 0
+        while step:
+            start, x = step.popitem()
+            while x >= 0:
+                if x == start:
+                    count += 1
+                    break
+                x = step.pop(x, -1)
+        return count
 
     def candidate_rotations(v: int, first: bool):
-        ds = tables.darts_at[v]
+        ds = darts_at[v]
         if len(ds) <= 1:
             yield tuple(ds)
             return
@@ -462,54 +520,41 @@ def _search_min_genus(
     best_f = -1
     best_rot: list[int] | None = None
 
-    def apply(v: int, rotation: tuple[int, ...]):
-        for i, d in enumerate(rotation):
-            rot_next[d] = rotation[(i + 1) % len(rotation)]
-        assigned[v] = True
-
-    def unapply(v: int, rotation: tuple[int, ...]):
-        for d in rotation:
-            rot_next[d] = -1
-        assigned[v] = False
-
-    def dfs(depth: int):
+    def dfs(depth: int, closed_before: int):
         nonlocal best_f, best_rot
         if best_f >= f_stop:
             return
         if depth == nvert:
-            f = closed_faces()
-            if f > best_f:
-                best_f = f
+            if closed_before > best_f:
+                best_f = closed_before
                 best_rot = list(rot_next)
             return
         v = order[depth]
-        unassigned_darts = sum(
-            degrees[w] for w in range(nvert) if not assigned[w] and w != v
-        )
+        unassigned_darts = later_darts[depth]
+        back = returns(v)
         scored = []
         for rotation in candidate_rotations(v, depth == 0):
-            apply(v, rotation)
-            closed = closed_faces()
+            closed = closed_before + new_faces(rotation, back)
             upper = closed + unassigned_darts
             upper -= (upper - parity) % 2
             if upper > best_f:
                 scored.append((closed, rotation))
-            unapply(v, rotation)
         scored.sort(key=lambda t: -t[0])
-        for _, rotation in scored:
+        for closed, rotation in scored:
             if best_f >= f_stop:
                 return
-            apply(v, rotation)
-            closed = closed_faces()
             upper = closed + unassigned_darts
             upper -= (upper - parity) % 2
             if upper > best_f:
-                dfs(depth + 1)
-            unapply(v, rotation)
+                for i, d in enumerate(rotation):
+                    rot_next[d] = rotation[i + 1 - len(rotation)]
+                dfs(depth + 1, closed)
+                for d in rotation:
+                    rot_next[d] = -1
 
     if nd == 0:
         return 0, {v: () for v in g.vertices}
-    dfs(0)
+    dfs(0, 0)
     genus = (2 - nvert + ne - best_f) // 2
     rotations: dict[str, tuple[str, ...]] = {}
     for vi, v in enumerate(g.vertices):

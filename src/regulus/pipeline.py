@@ -17,7 +17,6 @@ from .automaton import (
     complete_with_trash,
     languages_equal,
     minimal_cover_base,
-    minimize,
 )
 from .digraph import DiGraph, GraphMorphism, pullback
 from .emulation import (
@@ -173,8 +172,7 @@ def genus_monotonicity_checks(
     rep = is_directed_cover(pi1)
     if not rep.ok:
         raise DomainError(f"transported morphism is not a cover: {rep.reason}")
-    genus = genus_exact(pi1.source).genus
-    witness = genus_exact(pi1.source).witness
-    transported = CoverCertificate(base_small, pi1.source, pi1, witness, genus)
+    res = genus_exact(pi1.source)
+    transported = CoverCertificate(base_small, pi1.source, pi1, res.witness, res.genus)
     transported.verify()
-    return MonotonicityReport(True, transported, genus <= cert.genus)
+    return MonotonicityReport(True, transported, res.genus <= cert.genus)

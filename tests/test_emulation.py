@@ -1,6 +1,9 @@
-from itertools import combinations
+import math
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regulus import (
     CoverSearchSpec,
@@ -39,7 +42,12 @@ from regulus.corpus import (
     path_4_over_3,
     vee_over_path,
 )
-from regulus.emulation import excise_restrict, r_image_morphism
+from regulus.emulation import (
+    _cover_girth_floor,
+    _fiber_vectors_within_bound,
+    excise_restrict,
+    r_image_morphism,
+)
 from regulus.formats import certificate_from_json, certificate_to_json, dumps, loads
 
 from conftest import (
@@ -441,3 +449,58 @@ class TestSearchCovers:
         assert len(canonical) == len(orbits)
         for a in canonical:
             assert orbit(a) in orbits
+
+
+def _circulant(n, steps):
+    return DiGraph(
+        [str(i) for i in range(n)],
+        [(f"t{i}_{j}", str(i), str((i + j) % n)) for i in range(n) for j in steps],
+    )
+
+
+@st.composite
+def small_bases(draw):
+    """Digraphs on up to 6 vertices: an oriented simple graph (girth floor 3)
+    plus up to 2 more edges, which may add loops, 2-cycles or parallel edges
+    (floor 1 or 2)."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    edges = []
+    for a, b in combinations(vs, 2):
+        way = draw(st.sampled_from(["none", "forward", "back"]))
+        if way != "none":
+            edges.append((a, b) if way == "forward" else (b, a))
+    vertex = st.sampled_from(vs)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(edges)])
+
+
+def _euler_filtered_product(out_degrees, max_fiber, girth_floor, genus_bound):
+    # the enumeration the pruned one replaces: every vector in
+    # itertools.product order, dropped when the per-vector Euler/girth
+    # check refutes it
+    kept = []
+    for vec in product(range(1, max_fiber + 1), repeat=len(out_degrees)):
+        total_v = sum(vec)
+        total_e = sum(d * k for d, k in zip(out_degrees, vec))
+        if girth_floor >= 3 and total_e >= 2:
+            euler_bound = 1 - total_v / 2 + total_e * (girth_floor - 2) / (2 * girth_floor)
+            if math.ceil(euler_bound) > genus_bound:
+                continue
+        kept.append(vec)
+    return kept
+
+
+class TestFiberVectorPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(small_bases(), st.integers(1, 3), st.integers(0, 2))
+    @example(DiGraph(["a", "b"], []), 3, 0)  # no edges: nothing to bound
+    @example(DiGraph(["a", "b"], [("e", "a", "b")]), 3, 0)  # E < 2 until a's fibre grows
+    @example(_circulant(5, (1, 2)), 2, 0)  # only the all-ones vector is refuted
+    @example(_circulant(7, (1, 2, 3)), 3, 0)  # every vector is refuted
+    @example(_circulant(9, (1, 2, 3, 4)), 2, 3)  # positive coefficients, some vectors kept
+    def test_matches_per_vector_euler_check(self, base, max_fiber, genus_bound):
+        vorder = sorted(base.vertices)
+        out_degrees = [len(base.out_edges(v)) for v in vorder]
+        floor = _cover_girth_floor(base)
+        got = list(_fiber_vectors_within_bound(out_degrees, max_fiber, floor, genus_bound))
+        assert got == _euler_filtered_product(out_degrees, max_fiber, floor, genus_bound)

@@ -146,6 +146,19 @@ class TestCliVerbs:
         assert main(["genus", "formula", "--m", "3", "--face", "3=14", "-o", str(out)]) == 0
         assert formats.loads(out.read_text())["value"] == "1"
 
+    def test_planar_verb_prints_obstruction(self, tmp_path, capsys):
+        import networkx as nx
+        from conftest import k_complete
+
+        k5 = k_complete(5)
+        g = tmp_path / "k5.json"
+        g.write_text(formats.dumps(formats.undirected_to_json(k5)))
+        assert main(["genus", "planar", str(g)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["planar"] is False
+        obstruction = payload["obstruction"]
+        assert not nx.check_planarity(nx.Graph(k5.ends(e) for e in obstruction))[0]
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["graph", "excise", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path / "o.json")]) == 3

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from regulus import (
     BudgetError,
@@ -19,7 +22,7 @@ from regulus import (
     is_planar,
     trace_faces,
 )
-from regulus.genus import undirected_girth
+from regulus.genus import _components, _search_min_genus, dart_tokens, undirected_girth
 
 from conftest import c2, k_bipartite, k_complete, loop1, loop2, par2, random_digraph
 
@@ -28,6 +31,57 @@ def triangle():
     return UndirectedGraph(
         ["a", "b", "c"], [("e1", ("a", "b")), ("e2", ("b", "c")), ("e3", ("a", "c"))]
     )
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Multigraphs with loops and parallel edges and at most 2000 rotation
+    systems: up to 4 vertices and 5 edges, or K3,3 plus up to 2 edges, which
+    is non-planar and so makes genus_exact search rotations."""
+    if draw(st.booleans()):
+        kb = k_bipartite(3, 3)
+        vs = list(kb.vertices)
+        edges = [(e, kb.ends(e)) for e in kb.edges]
+        extra = 2
+    else:
+        vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+        edges = []
+        extra = 5
+    vertex = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=extra))
+    g = UndirectedGraph(vs, edges + [(f"x{i}", pair) for i, pair in enumerate(pairs)])
+    degree = {v: 0 for v in vs}
+    for e in g.edges:
+        for _, v in dart_tokens(g, e):
+            degree[v] += 1
+    assume(math.prod(math.factorial(max(0, d - 1)) for d in degree.values()) <= 2000)
+    return g
+
+
+def _brute_force_min_genus(g):
+    # independent oracle: enumerate every rotation system outright and
+    # take the minimum traced genus, with no pruning or symmetry use
+    from itertools import permutations, product
+
+    darts_at = {v: [] for v in g.vertices}
+    for e in g.edges:
+        for tok, v in dart_tokens(g, e):
+            darts_at[v].append(tok)
+    options = []
+    for v in g.vertices:
+        ds = darts_at[v]
+        if len(ds) <= 1:
+            options.append([tuple(ds)])
+        else:
+            options.append(
+                [(ds[0],) + p for p in permutations(ds[1:])]
+            )
+    best = None
+    for combo in product(*options):
+        rot = RotationSystem(dict(zip(g.vertices, combo)))
+        _, genus = trace_faces(g, rot)
+        best = genus if best is None else min(best, genus)
+    return best
 
 
 class TestTraceFaces:
@@ -124,43 +178,26 @@ class TestGenusExact:
             g = random_digraph(rng, max_vertices=4, max_edges=6)
             assert genus_exact(g).genus == genus_exact(g, normalize=False).genus
 
-    def test_against_brute_force_rotation_enumeration(self, rng):
-        # independent oracle: enumerate every rotation system outright and
-        # take the minimum traced genus, with no pruning or symmetry use
-        from itertools import permutations, product
-
-        from regulus.genus import dart_tokens
-
-        checked = 0
-        while checked < 25:
-            g = forget(random_digraph(rng, max_vertices=4, max_edges=5))
-            darts_at = {v: [] for v in g.vertices}
-            for e in g.edges:
-                for tok, v in dart_tokens(g, e):
-                    darts_at[v].append(tok)
-            space = 1
-            for v in g.vertices:
-                space *= max(
-                    1, math.factorial(max(0, len(darts_at[v]) - 1))
-                )
-            if space > 2000:
-                continue
-            checked += 1
-            options = []
-            for v in g.vertices:
-                ds = darts_at[v]
-                if len(ds) <= 1:
-                    options.append([tuple(ds)])
-                else:
-                    options.append(
-                        [(ds[0],) + p for p in permutations(ds[1:])]
-                    )
-            best = None
-            for combo in product(*options):
-                rot = RotationSystem(dict(zip(g.vertices, combo)))
-                _, genus = trace_faces(g, rot)
-                best = genus if best is None else min(best, genus)
-            assert genus_exact(g, normalize=False).genus == best
+    @settings(max_examples=150, deadline=None)
+    @given(small_multigraphs())
+    @example(UndirectedGraph(["u"], [("e", ("u",)), ("f", ("u",))]))
+    @example(UndirectedGraph(["u", "v"], [("e", ("u", "v")), ("f", ("u", "v")), ("g", ("v",))]))
+    def test_against_brute_force_rotation_enumeration(self, g):
+        # the rotation search counts faces incrementally; it must reach the
+        # same minimum as enumerating every rotation system outright, on the
+        # multigraph itself and on its loopless simple support, and when run
+        # on each component directly, planar ones included
+        best = _brute_force_min_genus(g)
+        assert genus_exact(g, normalize=False).genus == best
+        assert genus_exact(g, normalize=True).genus == best
+        searched = 0
+        for vs, es in _components(g):
+            if es:
+                comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
+                genus, rotations = _search_min_genus(comp, 0, 10**9)
+                assert trace_faces(comp, RotationSystem(rotations))[1] == genus
+                searched += genus
+        assert searched == best
 
 
 class TestPlanarity:
@@ -174,6 +211,28 @@ class TestPlanarity:
         rep = is_planar(k_complete(5))
         assert not rep.planar
         assert rep.obstruction
+
+    @pytest.mark.parametrize("g", [k_complete(5), k_bipartite(3, 3)], ids=["K5", "K3,3"])
+    def test_obstruction_is_a_non_planar_subgraph(self, g):
+        obstruction = is_planar(g).obstruction
+        assert set(obstruction) <= set(g.edges)
+        assert not nx.check_planarity(nx.Graph(g.ends(e) for e in obstruction))[0]
+
+    def test_obstruction_is_extracted_on_first_read_only(self, monkeypatch):
+        calls = []
+        check = nx.check_planarity
+
+        def recording(graph, counterexample=False):
+            calls.append(counterexample)
+            return check(graph, counterexample)
+
+        monkeypatch.setattr(nx, "check_planarity", recording)
+        rep = is_planar(k_complete(5))
+        assert calls == [False]
+        first = rep.obstruction
+        assert rep.obstruction == first
+        assert calls == [False, True]
+        assert is_planar(k_complete(4)).obstruction is None
 
     def test_k7_like_language_graph_not_planar(self):
         edges = [
@@ -268,19 +327,13 @@ class TestGenusFormula:
                 g = DiGraph(vs, edges)
                 res = genus_exact(g, normalize=False)
                 faces, traced = trace_faces(forget(g), res.witness)
-                if len(_components_of(forget(g))) != 1:
+                if len(_components(forget(g))) != 1:
                     continue
                 assert genus_formula(m, faces) == Fraction(traced)
 
     def test_m_below_one_rejected(self):
         with pytest.raises(DomainError):
             genus_formula(0, FaceVector({}))
-
-
-def _components_of(g):
-    from regulus.genus import _components
-
-    return _components(g)
 
 
 class TestInvarianceSuite:
