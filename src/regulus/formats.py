@@ -51,6 +51,17 @@ def _records(data: dict, key: str) -> list[dict]:
     return value
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _strings(data: dict, key: str) -> list[str]:
+    value = _need(data, key)
+    if not _is_strings(value):
+        raise DomainError(f"{key!r} must be a list of strings")
+    return value
+
+
 def _mapping(data: dict, key: str) -> dict:
     value = _need(data, key)
     if not isinstance(value, dict):
@@ -72,7 +83,7 @@ def digraph_from_json(data: dict) -> DiGraph:
         (_need(e, "id"), _need(e, "src"), _need(e, "dst"))
         for e in _records(data, "edges")
     ]
-    return DiGraph(_need(data, "vertices"), edges)
+    return DiGraph(_strings(data, "vertices"), edges)
 
 
 def undirected_to_json(g: UndirectedGraph) -> dict:
@@ -84,7 +95,7 @@ def undirected_to_json(g: UndirectedGraph) -> dict:
 
 def undirected_from_json(data: dict) -> UndirectedGraph:
     edges = [(_need(e, "id"), tuple(_need(e, "ends"))) for e in _records(data, "edges")]
-    return UndirectedGraph(_need(data, "vertices"), edges)
+    return UndirectedGraph(_strings(data, "vertices"), edges)
 
 
 def is_undirected_payload(data) -> bool:
@@ -213,8 +224,8 @@ def relation_to_json(r: AutomaticRelation) -> dict:
 def relation_from_json(data: dict) -> AutomaticRelation:
     for key in ("vertex_classes", "edge_classes"):
         value = _need(data, key)
-        if not isinstance(value, list) or any(not isinstance(c, list) for c in value):
-            raise DomainError(f"{key!r} must be a list of lists")
+        if not isinstance(value, list) or not all(map(_is_strings, value)):
+            raise DomainError(f"{key!r} must be a list of lists of strings")
     return AutomaticRelation.from_classes(
         data["vertex_classes"], data["edge_classes"]
     )

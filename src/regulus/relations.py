@@ -11,7 +11,10 @@ one is exactly a directed emulation onto the quotient graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import chain, product
+from operator import itemgetter
+from typing import Iterable
 
 from .digraph import (
     DiGraph,
@@ -24,9 +27,40 @@ from .errors import DomainError
 from .semiauto import SemiAutomaton
 
 
+def _group_by(items: Iterable[str], key) -> list[list[str]]:
+    """Items grouped by key, in first-seen order."""
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(key(x), []).append(x)
+    return list(groups.values())
+
+
 def _canonical_partition(classes: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    normer = [tuple(sorted(set(c))) for c in classes if len(tuple(c)) > 0]
-    return tuple(sorted(normer, key=lambda c: c[0]))
+    normed = [tuple(sorted(set(c))) for c in classes]
+    return tuple(sorted(filter(None, normed), key=itemgetter(0)))
+
+
+class _ClassIndex:
+    """Derived data of one relation: the class number of each vertex, and one
+    class-number vector over the sorted vertex ids followed by the sorted edge
+    ids, edge classes numbered after the vertex classes.  `verified_on` is the
+    graph object on which the relation last verified automatic; graphs and
+    relations are immutable, so that verdict stands."""
+
+    __slots__ = ("vertex_class", "vertex_ids", "edge_ids", "vector", "is_partition",
+                 "verified_on")
+
+    def __init__(self, r: "AutomaticRelation"):
+        vc, ec = r.vertex_classes, r.edge_classes
+        self.vertex_class = {v: i for i, c in enumerate(vc) for v in c}
+        edge_class = {e: i for i, c in enumerate(ec, len(vc)) for e in c}
+        self.vertex_ids = tuple(sorted(self.vertex_class))
+        self.edge_ids = tuple(sorted(edge_class))
+        self.vector = tuple(map(self.vertex_class.__getitem__, self.vertex_ids)) + tuple(
+            map(edge_class.__getitem__, self.edge_ids)
+        )
+        self.is_partition = len(self.vector) == sum(map(len, vc)) + sum(map(len, ec))
+        self.verified_on = None
 
 
 @dataclass(frozen=True)
@@ -49,6 +83,10 @@ class AutomaticRelation:
             [[v] for v in g.vertices], [[e] for e in g.edges]
         )
 
+    @cached_property
+    def _index(self) -> _ClassIndex:
+        return _ClassIndex(self)
+
     def vertex_class_of(self) -> dict[str, tuple[str, ...]]:
         return {v: c for c in self.vertex_classes for v in c}
 
@@ -62,16 +100,13 @@ class AutomaticRelation:
 
 
 def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
-    """r1 <= r2 when every r1 class is contained in an r2 class (both sorts)."""
-    for mine, theirs in (
-        (r1.vertex_classes, r2.vertex_class_of()),
-        (r1.edge_classes, r2.edge_class_of()),
-    ):
-        for c in mine:
-            target = theirs[c[0]]
-            if any(theirs[x] != target for x in c[1:]):
-                return False
-    return True
+    """r1 <= r2 when every r1 class is contained in an r2 class (both sorts):
+    exactly when the pairs of class numbers (r1's, r2's) of the same id are
+    as many as r1's classes."""
+    a, b = r1._index, r2._index
+    if a.vertex_ids != b.vertex_ids or a.edge_ids != b.edge_ids:
+        raise DomainError("relations on different vertex or edge sets")
+    return len(set(zip(a.vector, b.vector))) == len(r1.vertex_classes) + len(r1.edge_classes)
 
 
 @dataclass(frozen=True)
@@ -84,32 +119,39 @@ class RelationReport:
         return self.ok
 
 
-def _check_partition(items: Sequence[str], classes) -> None:
-    flat = [x for c in classes for x in c]
-    if len(flat) != len(set(flat)) or set(flat) != set(items):
-        raise DomainError("classes do not partition the underlying set")
+_AUTOMATIC = RelationReport(True)
 
 
 def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
     """Check compatibility and bisimilarity; the report names the violated
-    clause and a witness."""
-    _check_partition(g.vertices, r.vertex_classes)
-    _check_partition(list(g.edges), r.edge_classes)
-    vclass = r.vertex_class_of()
+    clause and a witness.  A relation verified on this graph object before
+    is not checked again."""
+    idx = r._index
+    if idx.verified_on is g:
+        return _AUTOMATIC
+    if not idx.is_partition or idx.vertex_ids != g.vertices or idx.edge_ids != tuple(g.edges):
+        raise DomainError("classes do not partition the underlying set")
+    vclass, src, dst = idx.vertex_class, g.src, g.dst
     for c in r.edge_classes:
-        s0, t0 = vclass[g.src(c[0])], vclass[g.dst(c[0])]
+        s0, t0 = vclass[src(c[0])], vclass[dst(c[0])]
         for e in c[1:]:
-            if vclass[g.src(e)] != s0:
+            if vclass[src(e)] != s0:
                 return RelationReport(False, "compatibility", (c[0], e, "src"))
-            if vclass[g.dst(e)] != t0:
+            if vclass[dst(e)] != t0:
                 return RelationReport(False, "compatibility", (c[0], e, "dst"))
     for c in r.edge_classes:
-        sources = {g.src(e) for e in c}
-        needed = vclass[g.src(c[0])]
-        for x in needed:
+        sources = {src(e) for e in c}
+        for x in r.vertex_classes[vclass[src(c[0])]]:
             if x not in sources:
                 return RelationReport(False, "bisimilarity", (x, c[0]))
-    return RelationReport(True)
+    idx.verified_on = g
+    return _AUTOMATIC
+
+
+def _require_automatic(g: DiGraph, r: AutomaticRelation, what: str) -> None:
+    rep = is_automatic(g, r)
+    if not rep.ok:
+        raise DomainError(f"{what}: {rep.clause}")
 
 
 def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
@@ -130,9 +172,7 @@ def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
 
 def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
     """True when distinct related edges always have distinct sources."""
-    report = is_automatic(g, r)
-    if not report.ok:
-        raise DomainError(f"relation is not automatic: {report.clause}")
+    _require_automatic(g, r, "relation is not automatic")
     for c in r.edge_classes:
         sources = [g.src(e) for e in c]
         if len(sources) != len(set(sources)):
@@ -147,13 +187,7 @@ def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
     report = is_directed_emulator(phi)
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")
-    vfibres: dict[str, list[str]] = {}
-    for v, w in phi.p.items():
-        vfibres.setdefault(w, []).append(v)
-    efibres: dict[str, list[str]] = {}
-    for e, f in phi.q.items():
-        efibres.setdefault(f, []).append(e)
-    return AutomaticRelation.from_classes(vfibres.values(), efibres.values())
+    return AutomaticRelation.from_classes(_group_by(phi.p, phi.p.get), _group_by(phi.q, phi.q.get))
 
 
 def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
@@ -180,15 +214,10 @@ def compose_relations(
     report = is_automatic(q, r2)
     if not report.ok:
         raise DomainError("second relation is not automatic on the quotient")
-    v2 = r2.vertex_class_of()
-    e2 = r2.edge_class_of()
-    vgroups: dict[tuple, list[str]] = {}
-    for v in g.vertices:
-        vgroups.setdefault(v2[can.p[v]], []).append(v)
-    egroups: dict[tuple, list[str]] = {}
-    for e in g.edges:
-        egroups.setdefault(e2[can.q[e]], []).append(e)
-    return AutomaticRelation.from_classes(vgroups.values(), egroups.values())
+    v2, e2 = r2.vertex_class_of(), r2.edge_class_of()
+    return AutomaticRelation.from_classes(
+        _group_by(g.vertices, lambda v: v2[can.p[v]]), _group_by(g.edges, lambda e: e2[can.q[e]])
+    )
 
 
 @dataclass(frozen=True)
@@ -255,13 +284,8 @@ def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
 
     blocks = _refine_vertices(g, blocks, signature, max(1, len(g.vertices)))
     block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    egroups: dict[tuple, list[str]] = {}
-    for e in g.edges:
-        key = (a.label(e), block_of[g.src(e)], block_of[g.dst(e)])
-        egroups.setdefault(key, []).append(e)
-    return AutomaticRelation.from_classes(
-        [sorted(b) for b in blocks], egroups.values()
-    )
+    egroups = _group_by(g.edges, lambda e: (a.label(e), block_of[g.src(e)], block_of[g.dst(e)]))
+    return AutomaticRelation.from_classes(blocks, egroups)
 
 
 @dataclass(frozen=True)
@@ -314,9 +338,7 @@ def automatic_to_mn_roundtrip(g: DiGraph, r: AutomaticRelation) -> RoundTripRepo
     """Recover an automatic relation by refinement over its own canonical
     semi-automaton, from a minimal complete final system, from the full class
     partition, and (when a reachable vertex exists) from that single class."""
-    report = is_automatic(g, r)
-    if not report.ok:
-        raise DomainError(f"relation is not automatic: {report.clause}")
+    _require_automatic(g, r, "relation is not automatic")
     a_r = canonical_semi_automaton(g, r)
     vclass = r.vertex_class_of()
 
@@ -340,48 +362,39 @@ def automatic_to_mn_roundtrip(g: DiGraph, r: AutomaticRelation) -> RoundTripRepo
     return RoundTripReport(ok, minimal_ok, class_ok, single_ok)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _join_classes(ids: tuple[str, ...], x: tuple[int, ...], y: tuple[int, ...]):
+    """Classes of the finest partition of ids coarser than both class-number
+    vectors: x's classes, merged whenever y relates two of their members."""
+    parent = {i: i for i in x}
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    def root(k: int) -> int:
+        while parent[k] != k:
+            k = parent[k]
+        return k
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self):
-        groups: dict[str, list[str]] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return groups.values()
+    first: dict[int, int] = {}
+    for i, j in zip(x, y):
+        a, b = root(i), root(first.setdefault(j, i))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[str]] = {}
+    for v, i in zip(ids, x):
+        groups.setdefault(root(i), []).append(v)
+    return groups.values()
 
 
 def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
     """Least upper bound: transitive closure of the unions, which stays
     automatic."""
     for r in (r1, r2):
-        rep = is_automatic(g, r)
-        if not rep.ok:
-            raise DomainError(f"join input is not automatic: {rep.clause}")
-    uf_v = _UnionFind(g.vertices)
-    uf_e = _UnionFind(g.edges)
-    for r in (r1, r2):
-        for c in r.vertex_classes:
-            for x in c[1:]:
-                uf_v.union(c[0], x)
-        for c in r.edge_classes:
-            for x in c[1:]:
-                uf_e.union(c[0], x)
-    out = AutomaticRelation.from_classes(uf_v.classes(), uf_e.classes())
-    rep = is_automatic(g, out)
-    if not rep.ok:
-        raise DomainError(f"join failed to be automatic: {rep.clause}")
+        _require_automatic(g, r, "join input is not automatic")
+    a, b = r1._index, r2._index
+    n = len(a.vertex_ids)
+    out = AutomaticRelation.from_classes(
+        _join_classes(a.vertex_ids, a.vector[:n], b.vector[:n]),
+        _join_classes(a.edge_ids, a.vector[n:], b.vector[n:]),
+    )
+    _require_automatic(g, out, "join failed to be automatic")
     return out
 
 
@@ -389,41 +402,28 @@ def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
     """Greatest lower bound: the greatest fixpoint below the pairwise
     intersections, computed by deleting violating pairs until stable."""
     for r in (r1, r2):
-        rep = is_automatic(g, r)
-        if not rep.ok:
-            raise DomainError(f"meet input is not automatic: {rep.clause}")
-    v1, v2 = r1.vertex_class_of(), r2.vertex_class_of()
-    e1, e2 = r1.edge_class_of(), r2.edge_class_of()
-    vgroups: dict[tuple, set[str]] = {}
-    for v in g.vertices:
-        vgroups.setdefault((v1[v], v2[v]), set()).add(v)
-    egroups: dict[tuple, set[str]] = {}
-    for e in g.edges:
-        egroups.setdefault((e1[e], e2[e]), set()).add(e)
-    vblocks = list(vgroups.values())
-    eblocks = list(egroups.values())
+        _require_automatic(g, r, "meet input is not automatic")
+    a, b = r1._index, r2._index
+    groups: dict[tuple[int, int], set[str]] = {}
+    for x, key in zip(a.vertex_ids + a.edge_ids, zip(a.vector, b.vector)):
+        groups.setdefault(key, set()).add(x)
+    n = len(r1.vertex_classes)  # r1's vertex classes are numbered below n, its edge classes from n
+    vblocks = [block for (i, _), block in groups.items() if i < n]
+    eblocks = [block for (i, _), block in groups.items() if i >= n]
 
     while True:
         vb_of = {v: i for i, b in enumerate(vblocks) for v in b}
         eb_of = {e: i for i, b in enumerate(eblocks) for e in b}
-        new_eblocks_map: dict[tuple, set[str]] = {}
-        for e in g.edges:
-            key = (eb_of[e], vb_of[g.src(e)], vb_of[g.dst(e)])
-            new_eblocks_map.setdefault(key, set()).add(e)
-        new_vblocks_map: dict[tuple, set[str]] = {}
-        for v in g.vertices:
-            sig = frozenset(eb_of[e] for e in g.out_edges(v))
-            new_vblocks_map.setdefault((vb_of[v], sig), set()).add(v)
-        new_vblocks = list(new_vblocks_map.values())
-        new_eblocks = list(new_eblocks_map.values())
-        if len(new_vblocks) == len(vblocks) and len(new_eblocks) == len(eblocks):
+        new_e = _group_by(g.edges, lambda e: (eb_of[e], vb_of[g.src(e)], vb_of[g.dst(e)]))
+        new_v = _group_by(
+            g.vertices, lambda v: (vb_of[v], frozenset(eb_of[e] for e in g.out_edges(v)))
+        )
+        if len(new_v) == len(vblocks) and len(new_e) == len(eblocks):
             break
-        vblocks, eblocks = new_vblocks, new_eblocks
+        vblocks, eblocks = new_v, new_e
 
     out = AutomaticRelation.from_classes(vblocks, eblocks)
-    rep = is_automatic(g, out)
-    if not rep.ok:
-        raise DomainError(f"meet failed to be automatic: {rep.clause}")
+    _require_automatic(g, out, "meet failed to be automatic")
     return out
 
 
@@ -440,13 +440,9 @@ def maximum(g: DiGraph) -> AutomaticRelation:
 
     blocks = _refine_vertices(g, blocks, signature, max(1, len(g.vertices)))
     block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    egroups: dict[tuple, list[str]] = {}
-    for e in g.edges:
-        egroups.setdefault((block_of[g.src(e)], block_of[g.dst(e)]), []).append(e)
-    out = AutomaticRelation.from_classes([sorted(b) for b in blocks], egroups.values())
-    rep = is_automatic(g, out)
-    if not rep.ok:
-        raise DomainError(f"maximum relation failed to be automatic: {rep.clause}")
+    egroups = _group_by(g.edges, lambda e: (block_of[g.src(e)], block_of[g.dst(e)]))
+    out = AutomaticRelation.from_classes(blocks, egroups)
+    _require_automatic(g, out, "maximum relation failed to be automatic")
     return out
 
 
@@ -463,28 +459,28 @@ def _partitions(items: list):
 
 
 def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
-    """All automatic relations on a small graph, by exhausting vertex
-    partitions and, per vertex partition, the edge partitions refining the
-    endpoint-class grouping."""
+    """All automatic relations on a small graph, built directly.  Per vertex
+    partition, each group of edges with the same end classes is partitioned on
+    its own, keeping the partitions whose every block's sources cover the
+    source class (bisimilarity; compatibility holds by construction).  A group
+    with nothing kept rules out the vertex partition."""
     out = []
-    edges = list(g.edges)
     for vpart in _partitions(list(g.vertices)):
         vclass = {v: i for i, c in enumerate(vpart) for v in c}
         groups: dict[tuple[int, int], list[str]] = {}
-        for e in edges:
+        for e in g.edges:
             groups.setdefault((vclass[g.src(e)], vclass[g.dst(e)]), []).append(e)
-        group_list = list(groups.values())
-
-        def group_partitions(i: int):
-            if i == len(group_list):
-                yield []
-                return
-            for head in _partitions(group_list[i]):
-                for tail in group_partitions(i + 1):
-                    yield head + tail
-
-        for epart in group_partitions(0):
-            r = AutomaticRelation.from_classes(vpart, epart)
-            if is_automatic(g, r).ok:
-                out.append(r)
+        kept_per_group = []
+        for (s, _), group in groups.items():
+            need = len(vpart[s])
+            kept = [p for p in _partitions(group)
+                    if all(len({g.src(e) for e in block}) == need for block in p)]
+            if not kept:
+                break
+            kept_per_group.append(kept)
+        else:
+            vertex_classes = _canonical_partition(vpart)
+            for parts in product(*kept_per_group):
+                edge_classes = _canonical_partition(chain.from_iterable(parts))
+                out.append(AutomaticRelation(vertex_classes, edge_classes))
     return out

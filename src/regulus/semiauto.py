@@ -115,13 +115,6 @@ def validate_semi_morphism(m: SemiMorphism) -> None:
             )
 
 
-def semi_identity(a: SemiAutomaton) -> SemiMorphism:
-    base = GraphMorphism(
-        a.graph, a.graph, {v: v for v in a.states()}, {e: e for e in a.graph.edges}
-    )
-    return SemiMorphism(a, a, base, {x: x for x in a.alphabet})
-
-
 def compose_semi(outer: SemiMorphism, inner: SemiMorphism) -> SemiMorphism:
     if inner.target != outer.source:
         raise DomainError("semi-automaton morphisms do not compose")

@@ -184,6 +184,38 @@ class TestCliVerbs:
         m.write_text(json.dumps({"source": [], "target": [], "p": {}, "q": {}}))
         assert main(["emu", "check", str(m), "-o", out]) == 3
 
+    def test_non_string_ids_are_input_errors(self, tmp_path, capsys):
+        # vertex lists and relation classes must be lists of strings: no
+        # traceback and exit 1, and no string split into one-letter ids
+        g = tmp_path / "g.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps({"vertex_classes": [["a", 1]], "edge_classes": [["e1", "e2"]]}))
+        cases = [["rel", "check", str(g), str(r)]]
+        for i, vertices in enumerate([None, "ab", ["a", 2]]):
+            f = tmp_path / f"v{i}.json"
+            f.write_text(json.dumps({"vertices": vertices, "edges": []}))
+            cases.append(["graph", "simplify", str(f)])
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps({"vertices": "ab", "edges": [{"id": "e", "ends": ["a", "b"]}]}))
+        cases.append(["genus", "planar", str(u)])
+        for args in cases:
+            assert main([*args, "-o", str(tmp_path / "o.json")]) == 3, args
+            assert capsys.readouterr().err.startswith("error: "), args
+
+    def test_repeated_calls_keep_append_options_apart(self, tmp_path):
+        # main reuses one parser; an appended --final must not reach the next call
+        semi = tmp_path / "loops.json"
+        semi.write_text(json.dumps({
+            "vertices": ["a", "b", "c"],
+            "alphabet": ["x"],
+            "edges": [{"id": f"l{v}", "src": v, "dst": v, "label": "x"} for v in "abc"],
+        }))
+        out = tmp_path / "r.json"
+        for final, classes in (("a", [["a"], ["b", "c"]]), ("b", [["a", "c"], ["b"]])):
+            assert main(["rel", "mn", str(semi), "--final", final, "-o", str(out)]) == 0
+            assert formats.loads(out.read_text())["vertex_classes"] == classes
+
     def test_infinite_budget_is_input_error(self, tmp_path, monkeypatch, capsys):
         from conftest import k_complete
 

@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regulus import (
     AutomaticRelation,
@@ -397,3 +401,207 @@ class TestLattice:
             top = maximum(g)
             for r in enumerate_automatic_relations(g):
                 assert relation_leq(r, top)
+
+
+# -- brute-force references: every candidate partition, checks on class dicts --
+
+
+def _reference_is_automatic(g, r):
+    """Partition check by flattening, then compatibility and bisimilarity on
+    class tuples; (ok, clause, witness) or DomainError."""
+    for items, classes in ((g.vertices, r.vertex_classes), (list(g.edges), r.edge_classes)):
+        flat = [x for c in classes for x in c]
+        if len(flat) != len(set(flat)) or set(flat) != set(items):
+            raise DomainError("classes do not partition the underlying set")
+    vclass = r.vertex_class_of()
+    for c in r.edge_classes:
+        s0, t0 = vclass[g.src(c[0])], vclass[g.dst(c[0])]
+        for e in c[1:]:
+            if vclass[g.src(e)] != s0:
+                return False, "compatibility", (c[0], e, "src")
+            if vclass[g.dst(e)] != t0:
+                return False, "compatibility", (c[0], e, "dst")
+    for c in r.edge_classes:
+        sources = {g.src(e) for e in c}
+        for x in vclass[g.src(c[0])]:
+            if x not in sources:
+                return False, "bisimilarity", (x, c[0])
+    return True, "", ()
+
+
+def _reference_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _reference_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def _reference_enumeration(g):
+    """Every vertex partition with every product of partitions of its
+    end-class edge groups, filtered by the reference check."""
+    out = []
+    for vpart in _reference_partitions(list(g.vertices)):
+        vclass = {v: i for i, c in enumerate(vpart) for v in c}
+        groups = {}
+        for e in g.edges:
+            groups.setdefault((vclass[g.src(e)], vclass[g.dst(e)]), []).append(e)
+        for parts in product(*(list(_reference_partitions(x)) for x in groups.values())):
+            r = AutomaticRelation.from_classes(vpart, [c for p in parts for c in p])
+            if _reference_is_automatic(g, r)[0]:
+                out.append(r)
+    return out
+
+
+def _reference_leq(r1, r2):
+    for mine, theirs in (
+        (r1.vertex_classes, r2.vertex_class_of()),
+        (r1.edge_classes, r2.edge_class_of()),
+    ):
+        for c in mine:
+            if any(theirs[x] != theirs[c[0]] for x in c[1:]):
+                return False
+    return True
+
+
+@st.composite
+def multidigraphs(draw, max_vertices=4, max_edges=6):
+    """Digraphs with loops and parallel edges; the edge ids are shuffled, so
+    their sorted order is not their order of creation."""
+    vs = [f"v{i}" for i in range(draw(st.integers(0, max_vertices)))]
+    vertex = st.sampled_from(vs or [""])
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges if vs else 0))
+    names = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
+    return DiGraph(vs, [(e, s, t) for e, (s, t) in zip(names, pairs)])
+
+
+@st.composite
+def partitions(draw, items):
+    """A partition of items into at most three classes."""
+    blocks = draw(st.lists(st.integers(0, 2), min_size=len(items), max_size=len(items)))
+    groups = {}
+    for x, b in zip(items, blocks):
+        groups.setdefault(b, []).append(x)
+    return list(groups.values())
+
+
+@st.composite
+def graphs_with_class_lists(draw):
+    """A graph with two class lists: partitions half of the time, otherwise
+    lists over its ids and one stray id that may overlap or miss ids."""
+    g = draw(multidigraphs(max_vertices=3, max_edges=5))
+    if draw(st.booleans()):
+        return g, draw(partitions(list(g.vertices))), draw(partitions(list(g.edges)))
+    ids = st.sampled_from(list(g.vertices) + list(g.edges) + ["stray"])
+    classes = st.lists(st.lists(ids, min_size=1, max_size=3), max_size=4)
+    return g, draw(classes), draw(classes)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(multidigraphs())
+    @example(DiGraph([], []))
+    @example(DiGraph(["u"], [("a", "u", "u"), ("b", "u", "u"), ("c", "u", "u")]))
+    def test_enumeration_matches_filtered_brute_force(self, g):
+        # built directly, the relations are the brute-force ones in its order
+        assert enumerate_automatic_relations(g) == _reference_enumeration(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multidigraphs(), st.data())
+    def test_leq_matches_class_dicts(self, g, data):
+        rels = enumerate_automatic_relations(g)[:6] + [
+            AutomaticRelation.from_classes(
+                data.draw(partitions(list(g.vertices))), data.draw(partitions(list(g.edges)))
+            )
+            for _ in range(4)
+        ]
+        for r1 in rels:
+            for r2 in rels:
+                assert relation_leq(r1, r2) == _reference_leq(r1, r2)
+
+    def test_leq_refuses_relations_on_different_sets(self):
+        with pytest.raises(DomainError):
+            relation_leq(AutomaticRelation.identity(c2()), AutomaticRelation.identity(p2()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_class_lists())
+    @example((p2(), [["x", "y"]], [["e"]]))
+    @example((c2(), [["a"], ["b"]], [["e1", "e2"]]))
+    @example((DiGraph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "a")]),
+              [["a"], ["b"]], [["e1", "e2"]]))
+    @example((c2(), [["a"]], [["e1", "e2"]]))
+    @example((c2(), [["a", "b"], ["a"]], [["e1", "e2"]]))
+    def test_is_automatic_matches_reference(self, case):
+        g, vertex_classes, edge_classes = case
+        r = AutomaticRelation.from_classes(vertex_classes, edge_classes)
+        try:
+            want = _reference_is_automatic(g, r)
+        except DomainError:
+            with pytest.raises(DomainError):
+                is_automatic(g, r)
+            return
+        for _ in range(2):  # the second answer may be a remembered one
+            rep = is_automatic(g, r)
+            assert (rep.ok, rep.clause, rep.witness) == want
+
+    def test_is_automatic_on_every_partition_pair(self):
+        # every vertex x edge partition pair of a few small graphs, so that
+        # both clauses fail somewhere, on both ends for compatibility
+        graphs = [c2(), p2(), par2(), loop2(), c4(),
+                  DiGraph(["a", "b", "c"], [("e", "a", "b"), ("f", "a", "c"), ("g", "b", "b")])]
+        seen = set()
+        for g in graphs:
+            for vpart in _reference_partitions(list(g.vertices)):
+                for epart in _reference_partitions(list(g.edges)):
+                    r = AutomaticRelation.from_classes(vpart, epart)
+                    want = _reference_is_automatic(g, r)
+                    rep = is_automatic(g, r)
+                    assert (rep.ok, rep.clause, rep.witness) == want
+                    seen.add((want[1], want[2][2:]))
+        assert seen == {("", ()), ("bisimilarity", ()),
+                        ("compatibility", ("src",)), ("compatibility", ("dst",))}
+
+    def test_verdict_does_not_carry_to_another_graph_object(self):
+        class CountingDiGraph(DiGraph):
+            __slots__ = ("lookups",)
+
+            def __init__(self, vertices, edges):
+                super().__init__(vertices, edges)
+                self.lookups = 0
+
+            def src(self, eid):
+                self.lookups += 1
+                return super().src(eid)
+
+        g = c2()
+        h = CountingDiGraph(g.vertices, g.edge_list())
+        r = AutomaticRelation.from_classes([["a", "b"]], [["e1", "e2"]])
+        assert is_automatic(g, r).ok
+        assert h == g and h is not g
+        assert is_automatic(h, r).ok and h.lookups > 0  # checked afresh
+        lookups = h.lookups
+        assert is_automatic(h, r).ok and h.lookups == lookups  # remembered
+        # same ids, but both edges leave a: b lacks an e1-related edge
+        f = DiGraph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
+        rep = is_automatic(f, r)
+        assert (rep.ok, rep.clause, rep.witness) == (False, "bisimilarity", ("b", "e1"))
+        assert is_automatic(g, r).ok and is_automatic(h, r).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_remembered_verdicts_follow_the_graph(self, data):
+        # one relation asked about in turn on graphs with the same ids: the
+        # graph, a rewiring of it and an equal copy
+        g = data.draw(multidigraphs(max_vertices=3, max_edges=4))
+        vs = list(g.vertices)
+        vertex = st.sampled_from(vs or [""])
+        h = DiGraph(vs, [(e, data.draw(vertex), data.draw(vertex)) for e in g.edges])
+        r = AutomaticRelation.from_classes(
+            data.draw(partitions(vs)), data.draw(partitions(list(g.edges)))
+        )
+        for graph in (g, h, g, DiGraph(vs, g.edge_list()), h, g):
+            rep = is_automatic(graph, r)
+            assert (rep.ok, rep.clause, rep.witness) == _reference_is_automatic(graph, r)
