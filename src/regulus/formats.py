@@ -69,6 +69,20 @@ def _mapping(data: dict, key: str) -> dict:
     return value
 
 
+def _string_map(data: dict, key: str) -> dict[str, str]:
+    value = _mapping(data, key)
+    if not _is_strings(list(value.values())):
+        raise DomainError(f"{key!r} must map strings to strings")
+    return value
+
+
+def _rotations(data: dict, key: str) -> RotationSystem:
+    value = _mapping(data, key)
+    if not all(map(_is_strings, value.values())):
+        raise DomainError(f"{key!r} must map each vertex to a list of strings")
+    return RotationSystem(value)
+
+
 # -- digraphs ---------------------------------------------------------------
 
 def digraph_to_json(g: DiGraph) -> dict:
@@ -127,7 +141,9 @@ def semi_to_json(a: SemiAutomaton) -> dict:
 def semi_from_json(data: dict) -> SemiAutomaton:
     g = digraph_from_json(data)
     labels = {_need(e, "id"): _need(e, "label") for e in _records(data, "edges")}
-    return SemiAutomaton(g, _need(data, "alphabet"), labels)
+    if not _is_strings(list(labels.values())):
+        raise DomainError("each edge 'label' must be a string")
+    return SemiAutomaton(g, _strings(data, "alphabet"), labels)
 
 
 def automaton_to_json(a: Automaton) -> dict:
@@ -139,7 +155,7 @@ def automaton_to_json(a: Automaton) -> dict:
 
 def automaton_from_json(data: dict) -> Automaton:
     return Automaton(
-        semi_from_json(data), _need(data, "initials"), _need(data, "finals")
+        semi_from_json(data), _strings(data, "initials"), _strings(data, "finals")
     )
 
 
@@ -166,8 +182,8 @@ def morphism_from_json(data: dict) -> GraphMorphism:
     return GraphMorphism(
         digraph_from_json(_mapping(data, "source")),
         digraph_from_json(_mapping(data, "target")),
-        _mapping(data, "p"),
-        _mapping(data, "q"),
+        _string_map(data, "p"),
+        _string_map(data, "q"),
     )
 
 
@@ -184,8 +200,8 @@ def undirected_morphism_from_json(data: dict) -> UndirectedMorphism:
     return UndirectedMorphism(
         undirected_from_json(_mapping(data, "source")),
         undirected_from_json(_mapping(data, "target")),
-        _mapping(data, "p"),
-        _mapping(data, "q"),
+        _string_map(data, "p"),
+        _string_map(data, "q"),
     )
 
 
@@ -207,9 +223,9 @@ def semi_morphism_from_json(data: dict) -> SemiMorphism:
     source = semi_from_json(_mapping(data, "source"))
     target = semi_from_json(_mapping(data, "target"))
     base = GraphMorphism(
-        source.graph, target.graph, _mapping(data, "p"), _mapping(data, "q")
+        source.graph, target.graph, _string_map(data, "p"), _string_map(data, "q")
     )
-    return SemiMorphism(source, target, base, _mapping(data, "alpha"))
+    return SemiMorphism(source, target, base, _string_map(data, "alpha"))
 
 
 # -- relations, rotations, certificates ---------------------------------------
@@ -236,9 +252,7 @@ def rotation_to_json(r: RotationSystem) -> dict:
 
 
 def rotation_from_json(data: dict) -> RotationSystem:
-    return RotationSystem(
-        {v: tuple(ts) for v, ts in _mapping(data, "rotations").items()}
-    )
+    return _rotations(data, "rotations")
 
 
 def certificate_to_json(c: CoverCertificate) -> dict:
@@ -255,10 +269,8 @@ def certificate_to_json(c: CoverCertificate) -> dict:
 def certificate_from_json(data: dict) -> CoverCertificate:
     base = digraph_from_json(_mapping(data, "base"))
     total = digraph_from_json(_mapping(data, "total"))
-    morphism = GraphMorphism(total, base, _mapping(data, "p"), _mapping(data, "q"))
-    rotation = RotationSystem(
-        {v: tuple(ts) for v, ts in _mapping(data, "rotation").items()}
-    )
+    morphism = GraphMorphism(total, base, _string_map(data, "p"), _string_map(data, "q"))
+    rotation = _rotations(data, "rotation")
     genus = _need(data, "genus")
     if not isinstance(genus, int) or genus < 0:
         raise DomainError("certificate genus must be a non-negative integer")

@@ -113,31 +113,6 @@ class _Darts:
         self.twin = [d ^ 1 for d in range(len(self.tokens))]
 
 
-def _orbit_faces(next_dart: list[int]) -> list[int]:
-    """Lengths of the closed orbits of a partial injective successor map."""
-    n = len(next_dart)
-    visited = bytearray(n)
-    lengths = []
-    for d in range(n):
-        if visited[d]:
-            continue
-        cur = d
-        steps = 0
-        while True:
-            if visited[cur]:
-                break
-            visited[cur] = 1
-            steps += 1
-            nxt = next_dart[cur]
-            if nxt < 0:
-                break
-            if nxt == d:
-                lengths.append(steps)
-                break
-            cur = nxt
-    return lengths
-
-
 def trace_faces(
     g: UndirectedGraph, rot: RotationSystem
 ) -> tuple[FaceVector, int]:
@@ -154,35 +129,28 @@ def trace_faces(
         for i, d in enumerate(idx):
             rot_next[d] = idx[(i + 1) % len(idx)]
     next_dart = [rot_next[tables.twin[d]] for d in range(nd)]
-    lengths = _orbit_faces(next_dart)
+    comps = _components(g)
+    comp_of = {tables.vid[v]: i for i, (comp_vs, _) in enumerate(comps) for v in comp_vs}
+    # the rotation is total, so next_dart is a permutation: walk each orbit once
     counts: dict[int, int] = {}
-    for ln in lengths:
-        counts[ln] = counts.get(ln, 0) + 1
+    faces = [0] * len(comps)
+    visited = bytearray(nd)
+    for d in range(nd):
+        if visited[d]:
+            continue
+        length, cur = 0, d
+        while not visited[cur]:
+            visited[cur] = 1
+            length += 1
+            cur = next_dart[cur]
+        counts[length] = counts.get(length, 0) + 1
+        faces[comp_of[tables.vertex_of[d]]] += 1
 
     genus = 0
-    for comp_vs, comp_es in _components(g):
-        vcount, ecount = len(comp_vs), len(comp_es)
-        if ecount == 0:
+    for (comp_vs, comp_es), fcount in zip(comps, faces):
+        if not comp_es:
             continue
-        comp_darts = {
-            tables.token_index[tok]
-            for eid in comp_es
-            for tok, _ in dart_tokens(g, eid)
-        }
-        # with a total rotation every orbit is closed, so count them directly
-        fcount = 0
-        seen: set[int] = set()
-        for d in comp_darts:
-            if d in seen:
-                continue
-            cur = d
-            while True:
-                seen.add(cur)
-                cur = next_dart[cur]
-                if cur == d:
-                    break
-            fcount += 1
-        euler = vcount - ecount + fcount
+        euler = len(comp_vs) - len(comp_es) + fcount
         if euler % 2 != 0:
             raise DomainError("face trace produced an odd Euler characteristic")
         comp_genus = (2 - euler) // 2
@@ -209,7 +177,8 @@ def _components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
-        es = [e for e in g.edges if g.ends(e)[0] in set(vs)]
+        vset = set(vs)
+        es = [e for e in g.edges if g.ends(e)[0] in vset]
         comps.append((sorted(vs), sorted(es)))
     return comps
 
@@ -608,7 +577,7 @@ def genus_exact(
         girth = undirected_girth(search_graph)
         floor = int(girth) if girth != math.inf else 3
         lb = 1
-        if floor >= 3 and _is_connected(search_graph):
+        if floor >= 3:
             lb = max(1, euler_lower_bound(search_graph, floor))
         comp_genus, comp_rot = _search_min_genus(search_graph, lb, budget)
         if normalize:

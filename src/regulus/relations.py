@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, count, product
 from operator import itemgetter
 from typing import Iterable
 
@@ -27,12 +27,12 @@ from .errors import DomainError
 from .semiauto import SemiAutomaton
 
 
-def _group_by(items: Iterable[str], key) -> list[list[str]]:
-    """Items grouped by key, in first-seen order."""
+def _classes(ids: Iterable[str], blocks: Iterable) -> tuple[tuple[str, ...], ...]:
+    """The ids grouped by their blocks, in first-seen order."""
     groups: dict = {}
-    for x in items:
-        groups.setdefault(key(x), []).append(x)
-    return list(groups.values())
+    for x, b in zip(ids, blocks):
+        groups.setdefault(b, []).append(x)
+    return tuple(map(tuple, groups.values()))
 
 
 def _canonical_partition(classes: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
@@ -187,7 +187,9 @@ def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
     report = is_directed_emulator(phi)
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")
-    return AutomaticRelation.from_classes(_group_by(phi.p, phi.p.get), _group_by(phi.q, phi.q.get))
+    return AutomaticRelation.from_classes(
+        _classes(phi.p, phi.p.values()), _classes(phi.q, phi.q.values())
+    )
 
 
 def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
@@ -216,7 +218,8 @@ def compose_relations(
         raise DomainError("second relation is not automatic on the quotient")
     v2, e2 = r2.vertex_class_of(), r2.edge_class_of()
     return AutomaticRelation.from_classes(
-        _group_by(g.vertices, lambda v: v2[can.p[v]]), _group_by(g.edges, lambda e: e2[can.q[e]])
+        _classes(g.vertices, (v2[can.p[v]] for v in g.vertices)),
+        _classes(g.edges, (e2[can.q[e]] for e in g.edges)),
     )
 
 
@@ -242,26 +245,34 @@ class FinalFamily:
             seen |= s
 
 
-def _refine_vertices(
-    g: DiGraph,
-    blocks: list[frozenset[str]],
-    signature,
-    max_rounds: int,
-) -> list[frozenset[str]]:
-    """Iterate signature-splitting until stable; asserts the fixpoint arrives
-    within max_rounds rounds."""
-    rounds = 0
-    while True:
-        block_of = {v: i for i, b in enumerate(blocks) for v in b}
-        groups: dict[tuple, set[str]] = {}
-        for v in g.vertices:
-            groups.setdefault(signature(v, block_of), set()).add(v)
-        new_blocks = [frozenset(s) for s in groups.values()]
-        if len(new_blocks) == len(blocks):
-            return blocks
-        blocks = new_blocks
-        rounds += 1
-        assert rounds <= max_rounds, "refinement failed to stabilize in |V| rounds"
+def _blocks(keys) -> tuple[list[int], int]:
+    """Each key's block number, blocks numbered in first-seen order, and the
+    number of blocks."""
+    number: dict = {}
+    blocks = [number.setdefault(k, len(number)) for k in keys]
+    return blocks, len(number)
+
+
+def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation:
+    """The coarsest automatic relation whose classes lie within those of the
+    keys, one hashable per vertex and per edge in id order.  Moore-style
+    rounds renumber the edges by (block, source block, target block), then the
+    vertices by (block, set of out-edge blocks), until neither count grows.
+    The ids are sorted, so first-seen classes are already canonical."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[s], index[t]) for s, t in g.edges.values()]
+    outs: list[list[int]] = [[] for _ in index]
+    for j, (s, _) in enumerate(ends):
+        outs[s].append(j)
+    (vb, nv), (eb, ne) = _blocks(vertex_keys), _blocks(edge_keys)
+    # each round that does not stop adds a vertex or an edge block
+    for rounds in count():
+        assert rounds <= len(index) + len(ends), "refinement failed to stabilize in |V|+|E| rounds"
+        eb, ne_next = _blocks([(b, vb[s], vb[t]) for b, (s, t) in zip(eb, ends)])
+        vb, nv_next = _blocks([(b, frozenset(map(eb.__getitem__, o))) for b, o in zip(vb, outs)])
+        if (nv_next, ne_next) == (nv, ne):
+            return AutomaticRelation(_classes(g.vertices, vb), _classes(g.edges, eb))
+        nv, ne = nv_next, ne_next
 
 
 def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
@@ -270,22 +281,8 @@ def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
     endpoints are related.  The result is always automatic."""
     g = a.graph
     family.validate(g)
-    covered = {v for s in family.subsets for v in s}
-    blocks = [s for s in family.subsets]
-    rest = frozenset(set(g.vertices) - covered)
-    if rest:
-        blocks.append(rest)
-
-    def signature(v: str, block_of: dict[str, int]):
-        outs = frozenset(
-            (a.label(e), block_of[g.dst(e)]) for e in g.out_edges(v)
-        )
-        return (block_of[v], outs)
-
-    blocks = _refine_vertices(g, blocks, signature, max(1, len(g.vertices)))
-    block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    egroups = _group_by(g.edges, lambda e: (a.label(e), block_of[g.src(e)], block_of[g.dst(e)]))
-    return AutomaticRelation.from_classes(blocks, egroups)
+    subset_of = {v: i for i, s in enumerate(family.subsets) for v in s}
+    return _coarsest_automatic(g, map(subset_of.get, g.vertices), map(a.label, g.edges))
 
 
 @dataclass(frozen=True)
@@ -364,7 +361,8 @@ def automatic_to_mn_roundtrip(g: DiGraph, r: AutomaticRelation) -> RoundTripRepo
 
 def _join_classes(ids: tuple[str, ...], x: tuple[int, ...], y: tuple[int, ...]):
     """Classes of the finest partition of ids coarser than both class-number
-    vectors: x's classes, merged whenever y relates two of their members."""
+    vectors: x's classes, merged whenever y relates two of their members.
+    The ids are sorted, so first-seen classes are already canonical."""
     parent = {i: i for i in x}
 
     def root(k: int) -> int:
@@ -377,10 +375,7 @@ def _join_classes(ids: tuple[str, ...], x: tuple[int, ...], y: tuple[int, ...]):
         a, b = root(i), root(first.setdefault(j, i))
         if a != b:
             parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[str]] = {}
-    for v, i in zip(ids, x):
-        groups.setdefault(root(i), []).append(v)
-    return groups.values()
+    return _classes(ids, map(root, x))
 
 
 def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
@@ -390,7 +385,7 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
         _require_automatic(g, r, "join input is not automatic")
     a, b = r1._index, r2._index
     n = len(a.vertex_ids)
-    out = AutomaticRelation.from_classes(
+    out = AutomaticRelation(
         _join_classes(a.vertex_ids, a.vector[:n], b.vector[:n]),
         _join_classes(a.edge_ids, a.vector[n:], b.vector[n:]),
     )
@@ -399,30 +394,13 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
 
 
 def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
-    """Greatest lower bound: the greatest fixpoint below the pairwise
-    intersections, computed by deleting violating pairs until stable."""
+    """Greatest lower bound: the coarsest automatic relation below the
+    pairwise intersections of the classes."""
     for r in (r1, r2):
         _require_automatic(g, r, "meet input is not automatic")
     a, b = r1._index, r2._index
-    groups: dict[tuple[int, int], set[str]] = {}
-    for x, key in zip(a.vertex_ids + a.edge_ids, zip(a.vector, b.vector)):
-        groups.setdefault(key, set()).add(x)
-    n = len(r1.vertex_classes)  # r1's vertex classes are numbered below n, its edge classes from n
-    vblocks = [block for (i, _), block in groups.items() if i < n]
-    eblocks = [block for (i, _), block in groups.items() if i >= n]
-
-    while True:
-        vb_of = {v: i for i, b in enumerate(vblocks) for v in b}
-        eb_of = {e: i for i, b in enumerate(eblocks) for e in b}
-        new_e = _group_by(g.edges, lambda e: (eb_of[e], vb_of[g.src(e)], vb_of[g.dst(e)]))
-        new_v = _group_by(
-            g.vertices, lambda v: (vb_of[v], frozenset(eb_of[e] for e in g.out_edges(v)))
-        )
-        if len(new_v) == len(vblocks) and len(new_e) == len(eblocks):
-            break
-        vblocks, eblocks = new_v, new_e
-
-    out = AutomaticRelation.from_classes(vblocks, eblocks)
+    n = len(a.vertex_ids)
+    out = _coarsest_automatic(g, zip(a.vector[:n], b.vector[:n]), zip(a.vector[n:], b.vector[n:]))
     _require_automatic(g, out, "meet failed to be automatic")
     return out
 
@@ -431,17 +409,7 @@ def maximum(g: DiGraph) -> AutomaticRelation:
     """Top of the lattice: the coarsest bisimulation on vertices with the
     vertex-induced edge relation.  Quotienting by it is terminal among the
     emulators out of g."""
-    if not g.vertices:
-        return AutomaticRelation.from_classes([], [])
-    blocks = [frozenset(g.vertices)]
-
-    def signature(v: str, block_of: dict[str, int]):
-        return (block_of[v], frozenset(block_of[g.dst(e)] for e in g.out_edges(v)))
-
-    blocks = _refine_vertices(g, blocks, signature, max(1, len(g.vertices)))
-    block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    egroups = _group_by(g.edges, lambda e: (block_of[g.src(e)], block_of[g.dst(e)]))
-    out = AutomaticRelation.from_classes(blocks, egroups)
+    out = _coarsest_automatic(g, [0] * len(g.vertices), [0] * len(g.edges))
     _require_automatic(g, out, "maximum relation failed to be automatic")
     return out
 

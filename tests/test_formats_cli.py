@@ -203,6 +203,38 @@ class TestCliVerbs:
             assert main([*args, "-o", str(tmp_path / "o.json")]) == 3, args
             assert capsys.readouterr().err.startswith("error: "), args
 
+    def test_malformed_maps_lists_and_rotations_are_input_errors(self, tmp_path, capsys):
+        # a list where a string belongs, or a string where a list belongs:
+        # exit 3 with an error line naming the key, never a traceback and
+        # exit 1, and no string split into one-letter items
+        auto = formats.automaton_to_json(z6_automaton())
+        graph = formats.digraph_to_json(c2())
+        identity = {"p": {"a": "a", "b": "b"}, "q": {"e1": "e1", "e2": "e2"}}
+        rotation = {"a": ["e1+", "e2+"], "b": ["e1-", "e2-"]}
+        cases = [
+            ("auto", "minimize", {**auto, "edges": [{**auto["edges"][0], "label": ["0"]},
+                                                    *auto["edges"][1:]]}, "label"),
+            ("auto", "minimize", {**auto, "alphabet": "012345"}, "alphabet"),
+            ("auto", "minimize", {**auto, "initials": auto["initials"][0]}, "initials"),
+            ("auto", "minimize", {**auto, "finals": auto["finals"][0]}, "finals"),
+            ("emu", "check", {"source": graph, "target": graph, **identity,
+                              "p": {"a": ["a"], "b": "b"}}, "p"),
+            ("emu", "check", {"source": graph, "target": graph, **identity,
+                              "q": {"e1": "e1", "e2": 2}}, "q"),
+        ]
+        cert = {"base": graph, "total": graph, **identity, "genus": 0}
+        for bad in ({**rotation, "a": [["e1+"], "e2+"]}, {**rotation, "a": "e1+e2+"}):
+            cases.append(("emu", "verify-cert", {**cert, "rotation": bad}, "rotation"))
+        for i, (group, verb, payload, key) in enumerate(cases):
+            f = tmp_path / f"in{i}.json"
+            f.write_text(json.dumps(payload))
+            assert main([group, verb, str(f), "-o", str(tmp_path / "o.json")]) == 3, key
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(key) in err, (key, err)
+        good = tmp_path / "cert.json"
+        good.write_text(json.dumps({**cert, "rotation": rotation}))
+        assert main(["emu", "verify-cert", str(good), "-o", str(tmp_path / "o.json")]) == 0
+
     def test_repeated_calls_keep_append_options_apart(self, tmp_path):
         # main reuses one parser; an appended --final must not reach the next call
         semi = tmp_path / "loops.json"

@@ -210,7 +210,7 @@ class TestComposeRelations:
     def test_identity_left_unit(self):
         g = c4()
         r = wrap_c4_to_c2()
-        out = compose_relations(g, AutomaticRelation.identity(g), _rename_to_quotient(g, r))
+        out = compose_relations(g, AutomaticRelation.identity(g), r)
         assert out == r
 
     def test_c4_wrap_then_wrap_gives_full_merge(self):
@@ -233,11 +233,6 @@ class TestComposeRelations:
         _, can = quotient(g, composed)
         for v in g.vertices:
             assert can.p[v] == can2.p[can1.p[v]]
-
-
-def _rename_to_quotient(g, r):
-    """Express r as a relation on the identity quotient of g."""
-    return r
 
 
 class TestMnRefine:
@@ -467,6 +462,88 @@ def _reference_leq(r1, r2):
     return True
 
 
+def _reference_group_by(items, key):
+    groups = {}
+    for x in items:
+        groups.setdefault(key(x), []).append(x)
+    return list(groups.values())
+
+
+def _reference_refine_vertices(g, blocks, signature):
+    """Split vertex blocks by signature until their count stays."""
+    rounds = 0
+    while True:
+        block_of = {v: i for i, b in enumerate(blocks) for v in b}
+        groups = {}
+        for v in g.vertices:
+            groups.setdefault(signature(v, block_of), set()).add(v)
+        new_blocks = [frozenset(s) for s in groups.values()]
+        if len(new_blocks) == len(blocks):
+            return blocks
+        blocks = new_blocks
+        rounds += 1
+        assert rounds <= max(1, len(g.vertices)), "refinement failed to stabilize in |V| rounds"
+
+
+def _reference_mn_refine(a, family):
+    """Vertices split by (block, set of (label, target block)) from the final
+    subsets and the rest; edges grouped by label and end blocks."""
+    g = a.graph
+    blocks = list(family.subsets)
+    rest = frozenset(g.vertices) - frozenset().union(*family.subsets)
+    if rest:
+        blocks.append(rest)
+
+    def signature(v, block_of):
+        return block_of[v], frozenset((a.label(e), block_of[g.dst(e)]) for e in g.out_edges(v))
+
+    blocks = _reference_refine_vertices(g, blocks, signature)
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    edges = _reference_group_by(
+        g.edges, lambda e: (a.label(e), block_of[g.src(e)], block_of[g.dst(e)])
+    )
+    return AutomaticRelation.from_classes(blocks, edges)
+
+
+def _reference_maximum(g):
+    """Vertices split by (block, set of target blocks) from one block; edges
+    grouped by end blocks."""
+    if not g.vertices:
+        return AutomaticRelation.from_classes([], [])
+
+    def signature(v, block_of):
+        return block_of[v], frozenset(block_of[g.dst(e)] for e in g.out_edges(v))
+
+    blocks = _reference_refine_vertices(g, [frozenset(g.vertices)], signature)
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    edges = _reference_group_by(g.edges, lambda e: (block_of[g.src(e)], block_of[g.dst(e)]))
+    return AutomaticRelation.from_classes(blocks, edges)
+
+
+def _reference_meet(g, r1, r2):
+    """Pairwise class intersections, regrouped on string ids until neither
+    block count changes."""
+    v1, v2 = r1.vertex_class_of(), r2.vertex_class_of()
+    e1, e2 = r1.edge_class_of(), r2.edge_class_of()
+    vblocks = _reference_group_by(g.vertices, lambda v: (v1[v], v2[v]))
+    eblocks = _reference_group_by(g.edges, lambda e: (e1[e], e2[e]))
+    while True:
+        vb_of = {v: i for i, b in enumerate(vblocks) for v in b}
+        eb_of = {e: i for i, b in enumerate(eblocks) for e in b}
+        new_e = _reference_group_by(g.edges, lambda e: (eb_of[e], vb_of[g.src(e)], vb_of[g.dst(e)]))
+        new_v = _reference_group_by(
+            g.vertices, lambda v: (vb_of[v], frozenset(eb_of[e] for e in g.out_edges(v)))
+        )
+        if len(new_v) == len(vblocks) and len(new_e) == len(eblocks):
+            return AutomaticRelation.from_classes(vblocks, eblocks)
+        vblocks, eblocks = new_v, new_e
+
+
+def _canonical(r):
+    """r as it comes back from sorting its classes."""
+    return AutomaticRelation.from_classes(r.vertex_classes, r.edge_classes)
+
+
 @st.composite
 def multidigraphs(draw, max_vertices=4, max_edges=6):
     """Digraphs with loops and parallel edges; the edge ids are shuffled, so
@@ -605,3 +682,36 @@ class TestAgainstReferences:
         for graph in (g, h, g, DiGraph(vs, g.edge_list()), h, g):
             rep = is_automatic(graph, r)
             assert (rep.ok, rep.clause, rep.witness) == _reference_is_automatic(graph, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multidigraphs(), st.data())
+    def test_mn_refine_matches_signature_splitting(self, g, data):
+        # random labels and a random family of disjoint final subsets
+        labels = {e: data.draw(st.sampled_from("abc")) for e in g.edges}
+        chosen = [v for v in g.vertices if data.draw(st.booleans())]
+        subsets = data.draw(partitions(chosen))
+        a = SemiAutomaton(g, set(labels.values()), labels)
+        out = mn_refine(a, FinalFamily.of(*subsets))
+        assert out == _reference_mn_refine(a, FinalFamily.of(*subsets))
+        assert out == _canonical(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multidigraphs())
+    @example(DiGraph([], []))
+    @example(DiGraph(["u"], []))
+    def test_maximum_matches_signature_splitting(self, g):
+        out = maximum(g)
+        assert out == _reference_maximum(g)
+        assert out == _canonical(out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multidigraphs(), st.data())
+    def test_meet_and_join_on_enumerated_pairs(self, g, data):
+        # meet against the string-keyed fixpoint; both outputs already canonical
+        rels = enumerate_automatic_relations(g)
+        relation = st.sampled_from(rels)
+        for _ in range(6):
+            r1, r2 = data.draw(relation), data.draw(relation)
+            m, j = meet(g, r1, r2), join(g, r1, r2)
+            assert m == _reference_meet(g, r1, r2)
+            assert m == _canonical(m) and j == _canonical(j)
