@@ -11,6 +11,7 @@ from typing import Iterable
 from .digraph import (
     DiGraph,
     GraphMorphism,
+    _closure,
     descendants,
     excise,
     pullback,
@@ -73,10 +74,7 @@ class Automaton:
         return self._semi.alphabet
 
     def is_accessible(self) -> bool:
-        reached = set()
-        for i in self._initials:
-            reached |= descendants(self.graph, i)
-        return reached == set(self.graph.vertices)
+        return len(_reached(self)) == len(self.graph.vertices)
 
     def single_initial(self) -> str:
         if len(self._initials) != 1:
@@ -156,11 +154,14 @@ def sample_language(a: Automaton, max_length: int) -> LanguageSample:
     return LanguageSample(a.alphabet, frozenset(words), max_length)
 
 
+def _reached(a: Automaton) -> frozenset[str]:
+    """The states reachable from the initial states."""
+    return frozenset().union(*(descendants(a.graph, i) for i in a.initials))
+
+
 def accessible_part(a: Automaton) -> Automaton:
     """Restrict to the states reachable from the initial states."""
-    reached: set[str] = set()
-    for i in a.initials:
-        reached |= descendants(a.graph, i)
+    reached = _reached(a)
     keep_edges = [e for e in a.graph.edges if a.graph.src(e) in reached]
     g = subgraph(a.graph, reached, keep_edges)
     labels = {e: a.semi.label(e) for e in g.edges}
@@ -252,8 +253,7 @@ def minimal_cover_base(a: Automaton) -> DiGraph:
 def languages_equal(a: Automaton, b: Automaton) -> bool:
     """Exact language equality via the product construction on completed,
     accessible versions over the union alphabet."""
-    a.single_initial()
-    b.single_initial()
+    start = (a.single_initial(), b.single_initial())
     if not is_deterministic(a.semi) or not is_deterministic(b.semi):
         raise PreconditionError("exact equality requires deterministic automata")
 
@@ -265,24 +265,13 @@ def languages_equal(a: Automaton, b: Automaton) -> bool:
 
     ta, tb = table(a), table(b)
     letters = sorted(a.alphabet | b.alphabet)
-    dead = object()
-    start = (next(iter(a.initials)), next(iter(b.initials)))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        qa, qb = frontier.pop()
-        fa = qa in a.finals if qa is not dead else False
-        fb = qb in b.finals if qb is not dead else False
-        if fa != fb:
-            return False
-        for letter in letters:
-            na = ta.get(qa, {}).get(letter, dead) if qa is not dead else dead
-            nb = tb.get(qb, {}).get(letter, dead) if qb is not dead else dead
-            nxt = (na, nb)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return True
+
+    def step(pair: tuple) -> list[tuple]:
+        # a missing transition leads to the dead state None, which stays put
+        qa, qb = pair
+        return [(ta.get(qa, {}).get(x), tb.get(qb, {}).get(x)) for x in letters]
+
+    return all((qa in a.finals) == (qb in b.finals) for qa, qb in _closure([start], step))
 
 
 def automaton_from_cover(a: Automaton, cover: GraphMorphism) -> tuple[Automaton, SemiMorphism]:

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (violation,
 non-planar, exhausted search, unequal languages), 2 budget exceeded,
-3 malformed input or usage error.
+3 malformed input or usage error, 4 internal error (a bug; the traceback is
+printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
+import traceback
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -72,7 +75,7 @@ from .relations import (
 )
 from .semiauto import is_complete, is_deterministic, relabel, tautological
 
-OK, NEGATIVE, BUDGET, INPUT = 0, 1, 2, 3
+OK, NEGATIVE, BUDGET, INPUT, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _read(path: str) -> dict:
@@ -360,7 +363,10 @@ def _load_any_graph(data: dict):
 
 def cmd_genus(args) -> int:
     if args.verb == "formula":
-        faces = {int(k): int(v) for k, v in _parse_map(args.face).items()}
+        try:
+            faces = {int(k): int(v) for k, v in _parse_map(args.face).items()}
+        except ValueError:
+            raise RegulusError(f"--face takes LENGTH=COUNT integers, got {args.face}") from None
         value = genus_formula(args.m, FaceVector(faces))
         _emit(args, {"value": str(value), "integral": value.denominator == 1})
         return OK
@@ -391,7 +397,8 @@ def cmd_genus(args) -> int:
         return BUDGET if answer.status == "budget_exceeded" else NEGATIVE
     g = _load_any_graph(_read(args.inputs[0]))
     if args.verb == "exact":
-        res = genus_exact(g, normalize=not args.raw, force=args.force)
+        budget = math.inf if args.force else None
+        res = genus_exact(g, budget=budget, normalize=not args.raw)
         _emit(
             args,
             {
@@ -553,7 +560,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; only --help exits cleanly
+        return INPUT if exc.code else OK
     try:
         return args.func(args)
     except BudgetError as exc:
@@ -562,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     except RegulusError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ operation is a pure function, so everything here is safe to share freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DomainError
 
@@ -176,12 +176,6 @@ class GraphMorphism:
     def __post_init__(self):
         object.__setattr__(self, "p", dict(self.p))
         object.__setattr__(self, "q", dict(self.q))
-
-    def vertex_image(self, v: str) -> str:
-        return self.p[v]
-
-    def edge_image(self, e: str) -> str:
-        return self.q[e]
 
     def is_surjective(self) -> bool:
         return set(self.p.values()) == set(self.target.vertices) and set(
@@ -406,31 +400,25 @@ def pullback(
     return g, pi1, pi2
 
 
+def _closure(starts: Iterable, step: Callable[[Any], Iterable]) -> frozenset:
+    """Everything reached from starts by repeated steps, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for y in step(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
 def ancestors(g: DiGraph, w: str) -> frozenset[str]:
     """All vertices with a walk to w, including w itself."""
-    seen = {w}
-    stack = [w]
-    while stack:
-        x = stack.pop()
-        for e in g.in_edges(x):
-            s = g.src(e)
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return frozenset(seen)
+    return _closure([w], lambda x: map(g.src, g.in_edges(x)))
 
 
 def descendants(g: DiGraph, v: str) -> frozenset[str]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for e in g.out_edges(x):
-            t = g.dst(e)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
+    return _closure([v], lambda x: map(g.dst, g.out_edges(x)))
 
 
 @dataclass(frozen=True)
@@ -450,18 +438,23 @@ def reachability(g: DiGraph) -> ReachabilityReport:
 
 
 def weakly_connected(g: DiGraph) -> bool:
-    if not g.vertices:
-        return True
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        x = stack.pop()
-        for e in g.out_edges(x) + g.in_edges(x):
-            for y in g.ends(e):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return len(seen) == len(g.vertices)
+    def neighbours(x: str) -> list[str]:
+        return [y for e in g.out_edges(x) + g.in_edges(x) for y in g.ends(e)]
+
+    return not g.vertices or len(_closure(g.vertices[:1], neighbours)) == len(g.vertices)
+
+
+def components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
+    """Connected components as (sorted vertex ids, sorted edge ids), in the
+    order of their least vertex."""
+    comps: list[tuple[list[str], list[str]]] = []
+    seen: set[str] = set()
+    for start in g.vertices:
+        if start not in seen:
+            vs = _closure([start], lambda x: [y for e in g.star(x) for y in g.ends(e)])
+            seen |= vs
+            comps.append((sorted(vs), sorted({e for x in vs for e in g.star(x)})))
+    return comps
 
 
 def strongly_connected_components(g: DiGraph) -> list[frozenset[str]]:
@@ -571,33 +564,3 @@ def subgraph(g: DiGraph, vertices: Iterable[str], edges: Iterable[str]) -> DiGra
 def image_subgraph(m: GraphMorphism) -> DiGraph:
     """The image of a morphism, as a subgraph of its target."""
     return subgraph(m.target, set(m.p.values()), set(m.q.values()))
-
-
-def graph_union_isomorphic(a: DiGraph, b: DiGraph) -> bool:
-    """Brute-force digraph isomorphism for small graphs (multigraphs allowed)."""
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return False
-
-    def profile(g, v):
-        outs = sorted(g.dst(e) == v for e in g.out_edges(v))
-        return (len(g.out_edges(v)), len(g.in_edges(v)), sum(outs))
-
-    from itertools import permutations
-
-    bs = list(b.vertices)
-    aprof = {v: profile(a, v) for v in a.vertices}
-    bprof = {v: profile(b, v) for v in bs}
-    b_multi: dict[tuple[str, str], int] = {}
-    for _, s, t in b.edge_list():
-        b_multi[(s, t)] = b_multi.get((s, t), 0) + 1
-    for perm in permutations(bs):
-        mapping = dict(zip(a.vertices, perm))
-        if any(aprof[v] != bprof[mapping[v]] for v in a.vertices):
-            continue
-        a_multi: dict[tuple[str, str], int] = {}
-        for _, s, t in a.edge_list():
-            key = (mapping[s], mapping[t])
-            a_multi[key] = a_multi.get(key, 0) + 1
-        if a_multi == b_multi:
-            return True
-    return False

@@ -107,8 +107,15 @@ def undirected_to_json(g: UndirectedGraph) -> dict:
     }
 
 
+def _ends(edge: dict) -> tuple[str, ...]:
+    value = _need(edge, "ends")
+    if not _is_strings(value) or not 1 <= len(value) <= 2:
+        raise DomainError("'ends' must be a list of one or two strings")
+    return tuple(value)
+
+
 def undirected_from_json(data: dict) -> UndirectedGraph:
-    edges = [(_need(e, "id"), tuple(_need(e, "ends"))) for e in _records(data, "edges")]
+    edges = [(_need(e, "id"), _ends(e)) for e in _records(data, "edges")]
     return UndirectedGraph(_strings(data, "vertices"), edges)
 
 
@@ -272,7 +279,7 @@ def certificate_from_json(data: dict) -> CoverCertificate:
     morphism = GraphMorphism(total, base, _string_map(data, "p"), _string_map(data, "q"))
     rotation = _rotations(data, "rotation")
     genus = _need(data, "genus")
-    if not isinstance(genus, int) or genus < 0:
+    if type(genus) is not int or genus < 0:  # JSON true and false are not genera
         raise DomainError("certificate genus must be a non-negative integer")
     return CoverCertificate(base, total, morphism, rotation, genus)
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import networkx as nx
 
-from .digraph import DiGraph, UndirectedGraph, excise, forget, opposite, simplify
+from .digraph import DiGraph, UndirectedGraph, components, excise, forget, opposite, simplify
 from .errors import BudgetError, DomainError, PreconditionError
 
 DEFAULT_ROTATION_BUDGET = 10**9
@@ -129,7 +129,7 @@ def trace_faces(
         for i, d in enumerate(idx):
             rot_next[d] = idx[(i + 1) % len(idx)]
     next_dart = [rot_next[tables.twin[d]] for d in range(nd)]
-    comps = _components(g)
+    comps = components(g)
     comp_of = {tables.vid[v]: i for i, (comp_vs, _) in enumerate(comps) for v in comp_vs}
     # the rotation is total, so next_dart is a permutation: walk each orbit once
     counts: dict[int, int] = {}
@@ -160,60 +160,14 @@ def trace_faces(
     return FaceVector(counts), genus
 
 
-def _components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
-    seen: set[str] = set()
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        vs = []
-        while stack:
-            x = stack.pop()
-            vs.append(x)
-            for e in g.star(x):
-                for y in g.ends(e):
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        vset = set(vs)
-        es = [e for e in g.edges if g.ends(e)[0] in vset]
-        comps.append((sorted(vs), sorted(es)))
-    return comps
-
-
 def undirected_girth(g: UndirectedGraph) -> float:
     """Length of a shortest cycle: loops give 1, parallel edges 2, inf if acyclic."""
     if any(g.is_loop(e) for e in g.edges):
         return 1
-    pairs: dict[tuple[str, str], int] = {}
-    for e in g.edges:
-        key = g.ends(e)
-        pairs[key] = pairs.get(key, 0) + 1
-    if any(c > 1 for c in pairs.values()):
+    pairs = [g.ends(e) for e in g.edges]
+    if len(set(pairs)) < len(pairs):
         return 2
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    best = math.inf
-    for root in g.vertices:
-        dist = {root: 0}
-        parent = {root: None}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        nxt.append(y)
-                    elif parent[x] != y and parent[y] != x:
-                        best = min(best, dist[x] + dist[y] + 1)
-            frontier = nxt
-    return best
+    return nx.girth(nx.Graph(pairs))
 
 
 def _support(g: UndirectedGraph) -> tuple[UndirectedGraph, dict[tuple[str, str], list[str]]]:
@@ -337,7 +291,7 @@ def euler_lower_bound(g: UndirectedGraph, girth_floor: int = 3) -> int:
     """
     if girth_floor < 3:
         raise DomainError("girth_floor must be at least 3")
-    if not _is_connected(g):
+    if len(components(g)) > 1:
         raise PreconditionError("euler lower bound requires a connected graph")
     girth = undirected_girth(g)
     if girth < girth_floor:
@@ -349,10 +303,6 @@ def euler_lower_bound(g: UndirectedGraph, girth_floor: int = 3) -> int:
     v, e = len(g.vertices), len(g.edges)
     bound = Fraction(1) - Fraction(v, 2) + Fraction(e * (girth_floor - 2), 2 * girth_floor)
     return max(0, math.ceil(bound))
-
-
-def _is_connected(g: UndirectedGraph) -> bool:
-    return len(_components(g)) <= 1
 
 
 def genus_formula(m: int, faces: FaceVector | Mapping[int, int]) -> Fraction:
@@ -409,7 +359,7 @@ def _bfs_vertex_order(nvert: int, darts_at: list[list[int]], twin, vertex_of) ->
 
 
 def _search_min_genus(
-    g: UndirectedGraph, stop_genus: int, budget: int
+    g: UndirectedGraph, stop_genus: int, budget: float
 ) -> tuple[int, dict[str, tuple[str, ...]]]:
     """Branch-and-bound over rotation systems of one connected component.
 
@@ -540,9 +490,8 @@ def _search_min_genus(
 
 def genus_exact(
     g: DiGraph | UndirectedGraph,
-    budget: int | None = None,
+    budget: float | None = None,
     normalize: bool = True,
-    force: bool = False,
 ) -> GenusResult:
     """Minimum genus over all rotation systems, with a verifying witness.
 
@@ -550,17 +499,16 @@ def genus_exact(
     support of each component, which has the same genus; loops and parallel
     edges are re-inserted into the witness afterwards.  With normalize=False
     the branch-and-bound treats the multigraph natively.  Components are
-    summed.  Refuses over-budget inputs unless force is given.
+    summed.  Refuses inputs whose rotation space exceeds budget (default
+    rotation_budget(); math.inf never refuses).
     """
     if budget is None:
         budget = rotation_budget()
-    if force:
-        budget = 10**60
     ug = forget(g) if isinstance(g, DiGraph) else g
     total = 0
     rotations: dict[str, tuple[str, ...]] = {}
 
-    for comp_vs, comp_es in _components(ug):
+    for comp_vs, comp_es in components(ug):
         comp = UndirectedGraph(
             comp_vs, [(e, ug.ends(e)) for e in comp_es]
         )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import networkx as nx
+
 from .automaton import (
     Automaton,
     accessible_part,
@@ -93,58 +95,28 @@ def language_genus_leq(
 
 
 def find_monomorphism(small: DiGraph, big: DiGraph) -> GraphMorphism | None:
-    """Injective morphism search by backtracking; desk scale only."""
-    small_vs = sorted(small.vertices, key=lambda v: -len(small.out_edges(v)))
-    big_vs = list(big.vertices)
-    big_pairs: dict[tuple[str, str], list[str]] = {}
-    for e, s, t in big.edge_list():
-        big_pairs.setdefault((s, t), []).append(e)
+    """An injective morphism from small into big, or None if there is none.
 
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    networkx's VF2 matcher finds the vertex map, counting parallel edges and
+    loops; each edge then takes the first free big edge with the same ends.
+    """
 
-    def _needed(g: DiGraph, s: str, t: str) -> int:
-        return sum(1 for _, a, b in g.edge_list() if (a, b) == (s, t))
+    def multidigraph(g: DiGraph) -> nx.MultiDiGraph:
+        m = nx.MultiDiGraph()
+        m.add_nodes_from(g.vertices)
+        m.add_edges_from(g.edges.values())
+        return m
 
-    def try_assign(i: int) -> bool:
-        if i == len(small_vs):
-            return True
-        v = small_vs[i]
-        for w in big_vs:
-            if w in used:
-                continue
-            if len(big.out_edges(w)) < len(small.out_edges(v)):
-                continue
-            assignment[v] = w
-            used.add(w)
-            ok = True
-            for e, s, t in small.edge_list():
-                if s in assignment and t in assignment:
-                    if len(big_pairs.get((assignment[s], assignment[t]), [])) < _needed(
-                        small, s, t
-                    ):
-                        ok = False
-                        break
-            if ok and try_assign(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    if not try_assign(0):
+    matcher = nx.isomorphism.MultiDiGraphMatcher(multidigraph(big), multidigraph(small))
+    match = next(matcher.subgraph_monomorphisms_iter(), None)
+    if match is None:
         return None
-    # map edges injectively within each boundary class
-    q: dict[str, str] = {}
-    taken: set[str] = set()
-    for e, s, t in small.edge_list():
-        pool = [
-            f
-            for f in big_pairs[(assignment[s], assignment[t])]
-            if f not in taken
-        ]
-        q[e] = pool[0]
-        taken.add(pool[0])
-    return GraphMorphism(small, big, assignment, q)
+    p = {v: w for w, v in match.items()}
+    pools: dict[tuple[str, str], list[str]] = {}
+    for e, s, t in big.edge_list():
+        pools.setdefault((s, t), []).append(e)
+    q = {e: pools[(p[s], p[t])].pop(0) for e, s, t in small.edge_list()}
+    return GraphMorphism(small, big, p, q)
 
 
 @dataclass(frozen=True)

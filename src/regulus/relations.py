@@ -302,19 +302,15 @@ def complete_final_systems(g: DiGraph) -> FinalSystemReport:
             has_out.add(comp_of[s])
     sinks = [c for i, c in enumerate(comps) if i not in has_out]
     reps = tuple(sorted(min(c) for c in sinks))
-    covered = set()
-    for v in reps:
-        covered |= ancestors(g, v)
-    if covered != set(g.vertices):
+    if not is_complete_final_system(g, reps):
         raise DomainError("final system construction failed to cover the graph")
     return FinalSystemReport(reps, len(reps))
 
 
 def is_complete_final_system(g: DiGraph, vertices: Iterable[str]) -> bool:
-    covered: set[str] = set()
-    for v in vertices:
-        covered |= ancestors(g, v)
-    return covered == set(g.vertices)
+    """Every vertex has a walk to one of the given vertices."""
+    covered = frozenset().union(*(ancestors(g, v) for v in vertices))
+    return len(covered) == len(g.vertices)
 
 
 def canonical_semi_automaton(g: DiGraph, r: AutomaticRelation) -> SemiAutomaton:

@@ -6,7 +6,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from regulus import (
     Automaton,
@@ -91,6 +93,37 @@ def k_bipartite(a, b):
         vs,
         [(f"e{i}_{j}", (f"a{i}", f"b{j}")) for i in range(a) for j in range(b)],
     )
+
+
+def multidigraph(g: DiGraph) -> nx.MultiDiGraph:
+    m = nx.MultiDiGraph()
+    m.add_nodes_from(g.vertices)
+    m.add_edges_from(g.edges.values())
+    return m
+
+
+def isomorphic(a: DiGraph, b: DiGraph) -> bool:
+    """Digraph isomorphism counting parallel edges and loops."""
+    return nx.is_isomorphic(multidigraph(a), multidigraph(b))
+
+
+@st.composite
+def multidigraphs(draw, max_vertices=6, max_edges=10):
+    """Digraphs with loops and parallel edges.  Half of them are simple and
+    loopless even as undirected graphs, so code past the multigraph
+    shortcuts runs too."""
+    vs = [f"v{i}" for i in range(draw(st.integers(0, max_vertices)))]
+    pairs = []
+    if vs:
+        vertex = st.sampled_from(vs)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    if draw(st.booleans()):
+        simple = {}
+        for s, t in pairs:
+            if s != t:
+                simple.setdefault(frozenset((s, t)), (s, t))
+        pairs = list(simple.values())
+    return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)])
 
 
 def random_digraph(rng: random.Random, max_vertices=5, max_edges=8) -> DiGraph:

@@ -67,7 +67,6 @@ from regulus.corpus import (
     z6_unrolled12,
     z7_123_automaton,
 )
-from regulus.digraph import graph_union_isomorphic
 from regulus.emulation import excise_restrict, r_image_morphism
 
 from conftest import (

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regulus import (
     Automaton,
@@ -263,6 +265,35 @@ class TestLanguagesEqual:
             exact = languages_equal(a, b)
             sampled = sample_language(a, 7).words == sample_language(b, 7).words
             assert exact == sampled
+
+
+@st.composite
+def partial_dfas(draw):
+    """Deterministic automata, possibly incomplete and inaccessible, with up
+    to 3 states over the letters their edges use, out of three."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    letters = draw(st.sets(st.sampled_from("abc"), min_size=1))
+    edges, labels = [], {}
+    for q in states:
+        for x in sorted(letters):
+            t = draw(st.none() | st.sampled_from(states))
+            if t is not None:
+                edges.append((f"{q}{x}", q, t))
+                labels[f"{q}{x}"] = x
+    finals = draw(st.sets(st.sampled_from(states)))
+    semi = SemiAutomaton(DiGraph(states, edges), set(labels.values()), labels)
+    return Automaton(semi, {"q0"}, finals)
+
+
+class TestLanguagesEqualAgainstWords:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_dfas(), partial_dfas())
+    def test_matches_every_word_up_to_the_distinguishing_length(self, a, b):
+        # two automata with n and m states plus a dead state each differ on
+        # some word of length at most n + m if they differ at all
+        n = len(a.graph.vertices) + len(b.graph.vertices)
+        same = sample_language(a, n).words == sample_language(b, n).words
+        assert languages_equal(a, b) == same
 
 
 class TestAccessiblePart:

@@ -1,4 +1,6 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from regulus import (
     DiGraph,
@@ -19,9 +21,19 @@ from regulus import (
     validate_morphism,
 )
 from regulus.corpus import fork_nonemulator, op_example_graph
-from regulus.digraph import graph_union_isomorphic
+from regulus.digraph import ancestors, components, descendants, weakly_connected
 
-from conftest import c2, loop1, loop2, p2, par2, random_digraph
+from conftest import (
+    c2,
+    isomorphic,
+    loop1,
+    loop2,
+    multidigraph,
+    multidigraphs,
+    p2,
+    par2,
+    random_digraph,
+)
 
 
 class TestValidateMorphism:
@@ -185,7 +197,7 @@ class TestPullback:
         h = DiGraph(["m0", "m1"], [("c", "m0", "m1")])
         phi = GraphMorphism(h, simple, {"m0": "v", "m1": "w"}, {"c": "a"})
         l, _, _ = pullback(rho, phi)
-        assert graph_union_isomorphic(simplify(l)[0], simplify(h)[0])
+        assert isomorphic(simplify(l)[0], simplify(h)[0])
 
     def test_mismatched_targets_rejected(self):
         with pytest.raises(DomainError):
@@ -209,6 +221,47 @@ class TestReachability:
         rep = reachability(DiGraph(["a", "b"], []))
         assert not rep.reachable_vertices
         assert not rep.co_reachable_vertices
+
+
+def _reference_components(g):
+    # the hand-written depth-first walk that components replaced
+    seen: set[str] = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        vs = []
+        while stack:
+            x = stack.pop()
+            vs.append(x)
+            for e in g.star(x):
+                for y in g.ends(e):
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        vset = set(vs)
+        es = [e for e in g.edges if g.ends(e)[0] in vset]
+        comps.append((sorted(vs), sorted(es)))
+    return comps
+
+
+class TestWalksAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(multidigraphs())
+    def test_ancestors_descendants_and_weak_connectivity_match_networkx(self, g):
+        m = multidigraph(g)
+        for v in g.vertices:
+            assert ancestors(g, v) == nx.ancestors(m, v) | {v}
+            assert descendants(g, v) == nx.descendants(m, v) | {v}
+        assert weakly_connected(g) == (not g.vertices or nx.is_weakly_connected(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(multidigraphs())
+    def test_components_match_reference(self, g):
+        u = forget(g)
+        assert components(u) == _reference_components(u)
 
 
 class TestContractCycle:

@@ -258,6 +258,51 @@ class TestCliVerbs:
         assert capsys.readouterr().err.startswith("error: REGULUS_BUDGET")
 
 
+    def test_malformed_ends_are_input_errors(self, tmp_path, capsys):
+        # "ends" must be a list of one or two strings: no traceback, and no
+        # string split into one-letter ends
+        for i, ends in enumerate([5, "ab", [], ["a", "b", "a"], ["a", 1]]):
+            f = tmp_path / f"u{i}.json"
+            f.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ends}]}))
+            assert main(["genus", "planar", str(f)]) == 3, ends
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "'ends'" in err, (ends, err)
+
+    def test_boolean_certificate_genus_is_input_error(self, tmp_path, capsys):
+        # JSON true is not the genus 1
+        graph = formats.digraph_to_json(c2())
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps({
+            "base": graph, "total": graph, "genus": True,
+            "p": {"a": "a", "b": "b"}, "q": {"e1": "e1", "e2": "e2"},
+            "rotation": {"a": ["e1+", "e2+"], "b": ["e1-", "e2-"]},
+        }))
+        assert main(["emu", "verify-cert", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("error: certificate genus")
+
+    def test_usage_errors_exit_3_and_help_exits_0(self, capsys):
+        assert main(["genus", "language"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: " in err, err
+        assert main(["genus", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+        assert main(["genus", "formula", "--m", "3", "--face", "3=x"]) == 3
+        assert capsys.readouterr().err.startswith("error: --face")
+
+    def test_internal_error_exits_4_with_traceback(self, tmp_path, monkeypatch, capsys):
+        import regulus.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        g = tmp_path / "c2.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        monkeypatch.setattr(regulus.cli, "genus_exact", broken)
+        assert main(["genus", "exact", str(g)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: planted" in err, err
+
+
 class TestCliSubprocess:
     """End-to-end through a real process, exactly as a user would run it."""
 

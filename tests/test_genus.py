@@ -22,9 +22,19 @@ from regulus import (
     is_planar,
     trace_faces,
 )
-from regulus.genus import _components, _search_min_genus, dart_tokens, undirected_girth
+from regulus.digraph import components
+from regulus.genus import _search_min_genus, dart_tokens, undirected_girth
 
-from conftest import c2, k_bipartite, k_complete, loop1, loop2, par2, random_digraph
+from conftest import (
+    c2,
+    k_bipartite,
+    k_complete,
+    loop1,
+    loop2,
+    multidigraphs,
+    par2,
+    random_digraph,
+)
 
 
 def triangle():
@@ -191,7 +201,7 @@ class TestGenusExact:
         assert genus_exact(g, normalize=False).genus == best
         assert genus_exact(g, normalize=True).genus == best
         searched = 0
-        for vs, es in _components(g):
+        for vs, es in components(g):
             if es:
                 comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
                 genus, rotations = _search_min_genus(comp, 0, 10**9)
@@ -275,6 +285,55 @@ class TestPlanarity:
         assert sorted(toks) == ["e+", "e-", "f+", "f-"]
 
 
+def _reference_girth(g):
+    # the breadth-first search that nx.girth replaced
+    if any(g.is_loop(e) for e in g.edges):
+        return 1
+    pairs: dict[tuple[str, str], int] = {}
+    for e in g.edges:
+        key = g.ends(e)
+        pairs[key] = pairs.get(key, 0) + 1
+    if any(c > 1 for c in pairs.values()):
+        return 2
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    best = math.inf
+    for root in g.vertices:
+        dist = {root: 0}
+        parent = {root: None}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        parent[y] = x
+                        nxt.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        best = min(best, dist[x] + dist[y] + 1)
+            frontier = nxt
+    return best
+
+
+class TestGirth:
+    @settings(max_examples=400, deadline=None)
+    @given(multidigraphs(max_vertices=8, max_edges=14))
+    def test_matches_breadth_first_reference(self, g):
+        u = forget(g)
+        assert undirected_girth(u) == _reference_girth(u)
+
+    def test_small_cases(self):
+        assert undirected_girth(forget(loop1())) == 1
+        assert undirected_girth(forget(par2())) == 2
+        assert undirected_girth(forget(c2())) == 2
+        assert undirected_girth(triangle()) == 3
+        assert undirected_girth(k_bipartite(3, 3)) == 4
+        assert undirected_girth(UndirectedGraph(["a", "b"], [("e", ("a", "b"))])) == math.inf
+
+
 class TestEulerLowerBound:
     def test_k7(self):
         assert euler_lower_bound(k_complete(7), 3) == 1
@@ -297,9 +356,7 @@ class TestEulerLowerBound:
             girth = undirected_girth(g)
             if girth < 3:
                 continue
-            from regulus.genus import _is_connected
-
-            if not _is_connected(g):
+            if len(components(g)) != 1:
                 continue
             floor = 3 if girth == math.inf else min(int(girth), 5)
             assert euler_lower_bound(g, floor) <= genus_exact(g).genus
@@ -327,7 +384,7 @@ class TestGenusFormula:
                 g = DiGraph(vs, edges)
                 res = genus_exact(g, normalize=False)
                 faces, traced = trace_faces(forget(g), res.witness)
-                if len(_components(forget(g))) != 1:
+                if len(components(forget(g))) != 1:
                     continue
                 assert genus_formula(m, faces) == Fraction(traced)
 

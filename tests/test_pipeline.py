@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regulus import (
     Automaton,
@@ -27,7 +29,10 @@ from regulus.formats import (
     dumps,
     loads,
 )
+from regulus.digraph import validate_morphism
 from regulus.pipeline import find_monomorphism, genus_monotonicity_checks
+
+from conftest import multidigraphs
 
 
 def mod3_single_letter():
@@ -164,6 +169,62 @@ class TestMonotonicity:
         )
         base_part = minimal_cover_base(even_a)
         assert find_monomorphism(base_part, base_union) is not None
+
+
+def _reference_monomorphism(small, big):
+    # the backtracking search that networkx's VF2 matcher replaced
+    small_vs = sorted(small.vertices, key=lambda v: -len(small.out_edges(v)))
+    big_pairs: dict[tuple[str, str], list[str]] = {}
+    for e, s, t in big.edge_list():
+        big_pairs.setdefault((s, t), []).append(e)
+    assignment: dict[str, str] = {}
+
+    def needed(s, t):
+        return sum(1 for _, a, b in small.edge_list() if (a, b) == (s, t))
+
+    def try_assign(i):
+        if i == len(small_vs):
+            return True
+        v = small_vs[i]
+        for w in big.vertices:
+            if w in assignment.values() or len(big.out_edges(w)) < len(small.out_edges(v)):
+                continue
+            assignment[v] = w
+            if all(
+                len(big_pairs.get((assignment[s], assignment[t]), [])) >= needed(s, t)
+                for _, s, t in small.edge_list()
+                if s in assignment and t in assignment
+            ) and try_assign(i + 1):
+                return True
+            del assignment[v]
+        return False
+
+    return dict(assignment) if try_assign(0) else None
+
+
+@st.composite
+def monomorphism_instances(draw):
+    """A pair (small, big): either drawn apart, or small a renamed subgraph of
+    big, so that a monomorphism exists."""
+    big = draw(multidigraphs(max_vertices=5, max_edges=8))
+    if draw(st.booleans()) or not big.vertices:
+        return draw(multidigraphs(max_vertices=4, max_edges=8)), big
+    vs = draw(st.lists(st.sampled_from(big.vertices), unique=True))
+    es = [(e, s, t) for e, s, t in big.edge_list() if s in vs and t in vs and draw(st.booleans())]
+    return DiGraph([f"s{v}" for v in vs], [(f"s{e}", f"s{s}", f"s{t}") for e, s, t in es]), big
+
+
+class TestMonomorphismAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(monomorphism_instances())
+    def test_exists_exactly_when_backtracking_finds_one(self, pair):
+        small, big = pair
+        mono = find_monomorphism(small, big)
+        assert (mono is None) == (_reference_monomorphism(small, big) is None)
+        if mono is not None:
+            assert validate_morphism(mono).ok
+            assert mono.is_injective()
+            assert set(mono.p) == set(small.vertices) and set(mono.q) == set(small.edges)
 
 
 class TestCycleContraction:

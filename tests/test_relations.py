@@ -30,10 +30,9 @@ from regulus import (
     simplify,
 )
 from regulus.corpus import amalgamation_loop, loop2_to_loop1, par2_swap
-from regulus.digraph import graph_union_isomorphic
 from regulus.relations import canonical_semi_automaton, is_complete_final_system
 
-from conftest import c2, c4, loop1, loop2, p2, par2, random_digraph
+from conftest import c2, c4, isomorphic, loop1, loop2, p2, par2, random_digraph
 
 
 def wrap_c4_to_c2():
@@ -85,7 +84,7 @@ class TestQuotient:
             )
             assert is_automatic(g, r).ok
             q, _ = quotient(g, r)
-            assert graph_union_isomorphic(q, simplify(g)[0])
+            assert isomorphic(q, simplify(g)[0])
 
     def test_amalgamation_creates_loop(self):
         g = amalgamation_loop().source
