@@ -280,7 +280,7 @@ class TestCliVerbs:
         assert main(["emu", "verify-cert", str(f)]) == 3
         assert capsys.readouterr().err.startswith("error: certificate genus")
 
-    def test_usage_errors_exit_3_and_help_exits_0(self, capsys):
+    def test_usage_and_option_errors_exit_3_and_help_exits_0(self, capsys):
         assert main(["genus", "language"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "error: " in err, err

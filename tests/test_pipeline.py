@@ -222,9 +222,8 @@ class TestMonomorphismAgainstReference:
         mono = find_monomorphism(small, big)
         assert (mono is None) == (_reference_monomorphism(small, big) is None)
         if mono is not None:
-            assert validate_morphism(mono).ok
+            assert validate_morphism(mono).ok  # raises unless p and q are total
             assert mono.is_injective()
-            assert set(mono.p) == set(small.vertices) and set(mono.q) == set(small.edges)
 
 
 class TestCycleContraction:
