@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("genus").add_subparsers(dest="verb", required=True)
     add(n, "exact", 1, cmd_genus,
-        force={"action": "store_true", "help": "ignore the rotation budget"},
+        force={"action": "store_true", "help": "search without a node budget"},
         raw={"action": "store_true", "help": "search the multigraph natively"})
     add(n, "planar", 1, cmd_genus)
     add(n, "lower-bound", 1, cmd_genus, girth_floor={"type": int, "default": 3})

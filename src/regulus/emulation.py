@@ -514,9 +514,8 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                 if planar.planar:
                     genus_res = GenusResult(0, planar.witness)
                 else:
-                    cand_budget = None if len(total.vertices) <= 14 else 10**8
                     try:
-                        genus_res = genus_exact(total, budget=cand_budget)
+                        genus_res = genus_exact(total)
                     except BudgetError:
                         undecided = True
                         continue

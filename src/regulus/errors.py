@@ -17,4 +17,4 @@ class PreconditionError(DomainError):
 
 
 class BudgetError(RegulusError):
-    """A computation refused to run because it exceeds its configured budget."""
+    """A computation stopped at its configured budget without an answer."""

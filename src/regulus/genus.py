@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations
 from typing import Mapping
 
 import networkx as nx
@@ -22,11 +21,12 @@ import networkx as nx
 from .digraph import DiGraph, UndirectedGraph, components, excise, forget, opposite, simplify
 from .errors import BudgetError, DomainError, PreconditionError
 
-DEFAULT_ROTATION_BUDGET = 10**9
+DEFAULT_ROTATION_BUDGET = 10**5
 
 
 def rotation_budget() -> int:
-    """Rotation-search budget; the REGULUS_BUDGET env var overrides the default."""
+    """Search nodes (rotation links tried) that one rotation search may use;
+    the REGULUS_BUDGET env var overrides the default."""
     raw = os.environ.get("REGULUS_BUDGET")
     if raw:
         try:
@@ -213,32 +213,24 @@ def _planar_embedding_support(support: UndirectedGraph):
 
 
 def _insert_multiedges_and_loops(
-    g: UndirectedGraph, support_rot: dict[str, tuple[str, ...]]
+    g: UndirectedGraph, support_rot: Mapping[str, tuple[str, ...]]
 ) -> RotationSystem:
     """Extend a rotation system of the support graph to the full multigraph.
 
-    Each extra parallel edge is inserted beside its representative (forming a
-    bigon face) and each loop as an adjacent pair of ends (forming a monogon);
-    neither insertion changes the genus.
+    Each support edge-end becomes the run of _forced_runs through
+    it, so every extra parallel edge sits beside its representative (forming
+    a bigon face), and the loops at a vertex follow as one run (each forming
+    a monogon); neither insertion changes the genus.
     """
-    rot = {v: list(ts) for v, ts in support_rot.items()}
-    for v in g.vertices:
-        rot.setdefault(v, [])
-    _, groups = _support(g)
-    for (a, b), group in groups.items():
-        rep, extras = group[0], group[1:]
-        prev = rep
-        for e in extras:
-            pa = rot[a].index(f"{prev}+")
-            rot[a].insert(pa + 1, f"{e}+")
-            pb = rot[b].index(f"{prev}-")
-            rot[b].insert(pb, f"{e}-")
-            prev = e
-    for e in sorted(g.edges):
-        ends = g.ends(e)
-        if len(ends) == 1:
-            rot[ends[0]].extend([f"{e}+", f"{e}-"])
-    return RotationSystem({v: tuple(ts) for v, ts in rot.items()})
+    tables = _Darts(g)
+    runs_at = _forced_runs(tables)
+    run_of = {d: run for runs in runs_at for run in runs for d in run}
+    rotations = {}
+    for vi, v in enumerate(g.vertices):
+        starts = [tables.token_index[t] for t in support_rot.get(v, ())]
+        starts += [run[0] for run in runs_at[vi] if tables.vertex_of[run[0] ^ 1] == vi]
+        rotations[v] = tuple(tables.tokens[d] for s in starts for d in run_of[s])
+    return RotationSystem(rotations)
 
 
 @dataclass(frozen=True)
@@ -328,15 +320,6 @@ class GenusResult:
     witness: RotationSystem
 
 
-def _component_budget(degrees: list[int]) -> int:
-    prod = 1
-    for d in degrees:
-        prod *= max(1, math.factorial(max(0, d - 1)))
-        if prod > 10**30:
-            break
-    return prod
-
-
 def _bfs_vertex_order(nvert: int, darts_at: list[list[int]], twin, vertex_of) -> list[int]:
     degs = [len(darts_at[v]) for v in range(nvert)]
     start = max(range(nvert), key=lambda v: degs[v])
@@ -358,123 +341,246 @@ def _bfs_vertex_order(nvert: int, darts_at: list[list[int]], twin, vertex_of) ->
     return order
 
 
+def _forced_runs(tables: _Darts) -> list[list[list[int]]]:
+    """The runs of darts that every loop and parallel edge fixes at each
+    vertex: a run must appear in that vertex's rotation as it reads.
+
+    Parallel edges e1 < e2 < ... from u to w read e1+ e2+ ... at u and
+    ... e2- e1- at w, so neighbours bound a digon; the loops at a vertex read
+    e1+ e1- e2+ e2- ..., so each "-" end bounds a monogon.  Deleting loops
+    and parallel copies never raises the genus, and putting them back this
+    way adds one face per edge, so some embedding of least genus has these
+    runs and a search that keeps them stays exact.  Every other dart is a
+    run of its own.
+    """
+    vertex_of = tables.vertex_of
+    classes: dict[tuple[int, int], list[int]] = {}
+    for d in range(0, len(vertex_of), 2):
+        classes.setdefault((vertex_of[d], vertex_of[d + 1]), []).append(d)
+    forced = [-1] * len(vertex_of)
+    for (u, w), edges in classes.items():
+        if u == w:
+            for k, d in enumerate(edges):
+                forced[d] = d + 1
+                if k:
+                    forced[edges[k - 1] + 1] = d
+            continue
+        for e, f in zip(edges, edges[1:]):
+            forced[e] = f
+            forced[f + 1] = e + 1
+    followers = set(forced)
+    runs_at = []
+    for ds in tables.darts_at:
+        runs = []
+        for d in ds:
+            if d not in followers:
+                runs.append([d])
+                while forced[runs[-1][-1]] >= 0:
+                    runs[-1].append(forced[runs[-1][-1]])
+        runs_at.append(runs)
+    return runs_at
+
+
+class _OverBudget(Exception):
+    """A decision ran out of search nodes after trying `nodes` links."""
+
+    def __init__(self, nodes: int):
+        self.nodes = nodes
+
+
+def _decide_faces(
+    tables: _Darts, order: list[int], need: int, girth: float, nodes_left: float
+) -> tuple[list[int] | None, int, int]:
+    """Search for a rotation system of one connected component with at least
+    `need` faces; `girth` is that of its loopless simple support.
+
+    The links inside the runs of _forced_runs are set first.  They close
+    every monogon and digon, and each face left is a face of the support
+    lengthened by the loops it passes, so it holds a cycle of the support
+    and is at least `girth` long, unless the support is a tree and has one
+    face.  The other links join the runs at each vertex into its rotation,
+    one run at a time, vertex by vertex in `order`.
+
+    Setting rot_next[a] = b appends b to the face walk that ends at twin(a).
+    Each open walk keeps its two end darts in `end` (each pointing at the
+    other) and its length at both ends, so a link and its undo are O(1).
+    Every face still to close contains an open walk.  With R darts in open
+    walks and `excess` the sum of max(0, L + c - girth) over them, c = 1
+    when a walk ends at another vertex than it starts and so needs a further
+    walk to close, a branch is cut once
+
+        closed + min(open walks, (R - excess) // girth) < need.
+
+    Returns (rot_next, faces, nodes), rot_next None when no rotation system
+    has `need` faces; raises _OverBudget after `nodes_left` links.
+    """
+    nd = len(tables.tokens)
+    vertex_of = tables.vertex_of
+    # on a tree girth 1 makes the length term the count of open walks
+    y = 1 if girth == math.inf else int(girth)
+    far = 1 if y >= 2 else 0
+    rot_next = [-1] * nd
+    end = list(range(nd))
+    length = [1] * nd
+    placed = bytearray(nd)
+    closed = used = excess = 0
+    walks = nd
+
+    def link(a: int, b: int) -> tuple:
+        """Set rot_next[a] = b; returns what unlinking needs."""
+        nonlocal closed, used, excess, walks
+        before = excess
+        rot_next[a] = b
+        placed[b] = 1
+        walks -= 1
+        x = a ^ 1
+        s = end[x]
+        lx = length[x]
+        if s == b:
+            closed += 1
+            used += lx
+            excess -= max(0, lx - y)
+            return (a, b, -1, -1, lx, 0, before)
+        t = end[b]
+        lb = length[b]
+        end[s] = t
+        end[t] = s
+        length[s] = length[t] = lx + lb
+        excess += (
+            max(0, lx + lb + (far if vertex_of[s] != vertex_of[t ^ 1] else 0) - y)
+            - max(0, lx + (far if vertex_of[s] != vertex_of[a] else 0) - y)
+            - max(0, lb + (far if vertex_of[b] != vertex_of[t ^ 1] else 0) - y)
+        )
+        return (a, b, s, t, lx, lb, before)
+
+    def unlink(rec: tuple) -> None:
+        nonlocal closed, used, excess, walks
+        a, b, s, t, lx, lb, excess = rec
+        rot_next[a] = -1
+        placed[b] = 0
+        walks += 1
+        if s < 0:
+            closed -= 1
+            used -= lx
+        else:
+            end[s] = a ^ 1
+            end[t] = b
+            length[s] = lx
+            length[t] = lb
+
+    runs_at = _forced_runs(tables)
+    tail = list(range(nd))
+    for runs in runs_at:
+        for run in runs:
+            for a, b in zip(run, run[1:]):
+                link(a, b)
+            tail[run[0]] = run[-1]
+    heads_at = [[run[0] for run in runs] for runs in runs_at]
+    # frame i makes the i-th free link: (run heads of its vertex, position)
+    frames = [(heads_at[v], p) for v in order for p in range(len(heads_at[v]))]
+    nframes = len(frames)
+    src = [0] * nframes
+    options: list[list[int]] = [[] for _ in range(nframes)]
+    tried = [0] * nframes
+    undo: list[tuple] = [()] * nframes
+    nodes = 0
+
+    def candidates(i: int) -> list[int]:
+        heads, p = frames[i]
+        a = src[i]
+        if p == len(heads) - 1:
+            # mirror symmetry: reversing every rotation, and renumbering
+            # each loop and parallel class so that every forced run reads
+            # as before, keeps the faces; so at the first vertex keep the
+            # order whose run after the first ends in the smaller dart
+            if i == p and p >= 2 and a < src[1]:
+                return []
+            return [heads[0]]
+        x = a ^ 1
+        s = end[x]
+        lx = length[x]
+        home = vertex_of[s]
+        # links that close a face first, the shortest first; then those
+        # that leave the shortest walk, preferring one that can close itself
+        keyed = []
+        for b in heads:
+            if b != heads[0] and not placed[b]:
+                if b == s:
+                    key = lx
+                else:
+                    key = nd + lx + length[b] + (vertex_of[end[b] ^ 1] != home)
+                keyed.append((key, b))
+        keyed.sort()
+        return [b for _, b in keyed]
+
+    i = 0
+    src[0] = tail[frames[0][0][0]]
+    options[0] = candidates(0)
+    while i >= 0:
+        if undo[i]:
+            unlink(undo[i])
+            undo[i] = ()
+        opts = options[i]
+        k = tried[i]
+        if k == len(opts):
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = k + 1
+        b = opts[k]
+        if nodes >= nodes_left:
+            raise _OverBudget(nodes)
+        nodes += 1
+        undo[i] = link(src[i], b)
+        room = (nd - used - excess) // y
+        if closed + (walks if walks < room else room) < need:
+            continue
+        i += 1
+        if i == nframes:
+            return rot_next, closed, nodes
+        heads, p = frames[i]
+        src[i] = tail[heads[0] if p == 0 else b]
+        options[i] = candidates(i)
+    return None, closed, nodes
+
+
 def _search_min_genus(
     g: UndirectedGraph, stop_genus: int, budget: float
 ) -> tuple[int, dict[str, tuple[str, ...]]]:
-    """Branch-and-bound over rotation systems of one connected component.
+    """Least genus >= stop_genus of one connected component, with rotations
+    of an embedding of that genus.
 
-    Maximizes the face count; stops early once an embedding of genus
-    stop_genus is found.  Returns the best genus and its rotations.
+    Decides "genus <= n" for n = stop_genus, stop_genus + 1, ... until a
+    rotation system is found; the caller vouches that no genus below
+    stop_genus exists.  budget bounds the search nodes (links tried) over
+    all the decisions; past it BudgetError names the nodes explored and the
+    highest genus refuted.
     """
     tables = _Darts(g)
     nvert = len(g.vertices)
     nd = len(tables.tokens)
-    ne = nd // 2
-    degrees = [len(ds) for ds in tables.darts_at]
-    if _component_budget(degrees) > budget:
-        raise BudgetError(
-            "rotation search over budget; use euler_lower_bound / is_planar "
-            "or raise REGULUS_BUDGET"
-        )
-    order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
-    darts_at = tables.darts_at
-    # darts at the vertices placed after depth i: each can still close a face
-    later_darts = [0] * nvert
-    for i in range(nvert - 2, -1, -1):
-        later_darts[i] = later_darts[i + 1] + degrees[order[i + 1]]
-
-    # rot_next[d] >= 0 exactly when the vertex of d has its rotation; the face
-    # successor of dart d is rot_next[twin(d)], with twin(d) = d ^ 1
-    rot_next = [-1] * nd
-    vertex_of = tables.vertex_of
-    f_stop = 2 - 2 * stop_genus - nvert + ne
-    parity = (2 - nvert + ne) % 2
-
-    def returns(v: int) -> dict[int, int]:
-        """For each dart t at v, the dart at v whose twin ends the face walk
-        from t back at v, or -1 if the walk meets a vertex without rotation.
-
-        The walks leave v and touch no link that v's rotation sets, so one
-        trace serves every candidate rotation of v.
-        """
-        back = {}
-        for t in darts_at[v]:
-            cur = t
-            while cur >= 0 and vertex_of[cur ^ 1] != v:
-                cur = rot_next[cur ^ 1]
-            back[t] = cur ^ 1 if cur >= 0 else -1
-        return back
-
-    def new_faces(rotation: tuple[int, ...], back: dict[int, int]) -> int:
-        """Faces closed by giving v this rotation.
-
-        Each gets a link from v's rotation and so passes through v: a face
-        entering at the twin of x leaves by the next dart y and comes back at
-        back[y].  The faces are the closed cycles of that map; a face closed
-        earlier has no link to gain.
-        """
-        k = len(rotation)
-        step = {x: back[rotation[i + 1 - k]] for i, x in enumerate(rotation)}
-        count = 0
-        while step:
-            start, x = step.popitem()
-            while x >= 0:
-                if x == start:
-                    count += 1
-                    break
-                x = step.pop(x, -1)
-        return count
-
-    def candidate_rotations(v: int, first: bool):
-        ds = darts_at[v]
-        if len(ds) <= 1:
-            yield tuple(ds)
-            return
-        head, rest = ds[0], ds[1:]
-        for perm in permutations(rest):
-            if first and len(perm) > 1 and perm > tuple(reversed(perm)):
-                continue
-            yield (head,) + perm
-
-    best_f = -1
-    best_rot: list[int] | None = None
-
-    def dfs(depth: int, closed_before: int):
-        nonlocal best_f, best_rot
-        if best_f >= f_stop:
-            return
-        if depth == nvert:
-            if closed_before > best_f:
-                best_f = closed_before
-                best_rot = list(rot_next)
-            return
-        v = order[depth]
-        unassigned_darts = later_darts[depth]
-        back = returns(v)
-        scored = []
-        for rotation in candidate_rotations(v, depth == 0):
-            closed = closed_before + new_faces(rotation, back)
-            upper = closed + unassigned_darts
-            upper -= (upper - parity) % 2
-            if upper > best_f:
-                scored.append((closed, rotation))
-        scored.sort(key=lambda t: -t[0])
-        for closed, rotation in scored:
-            if best_f >= f_stop:
-                return
-            upper = closed + unassigned_darts
-            upper -= (upper - parity) % 2
-            if upper > best_f:
-                for i, d in enumerate(rotation):
-                    rot_next[d] = rotation[i + 1 - len(rotation)]
-                dfs(depth + 1, closed)
-                for d in rotation:
-                    rot_next[d] = -1
-
     if nd == 0:
         return 0, {v: () for v in g.vertices}
-    dfs(0, 0)
-    genus = (2 - nvert + ne - best_f) // 2
+    girth = undirected_girth(_support(g)[0])
+    order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
+    n, spent = stop_genus, 0
+    while True:
+        try:
+            rot_next, faces, nodes = _decide_faces(
+                tables, order, 2 - 2 * n - nvert + nd // 2, girth, budget - spent
+            )
+        except _OverBudget as over:
+            # the caller vouches for every genus below stop_genus
+            refuted = f"genus {n - 1} refuted" if n > 0 else "no genus refuted"
+            raise BudgetError(
+                f"rotation search over budget after {spent + over.nodes} nodes: "
+                f"{refuted}, genus {n} undecided; raise REGULUS_BUDGET"
+            ) from None
+        spent += nodes
+        if rot_next is not None:
+            break
+        n += 1
+    genus = (2 - nvert + nd // 2 - faces) // 2
     rotations: dict[str, tuple[str, ...]] = {}
     for vi, v in enumerate(g.vertices):
         ds = tables.darts_at[vi]
@@ -483,7 +589,7 @@ def _search_min_genus(
             continue
         seq = [ds[0]]
         while len(seq) < len(ds):
-            seq.append(best_rot[seq[-1]])
+            seq.append(rot_next[seq[-1]])
         rotations[v] = tuple(tables.tokens[d] for d in seq)
     return genus, rotations
 
@@ -498,9 +604,10 @@ def genus_exact(
     With normalize=True (the default) the search runs on the loopless simple
     support of each component, which has the same genus; loops and parallel
     edges are re-inserted into the witness afterwards.  With normalize=False
-    the branch-and-bound treats the multigraph natively.  Components are
-    summed.  Refuses inputs whose rotation space exceeds budget (default
-    rotation_budget(); math.inf never refuses).
+    the search runs on the multigraph's own darts.  Components are summed.
+    Each component's search may try `budget` rotation links (default
+    rotation_budget(); math.inf never refuses) and raises BudgetError past
+    them.
     """
     if budget is None:
         budget = rotation_budget()
@@ -515,18 +622,16 @@ def genus_exact(
         if not comp_es:
             rotations.update({v: () for v in comp_vs})
             continue
-        search_graph = comp
-        if normalize:
-            search_graph, _ = _support(comp)
         planar = is_planar(comp)
         if planar.planar:
             rotations.update(planar.witness.rotations)
             continue
-        girth = undirected_girth(search_graph)
-        floor = int(girth) if girth != math.inf else 3
-        lb = 1
-        if floor >= 3:
-            lb = max(1, euler_lower_bound(search_graph, floor))
+        # the loopless simple support has the same genus, so its Euler
+        # bound serves the native search too
+        support, _ = _support(comp)
+        girth = undirected_girth(support)
+        lb = max(1, euler_lower_bound(support, int(girth)))
+        search_graph = support if normalize else comp
         comp_genus, comp_rot = _search_min_genus(search_graph, lb, budget)
         if normalize:
             full = _insert_multiedges_and_loops(comp, comp_rot)
@@ -561,7 +666,7 @@ def genus_invariance_suite(g: DiGraph, budget: int | None = None) -> InvarianceR
     all preserve the genus of g.
 
     Each variant is searched natively (loops and parallel edges kept) so the
-    equalities are informative; variants whose native rotation space is over
+    equalities are informative; variants whose native search runs out of
     budget fall back to the normalized search, which must still agree.
     """
 

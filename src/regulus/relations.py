@@ -20,7 +20,6 @@ from .digraph import (
     DiGraph,
     GraphMorphism,
     ancestors,
-    reachability,
     strongly_connected_components,
 )
 from .errors import DomainError
@@ -344,11 +343,11 @@ def automatic_to_mn_roundtrip(g: DiGraph, r: AutomaticRelation) -> RoundTripRepo
     got_all = mn_refine(a_r, fam_all)
     class_ok = got_all == r
 
-    reach = reachability(g).reachable_vertices
+    # every vertex reaches v exactly when the graph has one sink component
+    # and v lies in it; the minimal system then holds its least vertex
     single_ok: bool | None = None
-    if reach:
-        v = min(reach)
-        got_single = mn_refine(a_r, FinalFamily.of(vclass[v]))
+    if len(system) == 1:
+        got_single = mn_refine(a_r, FinalFamily.of(vclass[system[0]]))
         single_ok = got_single == r
 
     ok = minimal_ok and class_ok and (single_ok is not False)

@@ -4,7 +4,7 @@ summary reporting."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import networkx as nx
 import pytest
@@ -124,6 +124,31 @@ def multidigraphs(draw, max_vertices=6, max_edges=10):
                 simple.setdefault(frozenset((s, t)), (s, t))
         pairs = list(simple.values())
     return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)])
+
+
+def canonical_multidigraphs(max_v=4, max_e=6):
+    """One multidigraph per isomorphism class with at most max_v vertices and
+    max_e edges (4,388 of them for the defaults), loops included."""
+    for n in range(1, max_v + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        index = {p: k for k, p in enumerate(pairs)}
+        perm_maps = []
+        for perm in permutations(range(n)):
+            perm_maps.append([index[(perm[i], perm[j])] for (i, j) in pairs])
+        for k in range(0, max_e + 1):
+            for combo in combinations_with_replacement(range(len(pairs)), k):
+                canon = True
+                for pm in perm_maps[1:]:
+                    if tuple(sorted(pm[c] for c in combo)) < combo:
+                        canon = False
+                        break
+                if canon:
+                    vs = [f"v{i}" for i in range(n)]
+                    edges = [
+                        (f"e{m}", f"v{a}", f"v{b}")
+                        for m, (a, b) in enumerate(pairs[c] for c in combo)
+                    ]
+                    yield DiGraph(vs, edges)
 
 
 def random_digraph(rng: random.Random, max_vertices=5, max_edges=8) -> DiGraph:

@@ -7,7 +7,7 @@ import json
 import os
 import random
 import time
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -70,6 +70,7 @@ from regulus.corpus import (
 from regulus.emulation import excise_restrict, r_image_morphism
 
 from conftest import (
+    canonical_multidigraphs,
     k_bipartite,
     k_complete,
     random_digraph,
@@ -287,29 +288,6 @@ def test_criterion_5_theorem_round_trip():
     assert time.monotonic() - t0 < 300.0
 
 
-def _canonical_multidigraphs(max_v=4, max_e=6):
-    for n in range(1, max_v + 1):
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        index = {p: k for k, p in enumerate(pairs)}
-        perm_maps = []
-        for perm in permutations(range(n)):
-            perm_maps.append([index[(perm[i], perm[j])] for (i, j) in pairs])
-        for k in range(0, max_e + 1):
-            for combo in combinations_with_replacement(range(len(pairs)), k):
-                canon = True
-                for pm in perm_maps[1:]:
-                    if tuple(sorted(pm[c] for c in combo)) < combo:
-                        canon = False
-                        break
-                if canon:
-                    vs = [f"v{i}" for i in range(n)]
-                    edges = [
-                        (f"e{m}", f"v{a}", f"v{b}")
-                        for m, (a, b) in enumerate(pairs[c] for c in combo)
-                    ]
-                    yield DiGraph(vs, edges)
-
-
 def test_criterion_6_automatic_relation_theory():
     """criterion 6: on every non-isomorphic multidigraph with at most 4
     vertices and 6 edges, quotients are emulators, factorization is unique,
@@ -319,7 +297,7 @@ def test_criterion_6_automatic_relation_theory():
     rng = random.Random(SEED)
     graph_count = 0
     relation_count = 0
-    for g in _canonical_multidigraphs():
+    for g in canonical_multidigraphs():
         graph_count += 1
         rels = enumerate_automatic_relations(g)
         relation_count += len(rels)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -152,7 +153,36 @@ class TestTraceFaces:
             assert genus >= 0
 
 
+def lcf(n: int, shifts: list[int], repeats: int) -> UndirectedGraph:
+    nxg = nx.LCF_graph(n, shifts, repeats)
+    return UndirectedGraph(
+        [str(v) for v in nxg.nodes],
+        [(f"e{i}", (str(a), str(b))) for i, (a, b) in enumerate(nxg.edges)],
+    )
+
+
 class TestGenusExact:
+    @pytest.mark.parametrize(
+        "g, genus",
+        [
+            # Ringel and Youngs; Ringel; the Heawood graph is the torus dual
+            # of K7; the Desargues graph has genus 2
+            (k_complete(7), 1),
+            (k_complete(8), 2),
+            (k_bipartite(3, 6), 1),
+            (k_bipartite(4, 5), 2),
+            (lcf(14, [5, -5], 7), 1),
+            (lcf(20, [5, -5, 9, -9], 5), 2),
+        ],
+        ids=["K7", "K8", "K3,6", "K4,5", "Heawood", "Desargues"],
+    )
+    def test_literature_values_under_the_default_budget(self, g, genus):
+        t0 = time.perf_counter()
+        result = genus_exact(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert result.genus == genus
+        assert trace_faces(g, result.witness)[1] == genus
+
     def test_classical_values(self):
         assert genus_exact(k_complete(5)).genus == 1
         assert genus_exact(k_bipartite(3, 3)).genus == 1
@@ -183,6 +213,11 @@ class TestGenusExact:
         with pytest.raises(BudgetError):
             genus_exact(k8, budget=10)
 
+    def test_budget_refusal_says_where_it_stopped(self):
+        # K8's Euler bound rules out genus 1, so the search starts at 2
+        with pytest.raises(BudgetError, match="after 10 nodes: genus 1 refuted, genus 2 undecided"):
+            genus_exact(k_complete(8), budget=10)
+
     def test_raw_equals_normalized_on_small_graphs(self, rng):
         for _ in range(12):
             g = random_digraph(rng, max_vertices=4, max_edges=6)
@@ -193,21 +228,26 @@ class TestGenusExact:
     @example(UndirectedGraph(["u"], [("e", ("u",)), ("f", ("u",))]))
     @example(UndirectedGraph(["u", "v"], [("e", ("u", "v")), ("f", ("u", "v")), ("g", ("v",))]))
     def test_against_brute_force_rotation_enumeration(self, g):
-        # the rotation search counts faces incrementally; it must reach the
-        # same minimum as enumerating every rotation system outright, on the
-        # multigraph itself and on its loopless simple support, and when run
-        # on each component directly, planar ones included
-        best = _brute_force_min_genus(g)
+        # on each component, with its loops and parallel edges, "genus <= n"
+        # must be decided yes exactly when enumerating every rotation system
+        # outright reaches genus n, also for every n below that minimum; and
+        # genus_exact must reach the summed minimum on the multigraph itself
+        # and on its loopless simple support
+        best = 0
+        for vs, es in components(g):
+            if not es:
+                continue
+            comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
+            comp_best = _brute_force_min_genus(comp)
+            for n in range(comp_best + 2):
+                genus, rotations = _search_min_genus(comp, n, math.inf)
+                assert trace_faces(comp, RotationSystem(rotations))[1] == genus
+                assert (genus <= n) == (comp_best <= n)
+                assert genus >= comp_best
+                assert genus <= n or genus == comp_best
+            best += comp_best
         assert genus_exact(g, normalize=False).genus == best
         assert genus_exact(g, normalize=True).genus == best
-        searched = 0
-        for vs, es in components(g):
-            if es:
-                comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
-                genus, rotations = _search_min_genus(comp, 0, 10**9)
-                assert trace_faces(comp, RotationSystem(rotations))[1] == genus
-                searched += genus
-        assert searched == best
 
 
 class TestPlanarity:

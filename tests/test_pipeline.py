@@ -67,10 +67,17 @@ class TestLanguageGenus:
         answer = language_genus_leq(z7_123_automaton(), 0, max_fiber=2)
         assert answer.status == "no_within_bounds"
 
-    def test_z7_genus_one_over_rotation_budget(self):
-        # deciding genus 1 for the mod-7 base needs the exact genus of a
-        # K7-support candidate, which exceeds the default rotation budget;
-        # the honest answer is budget_exceeded, never a fabricated verdict
+    def test_z7_genus_one_within_default_budget(self):
+        # the fibre-1 candidate is the base itself, with support K7, whose
+        # genus is 1 (Ringel and Youngs); the witness is re-verified
+        answer = language_genus_leq(z7_123_automaton(), 1, max_fiber=1)
+        assert answer.status == "yes"
+        assert answer.witness_genus == 1
+
+    def test_z7_genus_one_over_a_small_node_budget(self, monkeypatch):
+        # a candidate whose genus search runs out of nodes is undecided: the
+        # honest answer is budget_exceeded, never a fabricated verdict
+        monkeypatch.setenv("REGULUS_BUDGET", "10")
         answer = language_genus_leq(z7_123_automaton(), 1, max_fiber=1)
         assert answer.status == "budget_exceeded"
 

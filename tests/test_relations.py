@@ -26,13 +26,24 @@ from regulus import (
     meet,
     mn_refine,
     quotient,
+    reachability,
     relation_leq,
     simplify,
 )
 from regulus.corpus import amalgamation_loop, loop2_to_loop1, par2_swap
 from regulus.relations import canonical_semi_automaton, is_complete_final_system
 
-from conftest import c2, c4, isomorphic, loop1, loop2, p2, par2, random_digraph
+from conftest import (
+    c2,
+    c4,
+    canonical_multidigraphs,
+    isomorphic,
+    loop1,
+    loop2,
+    p2,
+    par2,
+    random_digraph,
+)
 
 
 def wrap_c4_to_c2():
@@ -319,6 +330,19 @@ class TestRoundTrip:
         r = canonical_relation(loop2_to_loop1())
         g = loop2()
         assert automatic_to_mn_roundtrip(g, r).ok
+
+    def test_one_sink_component_gives_the_least_reachable_vertex(self):
+        # the round trip takes its single-class family from the one-vertex
+        # minimal final system instead of from reachability
+        single = 0
+        for g in canonical_multidigraphs():
+            system = complete_final_systems(g).minimal_system
+            reach = reachability(g).reachable_vertices
+            assert (len(system) == 1) == bool(reach)
+            if reach:
+                assert system[0] == min(reach)
+                single += 1
+        assert single == 2036
 
 
 class TestLattice:
