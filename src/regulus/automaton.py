@@ -129,6 +129,8 @@ def accepts(a: Automaton, word: Word | str) -> bool:
 
 def sample_language(a: Automaton, max_length: int) -> LanguageSample:
     """Exactly the accepted words of length at most max_length."""
+    if max_length < 0:
+        raise DomainError("max_length must be non-negative")
     words: set[Word] = set()
     letters = sorted(a.alphabet)
     frontier: list[tuple[Word, frozenset[str]]] = [((), frozenset(a.initials))]

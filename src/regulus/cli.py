@@ -398,7 +398,7 @@ def cmd_genus(args) -> int:
     g = _load_any_graph(_read(args.inputs[0]))
     if args.verb == "exact":
         budget = math.inf if args.force else None
-        res = genus_exact(g, budget=budget, normalize=not args.raw)
+        res = genus_exact(g, budget=budget)
         _emit(
             args,
             {
@@ -526,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("genus").add_subparsers(dest="verb", required=True)
     add(n, "exact", 1, cmd_genus,
-        force={"action": "store_true", "help": "search without a node budget"},
-        raw={"action": "store_true", "help": "search the multigraph natively"})
+        force={"action": "store_true", "help": "search without a node budget"})
     add(n, "planar", 1, cmd_genus)
     add(n, "lower-bound", 1, cmd_genus, girth_floor={"type": int, "default": 3})
     p = add(n, "formula", 0, cmd_genus,

@@ -325,7 +325,7 @@ class CoverSearchSpec:
             raise DomainError("max_fiber must be at least 1")
         if self.genus_bound < 0:
             raise DomainError("genus_bound must be non-negative")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:
             raise DomainError("time budget must be positive")
 
 

@@ -226,15 +226,6 @@ def semi_morphism_to_json(m: SemiMorphism) -> dict:
     }
 
 
-def semi_morphism_from_json(data: dict) -> SemiMorphism:
-    source = semi_from_json(_mapping(data, "source"))
-    target = semi_from_json(_mapping(data, "target"))
-    base = GraphMorphism(
-        source.graph, target.graph, _string_map(data, "p"), _string_map(data, "q")
-    )
-    return SemiMorphism(source, target, base, _string_map(data, "alpha"))
-
-
 # -- relations, rotations, certificates ---------------------------------------
 
 def relation_to_json(r: AutomaticRelation) -> dict:

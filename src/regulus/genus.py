@@ -3,8 +3,10 @@
 A rotation system fixes a cyclic order of edge-ends around every vertex and
 thereby an embedding into an orientable closed surface; tracing its faces and
 applying Euler's relation gives the genus of that embedding.  The minimum over
-all rotation systems is the genus of the graph.  Loops and parallel edges are
-handled natively (a loop contributes two ends at its vertex).
+all rotation systems is the genus of the graph.  Only face tracing handles
+loops and parallel edges natively (a loop contributes two ends at its
+vertex); the exact genus search runs on the loopless simple support, which
+has the same genus, and re-inserts them into its witness.
 """
 
 from __future__ import annotations
@@ -213,24 +215,26 @@ def _planar_embedding_support(support: UndirectedGraph):
 
 
 def _insert_multiedges_and_loops(
-    g: UndirectedGraph, support_rot: Mapping[str, tuple[str, ...]]
+    g: UndirectedGraph,
+    groups: Mapping[tuple[str, str], list[str]],
+    support_rot: Mapping[str, tuple[str, ...]],
 ) -> RotationSystem:
-    """Extend a rotation system of the support graph to the full multigraph.
+    """Extend a rotation system of the support graph to the full multigraph,
+    given the edge groups of _support(g).
 
-    Each support edge-end becomes the run of _forced_runs through
-    it, so every extra parallel edge sits beside its representative (forming
-    a bigon face), and the loops at a vertex follow as one run (each forming
-    a monogon); neither insertion changes the genus.
+    Each extra parallel edge is inserted beside its representative (forming a
+    bigon face) and each loop as an adjacent pair of ends (forming a monogon);
+    neither insertion changes the genus.
     """
-    tables = _Darts(g)
-    runs_at = _forced_runs(tables)
-    run_of = {d: run for runs in runs_at for run in runs for d in run}
-    rotations = {}
-    for vi, v in enumerate(g.vertices):
-        starts = [tables.token_index[t] for t in support_rot.get(v, ())]
-        starts += [run[0] for run in runs_at[vi] if tables.vertex_of[run[0] ^ 1] == vi]
-        rotations[v] = tuple(tables.tokens[d] for s in starts for d in run_of[s])
-    return RotationSystem(rotations)
+    rot = {v: list(support_rot.get(v, ())) for v in g.vertices}
+    for (a, b), group in groups.items():
+        for prev, e in zip(group, group[1:]):
+            rot[a].insert(rot[a].index(f"{prev}+") + 1, f"{e}+")
+            rot[b].insert(rot[b].index(f"{prev}-"), f"{e}-")
+    for e in g.edges:
+        if g.is_loop(e):
+            rot[g.ends(e)[0]].extend([f"{e}+", f"{e}-"])
+    return RotationSystem(rot)
 
 
 @dataclass(frozen=True)
@@ -264,11 +268,11 @@ def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
     subgraph, extracted when first read.
     """
     ug = forget(g) if isinstance(g, DiGraph) else g
-    support, _ = _support(ug)
+    support, groups = _support(ug)
     rotations = _planar_embedding_support(support)
     if rotations is None:
         return PlanarityReport(False, support=support)
-    witness = _insert_multiedges_and_loops(ug, rotations)
+    witness = _insert_multiedges_and_loops(ug, groups, rotations)
     _, genus = trace_faces(ug, witness)
     if genus != 0:
         raise DomainError("planar witness failed verification")
@@ -341,46 +345,6 @@ def _bfs_vertex_order(nvert: int, darts_at: list[list[int]], twin, vertex_of) ->
     return order
 
 
-def _forced_runs(tables: _Darts) -> list[list[list[int]]]:
-    """The runs of darts that every loop and parallel edge fixes at each
-    vertex: a run must appear in that vertex's rotation as it reads.
-
-    Parallel edges e1 < e2 < ... from u to w read e1+ e2+ ... at u and
-    ... e2- e1- at w, so neighbours bound a digon; the loops at a vertex read
-    e1+ e1- e2+ e2- ..., so each "-" end bounds a monogon.  Deleting loops
-    and parallel copies never raises the genus, and putting them back this
-    way adds one face per edge, so some embedding of least genus has these
-    runs and a search that keeps them stays exact.  Every other dart is a
-    run of its own.
-    """
-    vertex_of = tables.vertex_of
-    classes: dict[tuple[int, int], list[int]] = {}
-    for d in range(0, len(vertex_of), 2):
-        classes.setdefault((vertex_of[d], vertex_of[d + 1]), []).append(d)
-    forced = [-1] * len(vertex_of)
-    for (u, w), edges in classes.items():
-        if u == w:
-            for k, d in enumerate(edges):
-                forced[d] = d + 1
-                if k:
-                    forced[edges[k - 1] + 1] = d
-            continue
-        for e, f in zip(edges, edges[1:]):
-            forced[e] = f
-            forced[f + 1] = e + 1
-    followers = set(forced)
-    runs_at = []
-    for ds in tables.darts_at:
-        runs = []
-        for d in ds:
-            if d not in followers:
-                runs.append([d])
-                while forced[runs[-1][-1]] >= 0:
-                    runs[-1].append(forced[runs[-1][-1]])
-        runs_at.append(runs)
-    return runs_at
-
-
 class _OverBudget(Exception):
     """A decision ran out of search nodes after trying `nodes` links."""
 
@@ -391,15 +355,13 @@ class _OverBudget(Exception):
 def _decide_faces(
     tables: _Darts, order: list[int], need: int, girth: float, nodes_left: float
 ) -> tuple[list[int] | None, int, int]:
-    """Search for a rotation system of one connected component with at least
-    `need` faces; `girth` is that of its loopless simple support.
+    """Search for a rotation system of a connected, loopless, simple graph
+    with at least `need` faces; `girth` is the graph's girth.
 
-    The links inside the runs of _forced_runs are set first.  They close
-    every monogon and digon, and each face left is a face of the support
-    lengthened by the loops it passes, so it holds a cycle of the support
-    and is at least `girth` long, unless the support is a tree and has one
-    face.  The other links join the runs at each vertex into its rotation,
-    one run at a time, vertex by vertex in `order`.
+    Every face holds a cycle and so is at least `girth` long, unless the
+    graph is a tree and has one face.  The search links the darts at each
+    vertex into its rotation, one dart at a time, vertex by vertex in
+    `order`.
 
     Setting rot_next[a] = b appends b to the face walk that ends at twin(a).
     Each open walk keeps its two end darts in `end` (each pointing at the
@@ -468,16 +430,8 @@ def _decide_faces(
             length[s] = lx
             length[t] = lb
 
-    runs_at = _forced_runs(tables)
-    tail = list(range(nd))
-    for runs in runs_at:
-        for run in runs:
-            for a, b in zip(run, run[1:]):
-                link(a, b)
-            tail[run[0]] = run[-1]
-    heads_at = [[run[0] for run in runs] for runs in runs_at]
-    # frame i makes the i-th free link: (run heads of its vertex, position)
-    frames = [(heads_at[v], p) for v in order for p in range(len(heads_at[v]))]
+    # frame i makes the i-th link: (darts of its vertex, position)
+    frames = [(tables.darts_at[v], p) for v in order for p in range(len(tables.darts_at[v]))]
     nframes = len(frames)
     src = [0] * nframes
     options: list[list[int]] = [[] for _ in range(nframes)]
@@ -486,16 +440,15 @@ def _decide_faces(
     nodes = 0
 
     def candidates(i: int) -> list[int]:
-        heads, p = frames[i]
+        darts, p = frames[i]
         a = src[i]
-        if p == len(heads) - 1:
-            # mirror symmetry: reversing every rotation, and renumbering
-            # each loop and parallel class so that every forced run reads
-            # as before, keeps the faces; so at the first vertex keep the
-            # order whose run after the first ends in the smaller dart
+        if p == len(darts) - 1:
+            # mirror symmetry: reversing every rotation keeps the faces, so
+            # at the first vertex keep the order whose second dart is
+            # smaller than its last
             if i == p and p >= 2 and a < src[1]:
                 return []
-            return [heads[0]]
+            return [darts[0]]
         x = a ^ 1
         s = end[x]
         lx = length[x]
@@ -503,8 +456,8 @@ def _decide_faces(
         # links that close a face first, the shortest first; then those
         # that leave the shortest walk, preferring one that can close itself
         keyed = []
-        for b in heads:
-            if b != heads[0] and not placed[b]:
+        for b in darts:
+            if b != darts[0] and not placed[b]:
                 if b == s:
                     key = lx
                 else:
@@ -514,7 +467,7 @@ def _decide_faces(
         return [b for _, b in keyed]
 
     i = 0
-    src[0] = tail[frames[0][0][0]]
+    src[0] = frames[0][0][0]
     options[0] = candidates(0)
     while i >= 0:
         if undo[i]:
@@ -538,8 +491,8 @@ def _decide_faces(
         i += 1
         if i == nframes:
             return rot_next, closed, nodes
-        heads, p = frames[i]
-        src[i] = tail[heads[0] if p == 0 else b]
+        darts, p = frames[i]
+        src[i] = darts[0] if p == 0 else b
         options[i] = candidates(i)
     return None, closed, nodes
 
@@ -561,7 +514,7 @@ def _search_min_genus(
     nd = len(tables.tokens)
     if nd == 0:
         return 0, {v: () for v in g.vertices}
-    girth = undirected_girth(_support(g)[0])
+    girth = undirected_girth(g)
     order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
     n, spent = stop_genus, 0
     while True:
@@ -594,20 +547,14 @@ def _search_min_genus(
     return genus, rotations
 
 
-def genus_exact(
-    g: DiGraph | UndirectedGraph,
-    budget: float | None = None,
-    normalize: bool = True,
-) -> GenusResult:
+def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> GenusResult:
     """Minimum genus over all rotation systems, with a verifying witness.
 
-    With normalize=True (the default) the search runs on the loopless simple
-    support of each component, which has the same genus; loops and parallel
-    edges are re-inserted into the witness afterwards.  With normalize=False
-    the search runs on the multigraph's own darts.  Components are summed.
-    Each component's search may try `budget` rotation links (default
-    rotation_budget(); math.inf never refuses) and raises BudgetError past
-    them.
+    Each component is embedded through its loopless simple support, which
+    has the same genus; loops and parallel edges are re-inserted into the
+    witness afterwards.  Components are summed.  Each component's search may
+    try `budget` rotation links (default rotation_budget(); math.inf never
+    refuses) and raises BudgetError past them.
     """
     if budget is None:
         budget = rotation_budget()
@@ -616,29 +563,14 @@ def genus_exact(
     rotations: dict[str, tuple[str, ...]] = {}
 
     for comp_vs, comp_es in components(ug):
-        comp = UndirectedGraph(
-            comp_vs, [(e, ug.ends(e)) for e in comp_es]
-        )
-        if not comp_es:
-            rotations.update({v: () for v in comp_vs})
-            continue
-        planar = is_planar(comp)
-        if planar.planar:
-            rotations.update(planar.witness.rotations)
-            continue
-        # the loopless simple support has the same genus, so its Euler
-        # bound serves the native search too
-        support, _ = _support(comp)
-        girth = undirected_girth(support)
-        lb = max(1, euler_lower_bound(support, int(girth)))
-        search_graph = support if normalize else comp
-        comp_genus, comp_rot = _search_min_genus(search_graph, lb, budget)
-        if normalize:
-            full = _insert_multiedges_and_loops(comp, comp_rot)
-            rotations.update(full.rotations)
-        else:
-            rotations.update(comp_rot)
-        total += comp_genus
+        comp = UndirectedGraph(comp_vs, [(e, ug.ends(e)) for e in comp_es])
+        support, groups = _support(comp)
+        support_rot = _planar_embedding_support(support)
+        if support_rot is None:
+            lb = max(1, euler_lower_bound(support, int(undirected_girth(support))))
+            comp_genus, support_rot = _search_min_genus(support, lb, budget)
+            total += comp_genus
+        rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
 
     witness = RotationSystem(rotations)
     _, traced = trace_faces(ug, witness)
@@ -663,22 +595,7 @@ class InvarianceReport:
 
 def genus_invariance_suite(g: DiGraph, budget: int | None = None) -> InvarianceReport:
     """Check that reversal, simplification, excision and direction-forgetting
-    all preserve the genus of g.
+    all preserve the genus of g."""
 
-    Each variant is searched natively (loops and parallel edges kept) so the
-    equalities are informative; variants whose native search runs out of
-    budget fall back to the normalized search, which must still agree.
-    """
-
-    def measure(graph) -> int:
-        try:
-            return genus_exact(graph, budget=budget, normalize=False).genus
-        except BudgetError:
-            return genus_exact(graph, budget=budget, normalize=True).genus
-
-    base = measure(g)
-    oppo = measure(opposite(g))
-    simp = measure(simplify(g)[0])
-    exc = measure(excise(g))
-    und = measure(forget(g))
-    return InvarianceReport(base, oppo, simp, exc, und)
+    variants = (g, opposite(g), simplify(g)[0], excise(g), forget(g))
+    return InvarianceReport(*(genus_exact(h, budget=budget).genus for h in variants))

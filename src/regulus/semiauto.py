@@ -115,19 +115,6 @@ def validate_semi_morphism(m: SemiMorphism) -> None:
             )
 
 
-def compose_semi(outer: SemiMorphism, inner: SemiMorphism) -> SemiMorphism:
-    if inner.target != outer.source:
-        raise DomainError("semi-automaton morphisms do not compose")
-    base = GraphMorphism(
-        inner.source.graph,
-        outer.target.graph,
-        {v: outer.base.p[w] for v, w in inner.base.p.items()},
-        {e: outer.base.q[f] for e, f in inner.base.q.items()},
-    )
-    alpha = {a: outer.alpha[b] for a, b in inner.alpha.items()}
-    return SemiMorphism(inner.source, outer.target, base, alpha)
-
-
 def tautological(g: DiGraph) -> SemiAutomaton:
     """The semi-automaton on g whose alphabet is the edge set itself.
 
@@ -141,15 +128,6 @@ def tautological_morphism(m: GraphMorphism) -> SemiMorphism:
     return SemiMorphism(
         tautological(m.source), tautological(m.target), m, dict(m.q)
     )
-
-
-def counit(a: SemiAutomaton) -> SemiMorphism:
-    """The relabelling from the tautological semi-automaton of a's graph back to a."""
-    taut = tautological(a.graph)
-    base = GraphMorphism(
-        a.graph, a.graph, {v: v for v in a.states()}, {e: e for e in a.graph.edges}
-    )
-    return SemiMorphism(taut, a, base, dict(a.labelling))
 
 
 def is_complete(a: SemiAutomaton) -> bool:

@@ -5,12 +5,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regulus import formats
+from regulus import GraphMorphism, RegulusError, SemiMorphism, formats
 from regulus.cli import main
 from regulus.corpus import ENTRIES, get, z6_automaton, z7_123_automaton
 
 from conftest import c2, c4, loop2, par2
+
+
+def semi_morphism_from_json(data: dict) -> SemiMorphism:
+    """Read back a semi-automaton morphism as formats.semi_morphism_to_json writes it."""
+    source = formats.semi_from_json(data["source"])
+    target = formats.semi_from_json(data["target"])
+    base = GraphMorphism(source.graph, target.graph, data["p"], data["q"])
+    return SemiMorphism(source, target, base, data["alpha"])
 
 
 def run_cli(args, cwd=None):
@@ -44,7 +54,7 @@ class TestRoundTrips:
 
         _, pi = minimize(z6_unrolled12())
         data = formats.loads(formats.dumps(formats.semi_morphism_to_json(pi)))
-        back = formats.semi_morphism_from_json(data)
+        back = semi_morphism_from_json(data)
         assert back.base == pi.base and back.alpha == pi.alpha
 
     def test_relation(self):
@@ -85,6 +95,83 @@ class TestRoundTrips:
         assert a == b
 
 
+PARSERS = [getattr(formats, name) for name in dir(formats) if name.endswith("_from_json")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _strings_in(value) -> list[str]:
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return [s for k, v in value.items() for s in (k, *_strings_in(v))]
+    if isinstance(value, list):
+        return [s for v in value for s in _strings_in(v)]
+    return []
+
+
+def _mutate(data, payload: dict) -> None:
+    """Replace, drop or append one value at a random depth of payload."""
+    node = payload
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        inner = [k for k in keys if isinstance(node[k], (dict, list))]
+        if not inner or data.draw(st.booleans()):
+            break
+        node = node[data.draw(st.sampled_from(inner))]
+    # values include the payload's own ids, so mutations can also alias them
+    values = JSON_VALUES | st.sampled_from(_strings_in(payload) or [""])
+    op = data.draw(st.sampled_from(["replace", "drop", "append"]))
+    if op != "append" and keys:
+        key = data.draw(st.sampled_from(keys))
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(values)
+    elif isinstance(node, dict):
+        node[data.draw(st.text(max_size=8))] = data.draw(values)
+    else:
+        node.append(data.draw(values))
+
+
+def _fuzz_seeds() -> dict[str, dict]:
+    """The corpus payloads plus one relation, rotation and certificate."""
+    from regulus import AutomaticRelation, genus_exact
+
+    graph = formats.digraph_to_json(c2())
+    seeds = {name: entry.payload() for name, entry in ENTRIES.items()}
+    seeds["relation"] = formats.relation_to_json(
+        AutomaticRelation.from_classes([["a", "c"], ["b", "d"]], [["e1", "e3"], ["e2", "e4"]])
+    )
+    seeds["rotation"] = formats.rotation_to_json(genus_exact(par2()).witness)
+    seeds["certificate"] = {
+        "base": graph, "total": graph, "genus": 0,
+        "p": {"a": "a", "b": "b"}, "q": {"e1": "e1", "e2": "e2"},
+        "rotation": {"a": ["e1+", "e2+"], "b": ["e1-", "e2-"]},
+    }
+    return seeds
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_SEEDS)), st.integers(1, 3), st.data())
+    def test_mutated_payloads_raise_only_regulus_errors(self, name, count, data):
+        payload = json.loads(json.dumps(FUZZ_SEEDS[name]))
+        for _ in range(count):
+            _mutate(data, payload)
+        for parse in PARSERS:
+            try:
+                parse(json.loads(json.dumps(payload)))
+            except RegulusError:
+                pass
+
+
 class TestCliVerbs:
     def test_graph_pipeline(self, tmp_path):
         g = tmp_path / "g.json"
@@ -118,7 +205,7 @@ class TestCliVerbs:
         assert main(["auto", "minimize", str(a), "-o", str(out), "--morphism-out", str(mor)]) == 0
         amin = formats.automaton_from_json(formats.loads(out.read_text()))
         assert len(amin.graph.vertices) == 6
-        pi = formats.semi_morphism_from_json(formats.loads(mor.read_text()))
+        pi = semi_morphism_from_json(formats.loads(mor.read_text()))
         assert set(pi.base.p.values()) == set(amin.graph.vertices)
 
     def test_rel_check_exit_codes(self, tmp_path):
@@ -257,6 +344,23 @@ class TestCliVerbs:
         assert main(["genus", "exact", str(g)]) == 3
         assert capsys.readouterr().err.startswith("error: REGULUS_BUDGET")
 
+    def test_nan_time_budget_is_input_error(self, tmp_path, capsys):
+        # NaN compares false with every deadline, so it would never stop a search
+        g = tmp_path / "c2.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        a = tmp_path / "z7.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z7_123_automaton())))
+        for args in (["emu", "search", str(g)], ["genus", "language", "--n", "0", str(a)]):
+            assert main([*args, "--time-budget", "nan"]) == 3, args
+            assert capsys.readouterr().err.startswith("error: time budget"), args
+
+    def test_negative_sample_length_is_input_error(self, tmp_path, capsys):
+        # no word has a negative length, so there is no sample to print
+        a = tmp_path / "z6.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z6_automaton())))
+        assert main(["auto", "sample", str(a), "--max-length", "-3"]) == 3
+        assert capsys.readouterr().err.startswith("error: max_length")
+        assert main(["auto", "sample", str(a), "--max-length", "0"]) == 0
 
     def test_malformed_ends_are_input_errors(self, tmp_path, capsys):
         # "ends" must be a list of one or two strings: no traceback, and no

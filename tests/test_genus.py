@@ -24,7 +24,7 @@ from regulus import (
     trace_faces,
 )
 from regulus.digraph import components
-from regulus.genus import _search_min_genus, dart_tokens, undirected_girth
+from regulus.genus import _search_min_genus, _support, dart_tokens, undirected_girth
 
 from conftest import (
     c2,
@@ -195,8 +195,8 @@ class TestGenusExact:
         )
         assert genus_exact(tree).genus == 0
         assert genus_exact(c2()).genus == 0
-        assert genus_exact(par2(), normalize=False).genus == 0
-        assert genus_exact(loop2(), normalize=False).genus == 0
+        assert genus_exact(par2()).genus == 0
+        assert genus_exact(loop2()).genus == 0
 
     def test_additivity_over_components(self):
         vs = list(k_complete(5).vertices) + [f"w{i}" for i in range(6)]
@@ -218,36 +218,31 @@ class TestGenusExact:
         with pytest.raises(BudgetError, match="after 10 nodes: genus 1 refuted, genus 2 undecided"):
             genus_exact(k_complete(8), budget=10)
 
-    def test_raw_equals_normalized_on_small_graphs(self, rng):
-        for _ in range(12):
-            g = random_digraph(rng, max_vertices=4, max_edges=6)
-            assert genus_exact(g).genus == genus_exact(g, normalize=False).genus
-
     @settings(max_examples=150, deadline=None)
     @given(small_multigraphs())
     @example(UndirectedGraph(["u"], [("e", ("u",)), ("f", ("u",))]))
     @example(UndirectedGraph(["u", "v"], [("e", ("u", "v")), ("f", ("u", "v")), ("g", ("v",))]))
     def test_against_brute_force_rotation_enumeration(self, g):
-        # on each component, with its loops and parallel edges, "genus <= n"
+        # on the loopless simple support of each component, "genus <= n"
         # must be decided yes exactly when enumerating every rotation system
-        # outright reaches genus n, also for every n below that minimum; and
-        # genus_exact must reach the summed minimum on the multigraph itself
-        # and on its loopless simple support
+        # of the component itself, loops and parallel edges included,
+        # reaches genus n, also for every n below that minimum; and
+        # genus_exact must reach the summed minimum
         best = 0
         for vs, es in components(g):
             if not es:
                 continue
             comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
             comp_best = _brute_force_min_genus(comp)
+            support = _support(comp)[0]
             for n in range(comp_best + 2):
-                genus, rotations = _search_min_genus(comp, n, math.inf)
-                assert trace_faces(comp, RotationSystem(rotations))[1] == genus
+                genus, rotations = _search_min_genus(support, n, math.inf)
+                assert trace_faces(support, RotationSystem(rotations))[1] == genus
                 assert (genus <= n) == (comp_best <= n)
                 assert genus >= comp_best
                 assert genus <= n or genus == comp_best
             best += comp_best
-        assert genus_exact(g, normalize=False).genus == best
-        assert genus_exact(g, normalize=True).genus == best
+        assert genus_exact(g).genus == best
 
 
 class TestPlanarity:
@@ -422,7 +417,7 @@ class TestGenusFormula:
                     for j in range(m):
                         edges.append((f"e{i}_{j}", v, rng.choice(vs)))
                 g = DiGraph(vs, edges)
-                res = genus_exact(g, normalize=False)
+                res = genus_exact(g)
                 faces, traced = trace_faces(forget(g), res.witness)
                 if len(components(forget(g))) != 1:
                     continue
