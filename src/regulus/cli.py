@@ -2,8 +2,8 @@
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (violation,
 non-planar, exhausted search, unequal languages), 2 budget exceeded,
-3 malformed input or usage error, 4 internal error (a bug; the traceback is
-printed).
+3 malformed input, usage error or an output path that cannot be written,
+4 internal error (a bug; the traceback is printed).
 """
 
 from __future__ import annotations
@@ -85,21 +85,30 @@ def _read(path: str) -> dict:
         raise RegulusError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path, text: str, parents: bool = False) -> None:
+    try:
+        if parents:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise RegulusError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(args, payload: dict, dot: str | None = None) -> None:
     text = formats.dumps(payload)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if getattr(args, "dot", None):
         if dot is None:
             raise RegulusError("this command has no DOT rendering")
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        _write(args.dot, dot)
 
 
 def _write_morphism(args, payload: dict) -> None:
     if getattr(args, "morphism_out", None):
-        Path(args.morphism_out).write_text(formats.dumps(payload), encoding="utf-8")
+        _write(args.morphism_out, formats.dumps(payload))
 
 
 def _parse_map(pairs: list[str]) -> dict[str, str]:
@@ -374,9 +383,7 @@ def cmd_genus(args) -> int:
         a = formats.automaton_from_json(_read(args.inputs[0]))
         if args.emit_base:
             base = minimal_cover_base(a)
-            Path(args.emit_base).write_text(
-                formats.dumps(formats.digraph_to_json(base)), encoding="utf-8"
-            )
+            _write(args.emit_base, formats.dumps(formats.digraph_to_json(base)))
         cert = None
         if args.certificate:
             cert = formats.certificate_from_json(_read(args.certificate))
@@ -446,10 +453,8 @@ def cmd_corpus(args) -> int:
             sys.stdout.write(f"{name}\t{entry.kind}\t{entry.description}\n")
         return OK
     entry = corpus_mod.get(args.name)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / entry.filename
-    path.write_text(formats.dumps(entry.payload()), encoding="utf-8")
+    path = Path(args.out_dir) / entry.filename
+    _write(path, formats.dumps(entry.payload()), parents=True)
     sys.stdout.write(f"{path}\n")
     return OK
 

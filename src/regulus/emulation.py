@@ -36,6 +36,7 @@ from .genus import (
     genus_exact,
     is_planar,
     trace_faces,
+    undirected_girth,
 )
 
 
@@ -359,19 +360,6 @@ class SearchOutcome:
     certificate: CoverCertificate | None = None
 
 
-def _cover_girth_floor(base: DiGraph) -> int:
-    """Girth floor valid for every cover of the base: 3 when the base is
-    simple, loopless and free of directed 2-cycles, else weaker."""
-    if any(base.is_loop(e) for e in base.edges):
-        return 1
-    if not base.is_simple():
-        return 2
-    pairs = {(s, t) for _, s, t in base.edge_list()}
-    if any((t, s) in pairs for s, t in pairs):
-        return 2
-    return 3
-
-
 def _fiber_vectors_within_bound(
     out_degrees: list[int], max_fiber: int, girth_floor: int, genus_bound: int
 ):
@@ -416,33 +404,42 @@ def _fiber_vectors_within_bound(
     yield from extend(0, 0, 0)
 
 
-def _assignment_canonical(base: DiGraph, sizes: dict[str, int], assignment, root) -> bool:
-    """Reject assignments that a fibre permutation (fixing the pinned root
-    vertex) maps to something lexicographically smaller."""
+def _fibre_symmetries(base: DiGraph, sizes: dict[str, int], slots: list, root: str) -> list:
+    """Each fibre permutation (fixing the root's fibre vertex 0) as a table:
+    for each slot in sorted order, the index of the slot whose value moves
+    there and the map applied to that value.  No tables past 20000
+    permutations, so duplicates are kept."""
     perm_space = 1
     for v, k in sizes.items():
         perm_space *= math.factorial(k - 1 if v == root else k)
         if perm_space > 20000:
-            return True  # too many symmetries to reject; accept duplicates
-    vlist = list(sizes)
-    perms_per_vertex = []
-    for v in vlist:
-        k = sizes[v]
-        if v == root:
-            perms_per_vertex.append([(0,) + p for p in permutations(range(1, k))])
-        else:
-            perms_per_vertex.append(list(permutations(range(k))))
-    edge_keys = sorted(assignment)
-    current = tuple(assignment[k] for k in edge_keys)
-    for combo in product(*perms_per_vertex):
-        perm_of = {v: combo[i] for i, v in enumerate(vlist)}
-        mapped = {}
-        for (eid, i), j in assignment.items():
+            return []
+    per_vertex = [
+        [(0,) + p for p in permutations(range(1, k))] if v == root else list(permutations(range(k)))
+        for v, k in sizes.items()
+    ]
+    tables, pairs, ordered = [], {}, sorted(slots)
+    for combo in product(*per_vertex):
+        perm_of = dict(zip(sizes, combo))
+        moved = {}
+        for index, (eid, i) in enumerate(slots):
             u, w = base.ends(eid)
-            mapped[(eid, perm_of[u][i])] = perm_of[w][j]
-        candidate = tuple(mapped[k] for k in edge_keys)
-        if candidate < current:
-            return False
+            pair = (index, perm_of[w])
+            moved[(eid, perm_of[u][i])] = pairs.setdefault(pair, pair)  # shared, to save memory
+        tables.append(tuple(moved[slot] for slot in ordered))
+    return tables
+
+
+def _is_canonical(combo: tuple, order: list[int], tables: list) -> bool:
+    """No table maps the assignment to a lexicographically smaller one; both
+    are read in sorted slot order, `order` giving the current one."""
+    for table in tables:
+        for pos, (k, vmap) in zip(order, table):
+            image, value = vmap[combo[k]], combo[pos]
+            if image != value:
+                if image < value:
+                    return False
+                break
     return True
 
 
@@ -451,7 +448,7 @@ def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGr
     edges = []
     q = {}
     p = {vids[(v, i)]: v for v, i in vids}
-    for (eid, i), j in assignment.items():
+    for (eid, i), j in assignment:
         u, w = base.ends(eid)
         nid = f"{eid}#{i}"
         edges.append((nid, vids[(u, i)], vids[(w, j)]))
@@ -467,58 +464,48 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
 
     Every assignment of one target fibre vertex per (base edge, source fibre
     vertex) yields a cover; conversely every cover with fibres within the
-    bound arises this way, so "exhausted" refutes existence within the
-    bounds.  Candidates whose genus cannot be decided within the rotation
-    budget downgrade "exhausted" to "budget_exceeded".
+    bound arises this way.  An assignment that a fibre permutation maps to a
+    smaller one (in sorted slot order) is skipped, so "exhausted" refutes
+    existence within the bounds up to fibre relabelling.  Candidates whose
+    genus cannot be decided within the rotation budget downgrade "exhausted"
+    to "budget_exceeded".
     """
     spec.validate()
     base = spec.base
     deadline = _time.monotonic() + spec.time_budget
-    girth_floor = _cover_girth_floor(base)
-    root = min(base.vertices)
     undecided = False
-
-    base_out = {v: sorted(base.out_edges(v)) for v in base.vertices}
-    vorder = sorted(base.vertices)
-
-    out_degrees = [len(base_out[v]) for v in vorder]
     vectors = _fiber_vectors_within_bound(
-        out_degrees, spec.max_fiber, girth_floor, spec.genus_bound
+        [len(base.out_edges(v)) for v in base.vertices],
+        spec.max_fiber,
+        min(3, undirected_girth(forget(base))),
+        spec.genus_bound,
     )
     for vec in vectors:
-        if _time.monotonic() > deadline:
-            return SearchOutcome("budget_exceeded")
-        sizes = dict(zip(vorder, vec))
+        sizes = dict(zip(base.vertices, vec))
         slots = [
-            (eid, i)
-            for v in vorder
-            for eid in base_out[v]
-            for i in range(sizes[v])
+            (eid, i) for v in base.vertices for eid in base.out_edges(v) for i in range(sizes[v])
         ]
-        choice_sets = [range(sizes[base.dst(eid)]) for eid, _ in slots]
-        for combo in product(*choice_sets):
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        tables = _fibre_symmetries(base, sizes, slots, base.vertices[0])
+        for combo in product(*(range(sizes[base.dst(eid)]) for eid, _ in slots)):
             if _time.monotonic() > deadline:
                 return SearchOutcome("budget_exceeded")
-            assignment = {slot: j for slot, j in zip(slots, combo)}
-            if not _assignment_canonical(base, sizes, assignment, root):
+            if not _is_canonical(combo, order, tables):
                 continue
-            total, morphism = _build_total(base, sizes, assignment)
+            total, morphism = _build_total(base, sizes, zip(slots, combo))
             if spec.connected_only and not weakly_connected(total):
                 continue
             planar = is_planar(total)
-            if spec.genus_bound == 0:
-                if not planar.planar:
-                    continue
+            if planar.planar:
                 genus_res = GenusResult(0, planar.witness)
+            elif not spec.genus_bound:
+                continue
             else:
-                if planar.planar:
-                    genus_res = GenusResult(0, planar.witness)
-                else:
-                    try:
-                        genus_res = genus_exact(total)
-                    except BudgetError:
-                        undecided = True
-                        continue
+                try:
+                    genus_res = genus_exact(total)
+                except BudgetError:
+                    undecided = True
+                    continue
                 if genus_res.genus > spec.genus_bound:
                     continue
             cert = CoverCertificate(

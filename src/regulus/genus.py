@@ -296,9 +296,12 @@ def euler_lower_bound(g: UndirectedGraph, girth_floor: int = 3) -> int:
         )
     if girth == math.inf:
         return 0
-    v, e = len(g.vertices), len(g.edges)
-    bound = Fraction(1) - Fraction(v, 2) + Fraction(e * (girth_floor - 2), 2 * girth_floor)
-    return max(0, math.ceil(bound))
+    return _euler_bound(len(g.vertices), len(g.edges), girth_floor)
+
+
+def _euler_bound(v: int, e: int, girth: int) -> int:
+    """ceil(1 - V/2 + E(y-2)/(2y)), at least 0, for girth y >= 3."""
+    return max(0, math.ceil(1 - Fraction(v, 2) + Fraction(e * (girth - 2), 2 * girth)))
 
 
 def genus_formula(m: int, faces: FaceVector | Mapping[int, int]) -> Fraction:
@@ -503,11 +506,12 @@ def _search_min_genus(
     """Least genus >= stop_genus of one connected component, with rotations
     of an embedding of that genus.
 
-    Decides "genus <= n" for n = stop_genus, stop_genus + 1, ... until a
-    rotation system is found; the caller vouches that no genus below
-    stop_genus exists.  budget bounds the search nodes (links tried) over
-    all the decisions; past it BudgetError names the nodes explored and the
-    highest genus refuted.
+    Decides "genus <= n" for n = n0, n0 + 1, ... until a rotation system is
+    found, where n0 is the larger of stop_genus and the Euler bound for the
+    graph's girth; the caller vouches that no genus below stop_genus
+    exists.  budget bounds the search nodes (links tried) over all the
+    decisions; past it BudgetError names the nodes explored and the highest
+    genus refuted.
     """
     tables = _Darts(g)
     nvert = len(g.vertices)
@@ -515,15 +519,17 @@ def _search_min_genus(
     if nd == 0:
         return 0, {v: () for v in g.vertices}
     girth = undirected_girth(g)
-    order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
     n, spent = stop_genus, 0
+    if girth < math.inf:
+        n = max(n, _euler_bound(nvert, nd // 2, int(girth)))
+    order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
     while True:
         try:
             rot_next, faces, nodes = _decide_faces(
                 tables, order, 2 - 2 * n - nvert + nd // 2, girth, budget - spent
             )
         except _OverBudget as over:
-            # the caller vouches for every genus below stop_genus
+            # the caller and the Euler bound vouch for every genus below n0
             refuted = f"genus {n - 1} refuted" if n > 0 else "no genus refuted"
             raise BudgetError(
                 f"rotation search over budget after {spent + over.nodes} nodes: "
@@ -567,8 +573,7 @@ def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> Ge
         support, groups = _support(comp)
         support_rot = _planar_embedding_support(support)
         if support_rot is None:
-            lb = max(1, euler_lower_bound(support, int(undirected_girth(support))))
-            comp_genus, support_rot = _search_min_genus(support, lb, budget)
+            comp_genus, support_rot = _search_min_genus(support, 1, budget)
             total += comp_genus
         rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
 

@@ -65,6 +65,8 @@ def language_genus_leq(
     """
     prepared = _prepare(a)
     base = minimal_cover_base(prepared)
+    spec = CoverSearchSpec(base, max_fiber=max_fiber, genus_bound=n, time_budget=time_budget)
+    spec.validate()
 
     if certificate is not None:
         certificate.verify()
@@ -76,9 +78,6 @@ def language_genus_leq(
             return LanguageGenusAnswer("no_within_bounds")
         outcome = SearchOutcome("found", certificate)
     else:
-        spec = CoverSearchSpec(
-            base, max_fiber=max_fiber, genus_bound=n, time_budget=time_budget
-        )
         outcome = search_covers(spec)
 
     if outcome.status != "found":

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations, product
+import sys
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,13 +43,21 @@ from regulus.corpus import (
     path_4_over_3,
     vee_over_path,
 )
+from regulus import emulation
+from regulus.digraph import weakly_connected
 from regulus.emulation import (
-    _cover_girth_floor,
+    CoverCertificate,
+    SearchOutcome,
+    _build_total,
     _fiber_vectors_within_bound,
+    _fibre_symmetries,
+    _is_canonical,
     excise_restrict,
     r_image_morphism,
 )
+from regulus.errors import BudgetError
 from regulus.formats import certificate_from_json, certificate_to_json, dumps, loads
+from regulus.genus import GenusResult, genus_exact, is_planar, undirected_girth
 
 from conftest import (
     c2,
@@ -417,38 +426,35 @@ class TestSearchCovers:
 
     def test_isomorph_rejection_keeps_one_per_orbit(self):
         # every fibre-permutation orbit of assignments must contribute
-        # exactly one canonical representative
-        from itertools import permutations, product
-
-        from regulus.emulation import _assignment_canonical
-
+        # exactly one canonical representative, also with unequal fibres
         base = c2()
-        sizes = {"a": 2, "b": 2}
         root = "a"
-        slots = [("e1", 0), ("e1", 1), ("e2", 0), ("e2", 1)]
-        all_assignments = [
-            dict(zip(slots, combo)) for combo in product(range(2), repeat=4)
-        ]
-        canonical = [
-            a for a in all_assignments if _assignment_canonical(base, sizes, a, root)
-        ]
+        for sizes in ({"a": 2, "b": 2}, {"a": 2, "b": 3}, {"a": 3, "b": 2}):
+            slots = [
+                (e, i) for v in base.vertices for e in base.out_edges(v) for i in range(sizes[v])
+            ]
+            order = sorted(range(len(slots)), key=slots.__getitem__)
+            tables = _fibre_symmetries(base, sizes, slots, root)
+            all_assignments = list(product(*(range(sizes[base.dst(e)]) for e, _ in slots)))
+            canonical = [a for a in all_assignments if _is_canonical(a, order, tables)]
 
-        def orbit(assignment):
-            seen = set()
-            for pa in [(0, 1)]:  # root fibre pinned
-                for pb in permutations(range(2)):
-                    perm_of = {"a": pa, "b": pb}
-                    mapped = {}
-                    for (eid, i), j in assignment.items():
-                        u, w = base.ends(eid)
-                        mapped[(eid, perm_of[u][i])] = perm_of[w][j]
-                    seen.add(tuple(mapped[s] for s in sorted(mapped)))
-            return frozenset(seen)
+            def orbit(combo):
+                seen = set()
+                # the root's fibre vertex 0 is pinned
+                for pa in [(0,) + p for p in permutations(range(1, sizes["a"]))]:
+                    for pb in permutations(range(sizes["b"])):
+                        perm_of = {"a": pa, "b": pb}
+                        mapped = {}
+                        for (eid, i), j in zip(slots, combo):
+                            u, w = base.ends(eid)
+                            mapped[(eid, perm_of[u][i])] = perm_of[w][j]
+                        seen.add(tuple(mapped[s] for s in sorted(mapped)))
+                return frozenset(seen)
 
-        orbits = {orbit(a) for a in all_assignments}
-        assert len(canonical) == len(orbits)
-        for a in canonical:
-            assert orbit(a) in orbits
+            orbits = {orbit(a) for a in all_assignments}
+            assert len(canonical) == len(orbits), sizes
+            for a in canonical:
+                assert orbit(a) in orbits
 
 
 def _circulant(n, steps):
@@ -456,6 +462,157 @@ def _circulant(n, steps):
         [str(i) for i in range(n)],
         [(f"t{i}_{j}", str(i), str((i + j) % n)) for i in range(n) for j in steps],
     )
+
+
+def _cover_girth_floor(base: DiGraph) -> int:
+    """Girth floor valid for every cover of the base: 3 when the base is
+    simple, loopless and free of directed 2-cycles, else weaker."""
+    if any(base.is_loop(e) for e in base.edges):
+        return 1
+    if not base.is_simple():
+        return 2
+    pairs = {(s, t) for _, s, t in base.edge_list()}
+    if any((t, s) in pairs for s, t in pairs):
+        return 2
+    return 3
+
+
+def _assignment_canonical(base: DiGraph, sizes: dict[str, int], assignment, root) -> bool:
+    """Reject assignments that a fibre permutation (fixing the pinned root
+    vertex) maps to something lexicographically smaller."""
+    perm_space = 1
+    for v, k in sizes.items():
+        perm_space *= math.factorial(k - 1 if v == root else k)
+        if perm_space > 20000:
+            return True  # too many symmetries to reject; accept duplicates
+    vlist = list(sizes)
+    perms_per_vertex = []
+    for v in vlist:
+        k = sizes[v]
+        if v == root:
+            perms_per_vertex.append([(0,) + p for p in permutations(range(1, k))])
+        else:
+            perms_per_vertex.append(list(permutations(range(k))))
+    edge_keys = sorted(assignment)
+    current = tuple(assignment[k] for k in edge_keys)
+    for combo in product(*perms_per_vertex):
+        perm_of = {v: combo[i] for i, v in enumerate(vlist)}
+        mapped = {}
+        for (eid, i), j in assignment.items():
+            u, w = base.ends(eid)
+            mapped[(eid, perm_of[u][i])] = perm_of[w][j]
+        candidate = tuple(mapped[k] for k in edge_keys)
+        if candidate < current:
+            return False
+    return True
+
+
+def _reference_search_covers(spec: CoverSearchSpec) -> SearchOutcome:
+    """The cover search as first written: the symmetry check rebuilds every
+    fibre permutation for each candidate, and genus bound 0 has its own
+    branch.  No time budget."""
+    spec.validate()
+    base = spec.base
+    girth_floor = _cover_girth_floor(base)
+    root = min(base.vertices)
+    undecided = False
+    base_out = {v: sorted(base.out_edges(v)) for v in base.vertices}
+    vorder = sorted(base.vertices)
+    out_degrees = [len(base_out[v]) for v in vorder]
+    vectors = _fiber_vectors_within_bound(
+        out_degrees, spec.max_fiber, girth_floor, spec.genus_bound
+    )
+    for vec in vectors:
+        sizes = dict(zip(vorder, vec))
+        slots = [(eid, i) for v in vorder for eid in base_out[v] for i in range(sizes[v])]
+        choice_sets = [range(sizes[base.dst(eid)]) for eid, _ in slots]
+        for combo in product(*choice_sets):
+            assignment = {slot: j for slot, j in zip(slots, combo)}
+            if not _assignment_canonical(base, sizes, assignment, root):
+                continue
+            total, morphism = _build_total(base, sizes, assignment.items())
+            if spec.connected_only and not weakly_connected(total):
+                continue
+            planar = is_planar(total)
+            if spec.genus_bound == 0:
+                if not planar.planar:
+                    continue
+                genus_res = GenusResult(0, planar.witness)
+            else:
+                if planar.planar:
+                    genus_res = GenusResult(0, planar.witness)
+                else:
+                    try:
+                        genus_res = genus_exact(total)
+                    except BudgetError:
+                        undecided = True
+                        continue
+                if genus_res.genus > spec.genus_bound:
+                    continue
+            cert = CoverCertificate(
+                base, total, morphism, genus_res.witness, genus_res.genus
+            )
+            cert.verify()
+            return SearchOutcome("found", cert)
+    return SearchOutcome("budget_exceeded" if undecided else "exhausted")
+
+
+@st.composite
+def search_bases(draw, max_vertices=5, max_edges=6):
+    """Digraphs on up to max_vertices vertices with up to max_edges edges;
+    loops, 2-cycles and parallel edges allowed."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    vertex = st.sampled_from(vs)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(edges)])
+
+
+def _tried_candidates(search, spec: CoverSearchSpec) -> list[DiGraph]:
+    """The candidates a search builds, in order, when each is refused as
+    disconnected, so that the search runs through all of them."""
+    tried = []
+
+    def refuse(total):
+        tried.append(total)
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emulation, "weakly_connected", refuse)
+        mp.setattr(sys.modules[__name__], "weakly_connected", refuse)
+        assert search(spec).status == "exhausted"
+    return tried
+
+
+class TestSearchAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(search_bases(), st.integers(1, 2), st.integers(0, 1), st.booleans())
+    @example(c2(), 2, 0, True)
+    @example(DiGraph(["a", "b"], []), 2, 0, True)  # every cover disconnected: exhausted
+    @example(_circulant(5, (1, 2)), 1, 1, True)  # K5: genus 1 through genus_exact
+    @example(_circulant(7, (1, 2, 3)), 1, 1, True)  # K7: genus 1 through genus_exact
+    def test_same_status_and_certificate(self, base, max_fiber, genus_bound, connected_only):
+        spec = CoverSearchSpec(
+            base, max_fiber=max_fiber, genus_bound=genus_bound, connected_only=connected_only
+        )
+        got, want = search_covers(spec), _reference_search_covers(spec)
+        assert got.status == want.status
+        if want.certificate is not None:
+            assert certificate_to_json(got.certificate) == certificate_to_json(want.certificate)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(search_bases(4, 5), st.integers(1, 2)),
+            st.tuples(search_bases(3, 2), st.just(3)),  # fibres of 3 permute in S3
+        )
+    )
+    @example((c2(), 3))
+    def test_tries_the_same_candidates_in_the_same_order(self, case):
+        base, max_fiber = case
+        spec = CoverSearchSpec(base, max_fiber=max_fiber)
+        assert _tried_candidates(search_covers, spec) == _tried_candidates(
+            _reference_search_covers, spec
+        )
 
 
 @st.composite
@@ -501,6 +658,6 @@ class TestFiberVectorPruning:
     def test_matches_per_vector_euler_check(self, base, max_fiber, genus_bound):
         vorder = sorted(base.vertices)
         out_degrees = [len(base.out_edges(v)) for v in vorder]
-        floor = _cover_girth_floor(base)
+        floor = min(3, undirected_girth(forget(base)))
         got = list(_fiber_vectors_within_bound(out_degrees, max_fiber, floor, genus_bound))
         assert got == _euler_filtered_product(out_degrees, max_fiber, floor, genus_bound)

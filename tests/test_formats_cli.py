@@ -362,6 +362,42 @@ class TestCliVerbs:
         assert capsys.readouterr().err.startswith("error: max_length")
         assert main(["auto", "sample", str(a), "--max-length", "0"]) == 0
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        # a missing directory or a regular file on the way is the user's
+        # input, not a bug: exit 3 and no traceback
+        a = tmp_path / "z6.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z6_automaton())))
+        g = tmp_path / "c2.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        ok, missing = str(tmp_path / "ok.json"), tmp_path / "missing"
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        cases = [
+            ["auto", "minimize", str(a), "-o", str(missing / "out.json")],
+            ["graph", "op", str(g), "-o", ok, "--dot", str(missing / "g.dot")],
+            ["auto", "minimize", str(a), "-o", ok, "--morphism-out", str(missing / "pi.json")],
+            ["genus", "language", "--n", "0", "--max-fiber", "1", str(a),
+             "--emit-base", str(missing / "base.json")],
+            ["corpus", "emit", "z6", "--out-dir", str(regular / "sub")],
+        ]
+        for args in cases:
+            assert main(args) == 3, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write"), (args, err)
+
+    def test_negative_genus_bound_with_certificate_is_input_error(self, tmp_path, capsys):
+        # a supplied certificate does not bypass the check of the bounds
+        a = tmp_path / "z6.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z6_automaton())))
+        base, cert = str(tmp_path / "base.json"), str(tmp_path / "cert.json")
+        args = ["genus", "language", "--max-fiber", "1", str(a)]
+        assert main([*args, "--n", "1", "--emit-base", base, "-o", str(tmp_path / "r.json")]) == 0
+        assert main(["emu", "search", base, "--max-fiber", "1", "--genus", "1", "-o", cert]) == 0
+        assert main([*args, "--n", "1", "--certificate", cert]) == 0
+        capsys.readouterr()
+        assert main([*args, "--n", "-1", "--certificate", cert]) == 3
+        assert capsys.readouterr().err.startswith("error: genus_bound must be non-negative")
+
     def test_malformed_ends_are_input_errors(self, tmp_path, capsys):
         # "ends" must be a list of one or two strings: no traceback, and no
         # string split into one-letter ends
