@@ -101,8 +101,6 @@ def _emit(args, payload: dict, dot: str | None = None) -> None:
     else:
         sys.stdout.write(text)
     if getattr(args, "dot", None):
-        if dot is None:
-            raise RegulusError("this command has no DOT rendering")
         _write(args.dot, dot)
 
 
@@ -461,6 +459,17 @@ def cmd_corpus(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low; argparse names the option in its error."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return int(text)
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regulus",
@@ -468,21 +477,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group", required=True)
 
+    # the verbs whose result is a graph or an automaton, which render DOT
+    dot_verbs = {"simplify", "excise", "op", "forget", "bidirect", "contract", "tautological",
+                 "relabel", "minimize", "complete", "graph", "from-cover", "quotient"}
+
     def add(group, verb, inputs, func, **extra):
         p = group.add_parser(verb)
         if inputs:
             p.add_argument("inputs", nargs=inputs, metavar="FILE")
         p.add_argument("-o", "--out", help="write JSON output to this file")
-        p.add_argument("--dot", help="also write a DOT rendering to this file")
+        if verb in dot_verbs:
+            p.add_argument("--dot", help="also write a DOT rendering to this file")
         p.set_defaults(func=func, verb=verb, inputs=[])
         for name, kwargs in extra.items():
             p.add_argument(f"--{name.replace('_', '-')}", **kwargs)
         return p
 
     g = sub.add_parser("graph").add_subparsers(dest="verb", required=True)
-    for verb in ("simplify", "excise", "op", "forget", "reach"):
-        add(g, verb, 1, cmd_graph, morphism_out={"help": "write the projection morphism here"})
-    add(g, "bidirect", 1, cmd_graph)
+    add(g, "simplify", 1, cmd_graph, morphism_out={"help": "write the projection morphism here"})
+    for verb in ("excise", "op", "forget", "reach", "bidirect"):
+        add(g, verb, 1, cmd_graph)
     add(g, "contract", 1, cmd_graph, cycle={"required": True, "help": "comma-separated edge ids"})
     add(g, "pullback", 2, cmd_graph)
 
@@ -523,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     add(e, "extend", 2, cmd_emu)
     add(e, "lift", 2, cmd_emu)
     add(e, "search", 1, cmd_emu,
-        max_fiber={"type": int, "default": 2},
-        genus={"type": int, "default": 0},
+        max_fiber={"type": _int_at_least(1), "default": 2},
+        genus={"type": _int_at_least(0), "default": 0},
         time_budget={"type": float, "default": 300.0},
         disconnected_ok={"action": "store_true"})
     add(e, "verify-cert", 1, cmd_emu, base={"help": "cross-check the certificate base graph"})
@@ -539,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
             face={"action": "append", "default": [], "help": "LENGTH=COUNT; repeatable"})
     add(n, "invariance", 1, cmd_genus)
     add(n, "language", 1, cmd_genus,
-        n={"type": int, "required": True},
-        max_fiber={"type": int, "default": 2},
+        n={"type": _int_at_least(0), "required": True},
+        max_fiber={"type": _int_at_least(1), "default": 2},
         time_budget={"type": float, "default": 300.0},
         certificate={"help": "use this cover certificate instead of searching"},
         emit_base={"help": "write the base graph certificates must cover"})

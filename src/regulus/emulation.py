@@ -322,10 +322,10 @@ class CoverSearchSpec:
     def validate(self):
         if not self.base.vertices:
             raise DomainError("search base must be non-empty")
-        if self.max_fiber < 1:
-            raise DomainError("max_fiber must be at least 1")
-        if self.genus_bound < 0:
-            raise DomainError("genus_bound must be non-negative")
+        if type(self.max_fiber) is not int or self.max_fiber < 1:
+            raise DomainError("max_fiber must be an integer of at least 1")
+        if type(self.genus_bound) is not int or self.genus_bound < 0:
+            raise DomainError("genus_bound must be a non-negative integer")
         if not self.time_budget > 0:
             raise DomainError("time budget must be positive")
 

@@ -162,54 +162,39 @@ def trace_faces(
     return FaceVector(counts), genus
 
 
-def undirected_girth(g: UndirectedGraph) -> float:
+def undirected_girth(g: DiGraph | UndirectedGraph) -> float:
     """Length of a shortest cycle: loops give 1, parallel edges 2, inf if acyclic."""
     if any(g.is_loop(e) for e in g.edges):
         return 1
-    pairs = [g.ends(e) for e in g.edges]
-    if len(set(pairs)) < len(pairs):
-        return 2
-    return nx.girth(nx.Graph(pairs))
+    support = _support(g)[0]
+    return 2 if len(support.edges) < len(g.edges) else nx.girth(support)
 
 
-def _support(g: UndirectedGraph) -> tuple[UndirectedGraph, dict[tuple[str, str], list[str]]]:
-    """Loopless simple support graph plus the grouping of original edges."""
+def _support(g: DiGraph | UndirectedGraph) -> tuple[nx.Graph, dict[tuple[str, str], list[str]]]:
+    """Loopless simple support as the nx.Graph the planarity test reads, each edge's "eid"
+    its least original edge, added in vertex and edge-id order; plus the edge groups."""
     groups: dict[tuple[str, str], list[str]] = {}
-    for e in sorted(g.edges):
-        ends = g.ends(e)
-        if len(ends) == 1:
-            continue
-        groups.setdefault(ends, []).append(e)
-    support = UndirectedGraph(g.vertices, [(es[0], ends) for ends, es in groups.items()])
+    for e, ends in g.edges.items():
+        a, b = min(ends), max(ends)
+        if a != b:
+            groups.setdefault((a, b), []).append(e)
+    support = nx.Graph()
+    support.add_nodes_from(g.vertices)
+    support.add_edges_from((a, b, {"eid": es[0]}) for (a, b), es in groups.items())
     return support, groups
 
 
-def _nx_support(support: UndirectedGraph):
-    """The support as a networkx graph, plus the support edge of each vertex pair."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(support.vertices)
-    edge_of_pair = {}
-    for e in support.edges:
-        a, b = support.ends(e)
-        nxg.add_edge(a, b)
-        edge_of_pair[(a, b)] = e
-        edge_of_pair[(b, a)] = e
-    return nxg, edge_of_pair
-
-
-def _planar_embedding_support(support: UndirectedGraph):
-    """Rotations of a planar embedding of the support, or None if it has none."""
-    nxg, edge_of_pair = _nx_support(support)
-    ok, cert = nx.check_planarity(nxg)
+def _planar_embedding_support(support: nx.Graph):
+    """Rotations of a planar embedding of the support ("+" at each edge's smaller end), or None."""
+    ok, cert = nx.check_planarity(support)
     if not ok:
         return None
     rotations = {}
-    for v in support.vertices:
+    for v, nbrs in support.adj.items():
         order = []
-        for w in cert.neighbors_cw_order(v) if nxg.degree(v) else []:
-            e = edge_of_pair[(v, w)]
-            a, _ = support.ends(e)
-            order.append(f"{e}+" if a == v else f"{e}-")
+        for w in cert.neighbors_cw_order(v):
+            e = nbrs[w]["eid"]
+            order.append(f"{e}+" if v < w else f"{e}-")
         rotations[v] = tuple(order)
     return rotations
 
@@ -244,7 +229,7 @@ class PlanarityReport:
 
     planar: bool
     witness: RotationSystem | None = None
-    support: UndirectedGraph | None = field(default=None, repr=False, compare=False)
+    support: nx.Graph | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def obstruction(self) -> tuple[str, ...] | None:
@@ -255,9 +240,8 @@ class PlanarityReport:
         """
         if self.planar:
             return None
-        nxg, edge_of_pair = _nx_support(self.support)
-        _, kuratowski = nx.check_planarity(nxg, counterexample=True)
-        return tuple(sorted({edge_of_pair[(a, b)] for a, b in kuratowski.edges()}))
+        _, kuratowski = nx.check_planarity(self.support, counterexample=True)
+        return tuple(sorted({self.support.adj[a][b]["eid"] for a, b in kuratowski.edges()}))
 
 
 def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
@@ -267,11 +251,11 @@ def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
     failure the report's obstruction lists the support edges of a Kuratowski
     subgraph, extracted when first read.
     """
-    ug = forget(g) if isinstance(g, DiGraph) else g
-    support, groups = _support(ug)
+    support, groups = _support(g)
     rotations = _planar_embedding_support(support)
     if rotations is None:
         return PlanarityReport(False, support=support)
+    ug = forget(g) if isinstance(g, DiGraph) else g
     witness = _insert_multiedges_and_loops(ug, groups, rotations)
     _, genus = trace_faces(ug, witness)
     if genus != 0:
@@ -573,7 +557,8 @@ def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> Ge
         support, groups = _support(comp)
         support_rot = _planar_embedding_support(support)
         if support_rot is None:
-            comp_genus, support_rot = _search_min_genus(support, 1, budget)
+            simple = UndirectedGraph(comp_vs, [(es[0], ends) for ends, es in groups.items()])
+            comp_genus, support_rot = _search_min_genus(simple, 1, budget)
             total += comp_genus
         rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
 

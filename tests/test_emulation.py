@@ -418,6 +418,15 @@ class TestSearchCovers:
         cert = certificate_from_json(data)
         cert.verify()
 
+    @pytest.mark.parametrize(
+        "bounds", [{"max_fiber": 1.5}, {"max_fiber": True}, {"genus_bound": 0.5},
+                   {"genus_bound": True}, {"max_fiber": 0}, {"genus_bound": -1}])
+    def test_bounds_must_be_ints_in_range(self, bounds):
+        # a float fibre bound used to fail in range() inside the search, and
+        # a float or boolean genus bound used to be searched
+        with pytest.raises(DomainError):
+            search_covers(CoverSearchSpec(c2(), **bounds))
+
     def test_disconnected_allowed_when_requested(self):
         out = search_covers(
             CoverSearchSpec(loop1(), max_fiber=2, genus_bound=0, connected_only=False)

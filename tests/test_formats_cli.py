@@ -396,7 +396,7 @@ class TestCliVerbs:
         assert main([*args, "--n", "1", "--certificate", cert]) == 0
         capsys.readouterr()
         assert main([*args, "--n", "-1", "--certificate", cert]) == 3
-        assert capsys.readouterr().err.startswith("error: genus_bound must be non-negative")
+        assert "argument --n: must be an integer >= 0" in capsys.readouterr().err
 
     def test_malformed_ends_are_input_errors(self, tmp_path, capsys):
         # "ends" must be a list of one or two strings: no traceback, and no
@@ -428,6 +428,34 @@ class TestCliVerbs:
         assert capsys.readouterr().out.startswith("usage: ")
         assert main(["genus", "formula", "--m", "3", "--face", "3=x"]) == 3
         assert capsys.readouterr().err.startswith("error: --face")
+
+    def test_bound_option_errors_name_the_option(self, tmp_path, capsys):
+        a = tmp_path / "z6.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z6_automaton())))
+        cases = [
+            (["genus", "language", str(a), "--n", "-1"], "--n", 0),
+            (["genus", "language", str(a), "--n", "1.5"], "--n", 0),
+            (["genus", "language", str(a), "--n", "0", "--max-fiber", "0"], "--max-fiber", 1),
+            (["emu", "search", str(a), "--genus", "-1"], "--genus", 0),
+            (["emu", "search", str(a), "--max-fiber", "0"], "--max-fiber", 1),
+        ]
+        for args, option, low in cases:
+            assert main(args) == 3, args
+            captured = capsys.readouterr()
+            assert f"error: argument {option}: must be an integer >= {low}" in captured.err, args
+            assert captured.out == ""
+
+    def test_options_are_offered_only_where_they_act(self, tmp_path, capsys):
+        # --dot on a verb without a DOT rendering, and --morphism-out on a
+        # verb without a morphism, are usage errors before any output
+        g = tmp_path / "g.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        for args in (["graph", "reach", str(g), "--dot", str(tmp_path / "r.dot")],
+                     ["graph", "excise", str(g), "--morphism-out", str(tmp_path / "m.json")]):
+            assert main(args) == 3, args
+            captured = capsys.readouterr()
+            assert captured.out == "" and "unrecognized arguments" in captured.err, args
+        assert not list(tmp_path.glob("[rm].*"))
 
     def test_internal_error_exits_4_with_traceback(self, tmp_path, monkeypatch, capsys):
         import regulus.cli

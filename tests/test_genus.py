@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -24,7 +25,14 @@ from regulus import (
     trace_faces,
 )
 from regulus.digraph import components
-from regulus.genus import _search_min_genus, _support, dart_tokens, undirected_girth
+from regulus.genus import (
+    GenusResult,
+    _insert_multiedges_and_loops,
+    _search_min_genus,
+    _support,
+    dart_tokens,
+    undirected_girth,
+)
 
 from conftest import (
     c2,
@@ -93,6 +101,113 @@ def _brute_force_min_genus(g):
         _, genus = trace_faces(g, rot)
         best = genus if best is None else min(best, genus)
     return best
+
+
+# The support path that one networkx graph replaced: an UndirectedGraph
+# support, converted for the planarity test with a vertex-pair map.
+
+def _reference_support(g):
+    groups = {}
+    for e in sorted(g.edges):
+        ends = g.ends(e)
+        if len(ends) == 1:
+            continue
+        groups.setdefault(ends, []).append(e)
+    support = UndirectedGraph(g.vertices, [(es[0], ends) for ends, es in groups.items()])
+    return support, groups
+
+
+def _reference_nx_support(support):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(support.vertices)
+    edge_of_pair = {}
+    for e in support.edges:
+        a, b = support.ends(e)
+        nxg.add_edge(a, b)
+        edge_of_pair[(a, b)] = e
+        edge_of_pair[(b, a)] = e
+    return nxg, edge_of_pair
+
+
+def _reference_planar_embedding_support(support):
+    nxg, edge_of_pair = _reference_nx_support(support)
+    ok, cert = nx.check_planarity(nxg)
+    if not ok:
+        return None
+    rotations = {}
+    for v in support.vertices:
+        order = []
+        for w in cert.neighbors_cw_order(v) if nxg.degree(v) else []:
+            e = edge_of_pair[(v, w)]
+            a, _ = support.ends(e)
+            order.append(f"{e}+" if a == v else f"{e}-")
+        rotations[v] = tuple(order)
+    return rotations
+
+
+def _reference_is_planar(g):
+    """(witness, obstruction) of is_planar along the reference path."""
+    ug = forget(g) if isinstance(g, DiGraph) else g
+    support, groups = _reference_support(ug)
+    rotations = _reference_planar_embedding_support(support)
+    if rotations is None:
+        nxg, edge_of_pair = _reference_nx_support(support)
+        _, kuratowski = nx.check_planarity(nxg, counterexample=True)
+        return None, tuple(sorted({edge_of_pair[(a, b)] for a, b in kuratowski.edges()}))
+    return _insert_multiedges_and_loops(ug, groups, rotations), None
+
+
+def _reference_genus_exact(g, budget):
+    """genus_exact along the reference path."""
+    ug = forget(g) if isinstance(g, DiGraph) else g
+    total, rotations = 0, {}
+    for comp_vs, comp_es in components(ug):
+        comp = UndirectedGraph(comp_vs, [(e, ug.ends(e)) for e in comp_es])
+        support, groups = _reference_support(comp)
+        support_rot = _reference_planar_embedding_support(support)
+        if support_rot is None:
+            comp_genus, support_rot = _search_min_genus(support, 1, budget)
+            total += comp_genus
+        rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
+    return GenusResult(total, RotationSystem(rotations))
+
+
+@st.composite
+def component_multigraphs(draw, directed=st.booleans()):
+    """UndirectedGraphs or DiGraphs of one to three components with loops,
+    parallel edges and, when directed, 2-cycles.  A component is sometimes
+    K5 or K3,3, so the rotation search runs.  Edge ids are a shuffle of the
+    drawing order, so id order and drawing order differ."""
+    vs, pairs = [], []
+    for c in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["small", "small", "K5", "K3,3"]))
+        if kind == "small":
+            cv, cp = [f"c{c}v{i}" for i in range(draw(st.integers(1, 4)))], []
+        elif kind == "K5":
+            cv = [f"c{c}v{i}" for i in range(5)]
+            cp = list(combinations(cv, 2))
+        else:
+            cv = [f"c{c}v{i}" for i in range(6)]
+            cp = [(a, b) for a in cv[:3] for b in cv[3:]]
+        vertex = st.sampled_from(cv)
+        cp += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+        vs += cv
+        pairs += cp
+    ids = [f"e{i}" for i in draw(st.permutations(range(len(pairs))))]
+    if draw(directed):
+        pairs += [(b, a) for a, b in pairs[: draw(st.integers(0, 3))]]
+        ids += [f"r{i}" for i in range(len(pairs) - len(ids))]
+        return DiGraph(vs, [(e, a, b) for e, (a, b) in zip(ids, pairs)])
+    return UndirectedGraph(vs, list(zip(ids, pairs)))
+
+
+def _outcome(genus_exact_of):
+    """(genus, witness rotations in order) or the BudgetError text."""
+    try:
+        res = genus_exact_of()
+    except BudgetError as exc:
+        return str(exc)
+    return res.genus, list(res.witness.rotations.items())
 
 
 class TestTraceFaces:
@@ -234,7 +349,8 @@ class TestGenusExact:
                 continue
             comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
             comp_best = _brute_force_min_genus(comp)
-            support = _support(comp)[0]
+            simple = _support(comp)[0]
+            support = UndirectedGraph(vs, [(e, (a, b)) for a, b, e in simple.edges(data="eid")])
             for n in range(comp_best + 2):
                 genus, rotations = _search_min_genus(support, n, math.inf)
                 assert trace_faces(support, RotationSystem(rotations))[1] == genus
@@ -318,6 +434,37 @@ class TestPlanarity:
         assert rep.planar
         toks = [t for rot in rep.witness.rotations.values() for t in rot]
         assert sorted(toks) == ["e+", "e-", "f+", "f-"]
+
+
+class TestSupport:
+    @settings(max_examples=150, deadline=None)
+    @given(component_multigraphs(), st.sampled_from([10, 1000]))
+    def test_matches_reference_path(self, g, budget):
+        # witnesses, obstructions and refusals are those of the support
+        # path built as an UndirectedGraph and converted for networkx
+        rep = is_planar(g)
+        witness, obstruction = _reference_is_planar(g)
+        assert rep.planar == (witness is not None)
+        if witness is not None:
+            assert list(rep.witness.rotations.items()) == list(witness.rotations.items())
+        assert rep.obstruction == obstruction
+        got = _outcome(lambda: genus_exact(g, budget=budget))
+        assert got == _outcome(lambda: _reference_genus_exact(g, budget))
+
+    @settings(max_examples=100, deadline=None)
+    @given(component_multigraphs(directed=st.just(True)))
+    def test_digraph_reads_as_its_undirected_graph(self, g):
+        rep, undirected = is_planar(g), is_planar(forget(g))
+        assert rep.witness == undirected.witness
+        assert rep.obstruction == undirected.obstruction
+        assert undirected_girth(g) == undirected_girth(forget(g))
+
+    def test_support_edges_carry_their_least_edge(self):
+        g = DiGraph(["a", "b"], [("e3", "b", "a"), ("e1", "a", "b"), ("e2", "b", "a"),
+                                 ("e0", "a", "a")])
+        support, groups = _support(g)
+        assert list(support.edges(data="eid")) == [("a", "b", "e1")]
+        assert groups == {("a", "b"): ["e1", "e2", "e3"]}
 
 
 def _reference_girth(g):
