@@ -74,6 +74,7 @@ from .genus import (
 from .pipeline import (
     LanguageGenusAnswer,
     genus_monotonicity_checks,
+    language_base,
     language_genus_leq,
 )
 from .relations import (

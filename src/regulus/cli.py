@@ -58,7 +58,7 @@ from .genus import (
     genus_invariance_suite,
     is_planar,
 )
-from .pipeline import language_genus_leq
+from .pipeline import language_base, language_genus_leq
 from .relations import (
     FinalFamily,
     automatic_to_mn_roundtrip,
@@ -380,7 +380,7 @@ def cmd_genus(args) -> int:
     if args.verb == "language":
         a = formats.automaton_from_json(_read(args.inputs[0]))
         if args.emit_base:
-            base = minimal_cover_base(a)
+            base = language_base(a)
             _write(args.emit_base, formats.dumps(formats.digraph_to_json(base)))
         cert = None
         if args.certificate:
@@ -426,7 +426,9 @@ def cmd_genus(args) -> int:
         _emit(args, {"lower_bound": euler_lower_bound(und, args.girth_floor)})
         return OK
     if args.verb == "invariance":
-        rep = genus_invariance_suite(formats.digraph_from_json(_read(args.inputs[0])))
+        if not isinstance(g, DiGraph):
+            raise RegulusError("genus invariance needs a directed graph")
+        rep = genus_invariance_suite(g)
         _emit(
             args,
             {

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+import networkx as nx
+
 from .errors import DomainError
 
 
@@ -458,53 +460,11 @@ def components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
 
 
 def strongly_connected_components(g: DiGraph) -> list[frozenset[str]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    comps: list[frozenset[str]] = []
-    counter = [0]
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        work = [(root, iter(g.out_edges(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for e in it:
-                w = g.dst(e)
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(g.out_edges(w))))
-                    advanced = True
-                    break
-                elif w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-    return comps
+    """The strongly connected components, by networkx, in no promised order."""
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges.values())
+    return [frozenset(c) for c in nx.strongly_connected_components(nxg)]
 
 
 def contract_cycle(g: DiGraph, cycle: DirectedCycle) -> DiGraph:

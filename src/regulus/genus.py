@@ -485,24 +485,23 @@ def _decide_faces(
 
 
 def _search_min_genus(
-    g: UndirectedGraph, stop_genus: int, budget: float
+    g: UndirectedGraph, girth: float, stop_genus: int, budget: float
 ) -> tuple[int, dict[str, tuple[str, ...]]]:
     """Least genus >= stop_genus of one connected component, with rotations
     of an embedding of that genus.
 
     Decides "genus <= n" for n = n0, n0 + 1, ... until a rotation system is
     found, where n0 is the larger of stop_genus and the Euler bound for the
-    graph's girth; the caller vouches that no genus below stop_genus
-    exists.  budget bounds the search nodes (links tried) over all the
-    decisions; past it BudgetError names the nodes explored and the highest
-    genus refuted.
+    girth the caller passes in; the caller vouches that no genus below
+    stop_genus exists.  budget bounds the search nodes (links tried) over all
+    the decisions; past it BudgetError names the nodes explored and the
+    highest genus refuted.
     """
     tables = _Darts(g)
     nvert = len(g.vertices)
     nd = len(tables.tokens)
     if nd == 0:
         return 0, {v: () for v in g.vertices}
-    girth = undirected_girth(g)
     n, spent = stop_genus, 0
     if girth < math.inf:
         n = max(n, _euler_bound(nvert, nd // 2, int(girth)))
@@ -558,7 +557,7 @@ def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> Ge
         support_rot = _planar_embedding_support(support)
         if support_rot is None:
             simple = UndirectedGraph(comp_vs, [(es[0], ends) for ends, es in groups.items()])
-            comp_genus, support_rot = _search_min_genus(simple, 1, budget)
+            comp_genus, support_rot = _search_min_genus(simple, nx.girth(support), 1, budget)
             total += comp_genus
         rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
 

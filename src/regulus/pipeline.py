@@ -41,11 +41,19 @@ class LanguageGenusAnswer:
     certificate: CoverCertificate | None = None
 
 
-def _prepare(a: Automaton) -> Automaton:
+def _prepare(a: Automaton) -> tuple[Automaton, DiGraph]:
+    """A deterministic automaton's trash-completed accessible part, and its base."""
     if not is_deterministic(a.semi):
         raise PreconditionError("language genus requires a deterministic automaton")
     a.single_initial()
-    return complete_with_trash(accessible_part(a))
+    prepared = complete_with_trash(accessible_part(a))
+    return prepared, minimal_cover_base(prepared)
+
+
+def language_base(a: Automaton) -> DiGraph:
+    """The base graph that a cover certificate for the language of a must
+    cover; a may be incomplete or have unreachable states."""
+    return _prepare(a)[1]
 
 
 def language_genus_leq(
@@ -63,8 +71,7 @@ def language_genus_leq(
     bounded search is reported as no_within_bounds: it is not a proof that
     the genus exceeds n.
     """
-    prepared = _prepare(a)
-    base = minimal_cover_base(prepared)
+    prepared, base = _prepare(a)
     spec = CoverSearchSpec(base, max_fiber=max_fiber, genus_bound=n, time_budget=time_budget)
     spec.validate()
 
@@ -131,8 +138,7 @@ def genus_monotonicity_checks(
     """Given a genus-n cover certificate for the larger language's base graph,
     transport it by pullback to a cover of the smaller language's base when
     the latter embeds as a subgraph, and verify the genus did not grow."""
-    base_big = minimal_cover_base(_prepare(l_big))
-    base_small = minimal_cover_base(_prepare(l_small))
+    base_big, base_small = language_base(l_big), language_base(l_small)
     cert.verify()
     if cert.base != base_big:
         raise DomainError("certificate does not certify the larger language's base")

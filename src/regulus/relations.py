@@ -11,7 +11,7 @@ one is exactly a directed emulation onto the quotient graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, count, product
 from operator import itemgetter
 from typing import Iterable
@@ -290,9 +290,12 @@ class FinalSystemReport:
     cardinality: int
 
 
+@lru_cache(maxsize=1)
 def complete_final_systems(g: DiGraph) -> FinalSystemReport:
     """One minimal complete final system: the least vertex of each sink
-    strongly-connected component.  Its size is an invariant of the graph."""
+    strongly-connected component.  Its size is an invariant of the graph.
+    Graphs are immutable and equal graphs share the system, so the last one
+    is kept: the round trips over one graph's relations compute it once."""
     comps = strongly_connected_components(g)
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
     has_out = set()

@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from regulus import (
     DiGraph,
@@ -21,7 +21,13 @@ from regulus import (
     validate_morphism,
 )
 from regulus.corpus import fork_nonemulator, op_example_graph
-from regulus.digraph import ancestors, components, descendants, weakly_connected
+from regulus.digraph import (
+    ancestors,
+    components,
+    descendants,
+    strongly_connected_components,
+    weakly_connected,
+)
 
 from conftest import (
     c2,
@@ -247,6 +253,11 @@ def _reference_components(g):
     return comps
 
 
+def _reference_strong_components(g):
+    # brute force: a vertex's component is what it reaches that reaches it
+    return {ancestors(g, v) & descendants(g, v) for v in g.vertices}
+
+
 class TestWalksAgainstReferences:
     @settings(max_examples=300, deadline=None)
     @given(multidigraphs())
@@ -256,6 +267,17 @@ class TestWalksAgainstReferences:
             assert ancestors(g, v) == nx.ancestors(m, v) | {v}
             assert descendants(g, v) == nx.descendants(m, v) | {v}
         assert weakly_connected(g) == (not g.vertices or nx.is_weakly_connected(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(multidigraphs())
+    @example(DiGraph(  # a loop, parallel edges, a 2-cycle, a tail and an isolated vertex
+        ["a", "b", "c", "d"],
+        [("l", "a", "a"), ("p", "a", "b"), ("q", "a", "b"), ("r", "b", "a"), ("s", "b", "c")],
+    ))
+    def test_strong_components_match_reference(self, g):
+        got = strongly_connected_components(g)
+        assert len(got) == len(set(got))
+        assert set(got) == _reference_strong_components(g)
 
     @settings(max_examples=300, deadline=None)
     @given(multidigraphs())

@@ -624,6 +624,29 @@ class TestSearchAgainstReference:
         )
 
 
+class TestCertificateRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(search_bases(), st.integers(1, 2), st.integers(0, 1), st.booleans(),
+           st.integers(1, 3))
+    @example(_circulant(5, (1, 2)), 1, 1, True, 1)  # K5: a genus-1 witness
+    def test_found_certificates_survive_json_and_pin_their_genus(
+        self, base, max_fiber, genus_bound, connected_only, shift
+    ):
+        spec = CoverSearchSpec(
+            base, max_fiber=max_fiber, genus_bound=genus_bound, connected_only=connected_only
+        )
+        out = search_covers(spec)
+        if out.status != "found":
+            return
+        data = loads(dumps(certificate_to_json(out.certificate)))
+        back = certificate_from_json(data)
+        assert back == out.certificate
+        back.verify()
+        data["genus"] += shift
+        with pytest.raises(DomainError, match="does not match its witness"):
+            certificate_from_json(data).verify()
+
+
 @st.composite
 def small_bases(draw):
     """Digraphs on up to 6 vertices: an oriented simple graph (girth floor 3)

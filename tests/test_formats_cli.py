@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -172,7 +175,74 @@ class TestParserFuzz:
                 pass
 
 
+# each fuzz seed kind a verb reads: the command, with FILE for the seed and
+# G for a valid graph, and the parser the verb reads FILE with.  No verb
+# reads a rotation system on its own.
+CLI_READERS = {
+    "graph": (["graph", "excise", "FILE"], formats.digraph_from_json),
+    "auto": (["auto", "complete", "FILE"], formats.automaton_from_json),
+    "mor": (["emu", "extract", "FILE"], formats.morphism_from_json),
+    "umor": (["emu", "lift", "FILE", "G"], formats.undirected_morphism_from_json),
+    "relation": (["rel", "check", "G", "FILE"], formats.relation_from_json),
+    "certificate": (["emu", "verify-cert", "FILE"], formats.certificate_from_json),
+}
+
+
+def _seed_kind(name: str) -> str:
+    return ENTRIES[name].kind if name in ENTRIES else name
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(n for n in FUZZ_SEEDS if _seed_kind(n) in CLI_READERS)),
+           st.integers(1, 3), st.data())
+    def test_rejected_payloads_exit_3_and_print_nothing(self, name, count, data):
+        payload = json.loads(json.dumps(FUZZ_SEEDS[name]))
+        for _ in range(count):
+            _mutate(data, payload)
+        command, parse = CLI_READERS[_seed_kind(name)]
+        try:
+            parse(json.loads(json.dumps(payload)))
+            return
+        except RegulusError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"FILE": Path(tmp, "in.json"), "G": Path(tmp, "g.json")}
+            files["FILE"].write_text(json.dumps(payload))
+            files["G"].write_text(formats.dumps(formats.digraph_to_json(c2())))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(files[w]) if w in files else w for w in command])
+        assert code == 3, (command, payload, err.getvalue())
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+
+
 class TestCliVerbs:
+    def test_emit_base_accepts_an_incomplete_dfa(self, tmp_path):
+        # the emitted base is the one a certificate is checked against: that
+        # of the trash-completed accessible part, not of the raw automaton
+        from regulus import Automaton, DiGraph, SemiAutomaton
+
+        g = DiGraph(["0", "1"], [("x", "0", "1"), ("y", "1", "0"), ("z", "1", "1")])
+        a = Automaton(SemiAutomaton(g, {"a", "b"}, {"x": "a", "y": "a", "z": "b"}), {"0"}, {"0"})
+        f, base, cert, out = (str(tmp_path / n) for n in ("f.json", "b.json", "c.json", "r.json"))
+        Path(f).write_text(formats.dumps(formats.automaton_to_json(a)))
+        assert main(["genus", "language", "--n", "0", f, "--emit-base", base, "-o", out]) == 0
+        assert main(["emu", "search", base, "--max-fiber", "1", "-o", cert]) == 0
+        assert main(["genus", "language", "--n", "0", f, "--certificate", cert, "-o", out]) == 0
+        assert json.loads(Path(out).read_text())["status"] == "yes"
+
+    def test_invariance_of_an_undirected_graph_is_input_error(self, tmp_path, capsys):
+        from regulus import forget
+
+        u = tmp_path / "u.json"
+        u.write_text(formats.dumps(formats.undirected_to_json(forget(c2()))))
+        assert main(["genus", "invariance", str(u)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: genus invariance needs a directed graph\n"
+
     def test_graph_pipeline(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(formats.dumps(formats.digraph_to_json(par2())))

@@ -166,7 +166,9 @@ def _reference_genus_exact(g, budget):
         support, groups = _reference_support(comp)
         support_rot = _reference_planar_embedding_support(support)
         if support_rot is None:
-            comp_genus, support_rot = _search_min_genus(support, 1, budget)
+            comp_genus, support_rot = _search_min_genus(
+                support, undirected_girth(support), 1, budget
+            )
             total += comp_genus
         rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
     return GenusResult(total, RotationSystem(rotations))
@@ -351,8 +353,9 @@ class TestGenusExact:
             comp_best = _brute_force_min_genus(comp)
             simple = _support(comp)[0]
             support = UndirectedGraph(vs, [(e, (a, b)) for a, b, e in simple.edges(data="eid")])
+            girth = undirected_girth(support)
             for n in range(comp_best + 2):
-                genus, rotations = _search_min_genus(support, n, math.inf)
+                genus, rotations = _search_min_genus(support, girth, n, math.inf)
                 assert trace_faces(support, RotationSystem(rotations))[1] == genus
                 assert (genus <= n) == (comp_best <= n)
                 assert genus >= comp_best
@@ -450,6 +453,16 @@ class TestSupport:
         assert rep.obstruction == obstruction
         got = _outcome(lambda: genus_exact(g, budget=budget))
         assert got == _outcome(lambda: _reference_genus_exact(g, budget))
+
+    def test_non_planar_component_builds_its_support_once(self, monkeypatch):
+        # the rotation search takes its girth from the support the planarity
+        # test already read, instead of building that support again
+        import regulus.genus
+
+        calls = []
+        monkeypatch.setattr(regulus.genus, "_support", lambda g: calls.append(g) or _support(g))
+        assert genus_exact(k_complete(7)).genus == 1
+        assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(component_multigraphs(directed=st.just(True)))

@@ -331,6 +331,24 @@ class TestRoundTrip:
         g = loop2()
         assert automatic_to_mn_roundtrip(g, r).ok
 
+    def test_round_trips_over_one_graph_find_its_final_system_once(self, monkeypatch):
+        # the graph is immutable, so the strong components behind its final
+        # system are found once for all of its relations
+        import regulus.relations
+
+        calls = []
+        scc = regulus.relations.strongly_connected_components
+        monkeypatch.setattr(regulus.relations, "strongly_connected_components",
+                            lambda g: calls.append(g) or scc(g))
+        # ids no other test uses, so no earlier call has this graph's system
+        g = DiGraph(["once0", "once1", "once2", "once3"],
+                    [(f"once{i}>{j}", f"once{i}", f"once{j}") for i, j in
+                     ((0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (3, 3))])
+        relations = enumerate_automatic_relations(g)
+        assert len(relations) > 1
+        assert all(automatic_to_mn_roundtrip(g, r).ok for r in relations)
+        assert len(calls) == 1
+
     def test_one_sink_component_gives_the_least_reachable_vertex(self):
         # the round trip takes its single-class family from the one-vertex
         # minimal final system instead of from reachability
