@@ -21,10 +21,30 @@ def _freeze_str(x) -> str:
     return x
 
 
+class IntView:
+    """A digraph on integers: vertices and edges numbered by their positions
+    in sorted id order.  `sources` and `targets` hold each edge's end
+    positions, `outs` each vertex's out-edge positions, and `domain` the pair
+    (vertex ids, edge ids) that every class-number vector over the graph
+    follows."""
+
+    __slots__ = ("sources", "targets", "outs", "domain")
+
+    def __init__(self, g: "DiGraph"):
+        index = {v: i for i, v in enumerate(g.vertices)}
+        self.sources = tuple(index[s] for s, _ in g.edges.values())
+        self.targets = tuple(index[t] for _, t in g.edges.values())
+        outs: list[list[int]] = [[] for _ in index]
+        for j, s in enumerate(self.sources):
+            outs[s].append(j)
+        self.outs = tuple(map(tuple, outs))
+        self.domain = (g.vertices, tuple(g.edges))
+
+
 class DiGraph:
     """A finite multidigraph: vertex ids plus edge records (id, src, dst)."""
 
-    __slots__ = ("_vertices", "_edges", "_out", "_in")
+    __slots__ = ("_vertices", "_edges", "_out", "_in", "_view")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         vs = tuple(sorted({_freeze_str(v) for v in vertices}))
@@ -46,6 +66,7 @@ class DiGraph:
             inn[t].append(eid)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inn.items()}
+        self._view = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -54,6 +75,13 @@ class DiGraph:
     @property
     def edges(self) -> Mapping[str, tuple[str, str]]:
         return self._edges
+
+    def int_view(self) -> IntView:
+        """The graph on integers, built on first use and kept: graphs are
+        immutable."""
+        if self._view is None:
+            self._view = IntView(self)
+        return self._view
 
     def src(self, eid: str) -> str:
         return self._edges[eid][0]

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, count, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .digraph import (
     DiGraph,
     GraphMorphism,
+    IntView,
     ancestors,
     strongly_connected_components,
 )
@@ -40,26 +41,37 @@ def _canonical_partition(classes: Iterable[Iterable[str]]) -> tuple[tuple[str, .
 
 
 class _ClassIndex:
-    """Derived data of one relation: the class number of each vertex, and one
-    class-number vector over the sorted vertex ids followed by the sorted edge
-    ids, edge classes numbered after the vertex classes.  `verified_on` is the
-    graph object on which the relation last verified automatic; graphs and
-    relations are immutable, so that verdict stands."""
+    """Derived data of one relation on its domain, the pair (sorted vertex
+    ids, sorted edge ids): `vector` holds each id's class number in domain
+    order, vertex classes numbered first and edge classes after them, both in
+    the order of the relation's classes.  A relation that a layer builds on a
+    graph shares the graph's domain object (`DiGraph.int_view`), and one that
+    `is_automatic` checks on a graph takes that object over, so relations on
+    one graph compare domains by identity.  `mask`, the same-class pairs, is
+    built on first use.  `verified_on` is the graph object on which the
+    relation last verified automatic; graphs and relations are immutable, so
+    that verdict stands."""
 
-    __slots__ = ("vertex_class", "vertex_ids", "edge_ids", "vector", "is_partition",
-                 "verified_on")
-
-    def __init__(self, r: "AutomaticRelation"):
-        vc, ec = r.vertex_classes, r.edge_classes
-        self.vertex_class = {v: i for i, c in enumerate(vc) for v in c}
-        edge_class = {e: i for i, c in enumerate(ec, len(vc)) for e in c}
-        self.vertex_ids = tuple(sorted(self.vertex_class))
-        self.edge_ids = tuple(sorted(edge_class))
-        self.vector = tuple(map(self.vertex_class.__getitem__, self.vertex_ids)) + tuple(
-            map(edge_class.__getitem__, self.edge_ids)
-        )
-        self.is_partition = len(self.vector) == sum(map(len, vc)) + sum(map(len, ec))
+    def __init__(self, domain: tuple, vector: tuple[int, ...], is_partition: bool = True):
+        self.domain = domain
+        self.vector = vector
+        self.is_partition = is_partition
         self.verified_on = None
+
+    @cached_property
+    def mask(self) -> int:
+        """The same-class pairs: bit n*p + q is set when the ids at positions
+        p and q of the n in the domain share a class.  One class's bits are
+        the product of its row bits 2^(n*p) and its column bits 2^q, which
+        never carries, so r1 <= r2 exactly when r1's mask lies in r2's."""
+        if not self.is_partition:
+            raise DomainError("classes do not partition the underlying set")
+        n, classes = len(self.vector), max(self.vector, default=-1) + 1
+        rows, cols = [0] * classes, [0] * classes
+        for p, k in enumerate(self.vector):
+            rows[k] |= 1 << n * p
+            cols[k] |= 1 << p
+        return sum(map(mul, rows, cols))
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,14 @@ class AutomaticRelation:
 
     @cached_property
     def _index(self) -> _ClassIndex:
-        return _ClassIndex(self)
+        vc, ec = self.vertex_classes, self.edge_classes
+        vertex_class = {v: i for i, c in enumerate(vc) for v in c}
+        edge_class = {e: i for i, c in enumerate(ec, len(vc)) for e in c}
+        domain = (tuple(sorted(vertex_class)), tuple(sorted(edge_class)))
+        vector = tuple(map(vertex_class.__getitem__, domain[0])) + tuple(
+            map(edge_class.__getitem__, domain[1])
+        )
+        return _ClassIndex(domain, vector, len(vector) == sum(map(len, vc + ec)))
 
     def vertex_class_of(self) -> dict[str, tuple[str, ...]]:
         return {v: c for c in self.vertex_classes for v in c}
@@ -98,14 +117,27 @@ class AutomaticRelation:
         )
 
 
+def _relation(view: IntView, vector: list[int]) -> AutomaticRelation:
+    """The relation with the given class numbers over the graph's domain.
+    Numbered first-seen over the sorted ids, they are the canonical class
+    numbers, so the classes come out canonical and the relation keeps the
+    vector as its index."""
+    vertices, edges = view.domain
+    vertex_classes = max(vector[: len(vertices)], default=-1) + 1
+    classes = _classes(vertices + edges, vector)
+    r = AutomaticRelation(classes[:vertex_classes], classes[vertex_classes:])
+    object.__setattr__(r, "_index", _ClassIndex(view.domain, tuple(vector)))
+    return r
+
+
 def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
     """r1 <= r2 when every r1 class is contained in an r2 class (both sorts):
-    exactly when the pairs of class numbers (r1's, r2's) of the same id are
-    as many as r1's classes."""
+    exactly when r1's same-class pairs are r2's too."""
     a, b = r1._index, r2._index
-    if a.vertex_ids != b.vertex_ids or a.edge_ids != b.edge_ids:
+    if a.domain is not b.domain and a.domain != b.domain:
         raise DomainError("relations on different vertex or edge sets")
-    return len(set(zip(a.vector, b.vector))) == len(r1.vertex_classes) + len(r1.edge_classes)
+    m = a.mask
+    return m & b.mask == m
 
 
 @dataclass(frozen=True)
@@ -122,27 +154,42 @@ _AUTOMATIC = RelationReport(True)
 
 
 def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
-    """Check compatibility and bisimilarity; the report names the violated
-    clause and a witness.  A relation verified on this graph object before
-    is not checked again."""
+    """Check compatibility and bisimilarity on the class numbers and the
+    graph's integer ends.  A failing report names the violated clause and the
+    first witness met going through the classes in order, and each class's
+    members in order.  A relation verified on this graph object before is not
+    checked again."""
     idx = r._index
     if idx.verified_on is g:
         return _AUTOMATIC
-    if not idx.is_partition or idx.vertex_ids != g.vertices or idx.edge_ids != tuple(g.edges):
+    view = g.int_view()
+    if not idx.is_partition or (idx.domain is not view.domain and idx.domain != view.domain):
         raise DomainError("classes do not partition the underlying set")
-    vclass, src, dst = idx.vertex_class, g.src, g.dst
-    for c in r.edge_classes:
-        s0, t0 = vclass[src(c[0])], vclass[dst(c[0])]
-        for e in c[1:]:
-            if vclass[src(e)] != s0:
-                return RelationReport(False, "compatibility", (c[0], e, "src"))
-            if vclass[dst(e)] != t0:
-                return RelationReport(False, "compatibility", (c[0], e, "dst"))
-    for c in r.edge_classes:
-        sources = {src(e) for e in c}
-        for x in r.vertex_classes[vclass[src(c[0])]]:
-            if x not in sources:
-                return RelationReport(False, "bisimilarity", (x, c[0]))
+    idx.domain = view.domain
+    vertices, edges = view.domain
+    vclass, eclass = idx.vector[: len(vertices)], idx.vector[len(vertices):]
+    sources, targets = view.sources, view.targets
+    first: dict[int, int] = {}  # the first edge of each edge class
+    bad = None  # (class, edge, end) of the least class's first violation
+    for j, k in enumerate(eclass):
+        j0 = first.setdefault(k, j)
+        if j0 != j and (bad is None or k < bad[0]):
+            if vclass[sources[j]] != vclass[sources[j0]]:
+                bad = (k, j, "src")
+            elif vclass[targets[j]] != vclass[targets[j0]]:
+                bad = (k, j, "dst")
+    if bad is not None:
+        k, j, end = bad
+        return RelationReport(False, "compatibility", (edges[first[k]], edges[j], end))
+    # each edge class needs an edge out of every vertex of its source class;
+    # canonical classes are first seen in class order
+    fanout = set(zip(eclass, sources))
+    if len(fanout) != sum([vclass.count(vclass[sources[j0]]) for j0 in first.values()]):
+        return next(
+            RelationReport(False, "bisimilarity", (vertices[x], edges[j0]))
+            for k, j0 in first.items() for x, c in enumerate(vclass)
+            if c == vclass[sources[j0]] and (k, x) not in fanout
+        )
     idx.verified_on = g
     return _AUTOMATIC
 
@@ -162,7 +209,7 @@ def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
     vrep = {v: c[0] for c in r.vertex_classes for v in c}
     erep = {e: c[0] for c in r.edge_classes for e in c}
     q = DiGraph(
-        sorted({vrep[v] for v in g.vertices}),
+        [c[0] for c in r.vertex_classes],
         [(c[0], vrep[g.src(c[0])], vrep[g.dst(c[0])]) for c in r.edge_classes],
     )
     can = GraphMorphism(g, q, vrep, erep)
@@ -172,11 +219,8 @@ def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
 def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
     """True when distinct related edges always have distinct sources."""
     _require_automatic(g, r, "relation is not automatic")
-    for c in r.edge_classes:
-        sources = [g.src(e) for e in c]
-        if len(sources) != len(set(sources)):
-            return False
-    return True
+    eclass = r._index.vector[len(g.vertices):]
+    return len(set(zip(eclass, g.int_view().sources))) == len(eclass)
 
 
 def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
@@ -254,24 +298,29 @@ def _blocks(keys) -> tuple[list[int], int]:
 
 def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation:
     """The coarsest automatic relation whose classes lie within those of the
-    keys, one hashable per vertex and per edge in id order.  Moore-style
-    rounds renumber the edges by (block, source block, target block), then the
-    vertices by (block, set of out-edge blocks), until neither count grows.
-    The ids are sorted, so first-seen classes are already canonical."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[s], index[t]) for s, t in g.edges.values()]
-    outs: list[list[int]] = [[] for _ in index]
-    for j, (s, _) in enumerate(ends):
-        outs[s].append(j)
-    (vb, nv), (eb, ne) = _blocks(vertex_keys), _blocks(edge_keys)
-    # each round that does not stop adds a vertex or an edge block
+    keys, one hashable per vertex and per edge in id order.  Moore-style steps
+    renumber the edges by (block, source block, target block) and the
+    vertices by (block, set of out-edge blocks) in turn.  A step that adds no
+    block leaves the next one nothing to split, so the first such step ends
+    the refinement, except the first edge step, which no vertex step has seen.
+    The steps run on the graph's integer view (`DiGraph.int_view`), and its
+    ids are sorted, so the first-seen block numbers are the canonical class
+    numbers: the result is built from them and keeps them as its index."""
+    view = g.int_view()
+    sources, targets, outs = view.sources, view.targets, view.outs
+    vb, nv = _blocks(vertex_keys)
+    eb, ne = _blocks([(key, vb[s], vb[t]) for key, s, t in zip(edge_keys, sources, targets)])
+    # each round that does not stop adds a vertex and an edge block
     for rounds in count():
-        assert rounds <= len(index) + len(ends), "refinement failed to stabilize in |V|+|E| rounds"
-        eb, ne_next = _blocks([(b, vb[s], vb[t]) for b, (s, t) in zip(eb, ends)])
+        assert rounds <= len(outs) + len(sources), "refinement failed to stabilize in |V|+|E| rounds"
         vb, nv_next = _blocks([(b, frozenset(map(eb.__getitem__, o))) for b, o in zip(vb, outs)])
-        if (nv_next, ne_next) == (nv, ne):
-            return AutomaticRelation(_classes(g.vertices, vb), _classes(g.edges, eb))
+        if nv_next == nv:
+            break
+        eb, ne_next = _blocks([(b, vb[s], vb[t]) for b, s, t in zip(eb, sources, targets)])
+        if ne_next == ne:
+            break
         nv, ne = nv_next, ne_next
+    return _relation(view, vb + [nv_next + b for b in eb])
 
 
 def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
@@ -357,11 +406,15 @@ def automatic_to_mn_roundtrip(g: DiGraph, r: AutomaticRelation) -> RoundTripRepo
     return RoundTripReport(ok, minimal_ok, class_ok, single_ok)
 
 
-def _join_classes(ids: tuple[str, ...], x: tuple[int, ...], y: tuple[int, ...]):
-    """Classes of the finest partition of ids coarser than both class-number
-    vectors: x's classes, merged whenever y relates two of their members.
-    The ids are sorted, so first-seen classes are already canonical."""
-    parent = {i: i for i in x}
+def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
+    """Least upper bound: transitive closure of the unions, which stays
+    automatic.  r1's classes are merged whenever r2 relates two of their
+    members; vertex and edge classes never meet, so one pass over the class
+    vectors joins both."""
+    for r in (r1, r2):
+        _require_automatic(g, r, "join input is not automatic")
+    x, y = r1._index.vector, r2._index.vector
+    parent = list(range(len(r1.vertex_classes) + len(r1.edge_classes)))
 
     def root(k: int) -> int:
         while parent[k] != k:
@@ -373,20 +426,7 @@ def _join_classes(ids: tuple[str, ...], x: tuple[int, ...], y: tuple[int, ...]):
         a, b = root(i), root(first.setdefault(j, i))
         if a != b:
             parent[max(a, b)] = min(a, b)
-    return _classes(ids, map(root, x))
-
-
-def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
-    """Least upper bound: transitive closure of the unions, which stays
-    automatic."""
-    for r in (r1, r2):
-        _require_automatic(g, r, "join input is not automatic")
-    a, b = r1._index, r2._index
-    n = len(a.vertex_ids)
-    out = AutomaticRelation(
-        _join_classes(a.vertex_ids, a.vector[:n], b.vector[:n]),
-        _join_classes(a.edge_ids, a.vector[n:], b.vector[n:]),
-    )
+    out = _relation(g.int_view(), _blocks(map(root, x))[0])
     _require_automatic(g, out, "join failed to be automatic")
     return out
 
@@ -396,9 +436,9 @@ def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
     pairwise intersections of the classes."""
     for r in (r1, r2):
         _require_automatic(g, r, "meet input is not automatic")
-    a, b = r1._index, r2._index
-    n = len(a.vertex_ids)
-    out = _coarsest_automatic(g, zip(a.vector[:n], b.vector[:n]), zip(a.vector[n:], b.vector[n:]))
+    x, y = r1._index.vector, r2._index.vector
+    n = len(g.vertices)
+    out = _coarsest_automatic(g, zip(x[:n], y[:n]), zip(x[n:], y[n:]))
     _require_automatic(g, out, "meet failed to be automatic")
     return out
 
@@ -425,28 +465,36 @@ def _partitions(items: list):
 
 
 def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
-    """All automatic relations on a small graph, built directly.  Per vertex
-    partition, each group of edges with the same end classes is partitioned on
-    its own, keeping the partitions whose every block's sources cover the
-    source class (bisimilarity; compatibility holds by construction).  A group
-    with nothing kept rules out the vertex partition."""
+    """All automatic relations on a small graph, built directly on the
+    graph's integer view.  Per vertex partition, each group of edges with the
+    same end classes is partitioned on its own, keeping the partitions whose
+    every block's sources cover the source class (bisimilarity; compatibility
+    holds by construction).  A group with nothing kept rules out the vertex
+    partition."""
+    view = g.int_view()
+    sources, targets = view.sources, view.targets
     out = []
-    for vpart in _partitions(list(g.vertices)):
-        vclass = {v: i for i, c in enumerate(vpart) for v in c}
-        groups: dict[tuple[int, int], list[str]] = {}
-        for e in g.edges:
-            groups.setdefault((vclass[g.src(e)], vclass[g.dst(e)]), []).append(e)
+    for vpart in _partitions(list(range(len(g.vertices)))):
+        vclass = [0] * len(g.vertices)
+        for i, c in enumerate(vpart):
+            for v in c:
+                vclass[v] = i
+        groups: dict[tuple[int, int], list[int]] = {}
+        for j, (s, t) in enumerate(zip(sources, targets)):
+            groups.setdefault((vclass[s], vclass[t]), []).append(j)
         kept_per_group = []
         for (s, _), group in groups.items():
             need = len(vpart[s])
             kept = [p for p in _partitions(group)
-                    if all(len({g.src(e) for e in block}) == need for block in p)]
+                    if all(len(set(map(sources.__getitem__, block))) == need for block in p)]
             if not kept:
                 break
             kept_per_group.append(kept)
         else:
-            vertex_classes = _canonical_partition(vpart)
             for parts in product(*kept_per_group):
-                edge_classes = _canonical_partition(chain.from_iterable(parts))
-                out.append(AutomaticRelation(vertex_classes, edge_classes))
+                eclass = [0] * len(sources)
+                for n, block in enumerate(chain.from_iterable(parts), len(vpart)):
+                    for j in block:
+                        eclass[j] = n
+                out.append(_relation(view, _blocks(vclass + eclass)[0]))
     return out

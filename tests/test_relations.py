@@ -644,6 +644,14 @@ class TestAgainstReferences:
         with pytest.raises(DomainError):
             relation_leq(AutomaticRelation.identity(c2()), AutomaticRelation.identity(p2()))
 
+    def test_leq_refuses_classes_that_do_not_partition(self):
+        # "a" lies in two classes of r, so r is no relation to order
+        r = AutomaticRelation.from_classes([["a", "b"], ["a"]], [])
+        s = AutomaticRelation.from_classes([["a", "b"]], [])
+        for r1, r2 in ((r, s), (s, r), (r, r)):
+            with pytest.raises(DomainError, match="do not partition"):
+                relation_leq(r1, r2)
+
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_class_lists())
     @example((p2(), [["x", "y"]], [["e"]]))
@@ -683,6 +691,7 @@ class TestAgainstReferences:
                         ("compatibility", ("src",)), ("compatibility", ("dst",))}
 
     def test_verdict_does_not_carry_to_another_graph_object(self):
+        # a check reads the graph's integer view; a remembered verdict does not
         class CountingDiGraph(DiGraph):
             __slots__ = ("lookups",)
 
@@ -690,9 +699,9 @@ class TestAgainstReferences:
                 super().__init__(vertices, edges)
                 self.lookups = 0
 
-            def src(self, eid):
+            def int_view(self):
                 self.lookups += 1
-                return super().src(eid)
+                return super().int_view()
 
         g = c2()
         h = CountingDiGraph(g.vertices, g.edge_list())
@@ -756,3 +765,32 @@ class TestAgainstReferences:
             m, j = meet(g, r1, r2), join(g, r1, r2)
             assert m == _reference_meet(g, r1, r2)
             assert m == _canonical(m) and j == _canonical(j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multidigraphs(), st.data())
+    def test_layer_relations_index_like_their_classes(self, g, data):
+        # mn_refine, maximum, meet and join build their results from block
+        # numbers on the graph's domain; each must index as the same classes
+        # do when built afresh, whose domain is equal but another object
+        rels = enumerate_automatic_relations(g)
+        relation = st.sampled_from(rels)
+        labels = {e: data.draw(st.sampled_from("ab")) for e in g.edges}
+        a = SemiAutomaton(g, set(labels.values()), labels)
+        finals = data.draw(partitions([v for v in g.vertices if data.draw(st.booleans())]))
+        r1, r2 = data.draw(relation), data.draw(relation)
+        built = [mn_refine(a, FinalFamily.of(*finals)), maximum(g), meet(g, r1, r2),
+                 join(g, r1, r2)]
+        for r in built:
+            fresh, unchecked = _canonical(r), _canonical(r)
+            got, want = r._index, fresh._index
+            assert got.domain is g.int_view().domain
+            assert (got.vector, got.mask) == (want.vector, want.mask)
+            for s in rels + built:
+                for x, y in ((r, unchecked), (unchecked, r), (unchecked, s), (s, unchecked)):
+                    assert relation_leq(x, y) == _reference_leq(x, y)
+            assert unchecked._index.domain == got.domain
+            assert unchecked._index.domain is not got.domain
+            want_report, got_report = is_automatic(g, fresh), is_automatic(g, r)
+            assert (got_report.ok, got_report.clause, got_report.witness) == (
+                want_report.ok, want_report.clause, want_report.witness)
+            assert fresh._index.domain is got.domain  # checked, it takes the graph's over
