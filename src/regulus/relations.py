@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, count, product
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable
 
 from .digraph import (
@@ -60,18 +60,19 @@ class _ClassIndex:
 
     @cached_property
     def mask(self) -> int:
-        """The same-class pairs: bit n*p + q is set when the ids at positions
-        p and q of the n in the domain share a class.  One class's bits are
-        the product of its row bits 2^(n*p) and its column bits 2^q, which
-        never carries, so r1 <= r2 exactly when r1's mask lies in r2's."""
+        """The same-class pairs: one row per position p of the domain, whose
+        bit q is set when the ids at p and q share a class, so r1 <= r2
+        exactly when r1's mask lies in r2's.  A row is its class's column
+        bits padded to whole bytes, and the rows are joined as bytes, so the
+        mask of n ids costs O(n^2 / 8) bytes of work."""
         if not self.is_partition:
             raise DomainError("classes do not partition the underlying set")
-        n, classes = len(self.vector), max(self.vector, default=-1) + 1
-        rows, cols = [0] * classes, [0] * classes
+        width = (len(self.vector) + 7) // 8
+        cols = [0] * (max(self.vector, default=-1) + 1)
         for p, k in enumerate(self.vector):
-            rows[k] |= 1 << n * p
             cols[k] |= 1 << p
-        return sum(map(mul, rows, cols))
+        rows = [c.to_bytes(width, "little") for c in cols]
+        return int.from_bytes(b"".join(map(rows.__getitem__, self.vector)), "little")
 
 
 @dataclass(frozen=True)
