@@ -9,6 +9,7 @@ non-planar, exhausted search, unequal languages), 2 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -339,10 +340,13 @@ def cmd_emu(args) -> int:
         )
         outcome = search_covers(spec)
         if outcome.status == "found":
-            _emit(args, formats.certificate_to_json(outcome.certificate))
-            return OK
-        _emit(args, {"status": outcome.status})
-        return BUDGET if outcome.status == "budget_exceeded" else NEGATIVE
+            payload = formats.certificate_to_json(outcome.certificate)
+        else:
+            payload = {"status": outcome.status}
+        if args.stats:
+            payload["stats"] = dataclasses.asdict(outcome.stats)
+        _emit(args, payload)
+        return {"found": OK, "budget_exceeded": BUDGET}.get(outcome.status, NEGATIVE)
     if args.verb == "verify-cert":
         cert = formats.certificate_from_json(_read(args.inputs[0]))
         if args.base:
@@ -542,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
         max_fiber={"type": _int_at_least(1), "default": 2},
         genus={"type": _int_at_least(0), "default": 0},
         time_budget={"type": float, "default": 300.0},
-        disconnected_ok={"action": "store_true"})
+        disconnected_ok={"action": "store_true"},
+        stats={"action": "store_true", "help": "add what the search did to the JSON"})
     add(e, "verify-cert", 1, cmd_emu, base={"help": "cross-check the certificate base graph"})
 
     n = sub.add_parser("genus").add_subparsers(dest="verb", required=True)

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import math
 import time as _time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import add
+
+import networkx as nx
 
 from .digraph import (
     DiGraph,
     GraphMorphism,
     UndirectedGraph,
     UndirectedMorphism,
+    _closure,
     bidirect,
     bidirect_edge_id,
     excise,
@@ -27,7 +32,6 @@ from .digraph import (
     subgraph,
     validate_morphism,
     validate_undirected_morphism,
-    weakly_connected,
 )
 from .errors import BudgetError, DomainError, PreconditionError
 from .genus import (
@@ -355,9 +359,26 @@ class CoverCertificate:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """What one cover search did.  Each candidate enumerated (an assignment
+    met before the deadline) is counted in exactly one of noncanonical,
+    disconnected, edge_cut and planarity_tests."""
+
+    fibre_vectors: int = 0
+    candidates: int = 0
+    noncanonical: int = 0
+    disconnected: int = 0
+    edge_cut: int = 0
+    planarity_tests: int = 0
+    genus_exact_calls: int = 0
+    undecided: int = 0
+
+
+@dataclass(frozen=True)
 class SearchOutcome:
     status: str  # "found" | "exhausted" | "budget_exceeded"
     certificate: CoverCertificate | None = None
+    stats: SearchStats = SearchStats()
 
 
 def _fiber_vectors_within_bound(
@@ -457,6 +478,74 @@ def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGr
     return total, GraphMorphism(total, base, p, q)
 
 
+class _OutOfTime(Exception):
+    """The search's deadline passed."""
+
+
+def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter):
+    """Each fibre vector within the bound as (sizes, slots, assignments): the
+    fibre size of each base vertex, the (base edge, source fibre vertex)
+    slots in base order, and an iterator over the canonical assignments of
+    one target fibre vertex per slot, in product order.  The iterator checks
+    the deadline before each assignment and raises _OutOfTime past it."""
+    base = spec.base
+    vectors = _fiber_vectors_within_bound(
+        [len(base.out_edges(v)) for v in base.vertices],
+        spec.max_fiber,
+        min(3, undirected_girth(forget(base))),
+        spec.genus_bound,
+    )
+
+    def canonical(sizes: dict[str, int], slots: list):
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        tables = _fibre_symmetries(base, sizes, slots, base.vertices[0])
+        for combo in product(*(range(sizes[base.dst(eid)]) for eid, _ in slots)):
+            if _time.monotonic() > deadline:
+                raise _OutOfTime
+            tally["candidates"] += 1
+            if _is_canonical(combo, order, tables):
+                yield combo
+            else:
+                tally["noncanonical"] += 1
+
+    for vec in vectors:
+        tally["fibre_vectors"] += 1
+        sizes = dict(zip(base.vertices, vec))
+        slots = [
+            (eid, i) for v in base.vertices for eid in base.out_edges(v) for i in range(sizes[v])
+        ]
+        yield sizes, slots, canonical(sizes, slots)
+
+
+def _connected(n: int, pairs) -> bool:
+    """Whether the vertex pairs join 0..n-1 into one component."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    return len(_closure([0], adjacent.__getitem__)) == n
+
+
+def _bipartite_covers(base: DiGraph) -> bool:
+    """Whether every cover of the base is bipartite: a 2-colouring of the base
+    lifts through the cover map.  A loop may lift to an edge inside one fibre,
+    so it counts as the odd cycle it is."""
+    return nx.is_bipartite(nx.Graph(list(base.edges.values())))
+
+
+def _edge_cap(v: int, n: int, bipartite: bool) -> float:
+    """Most edges a simple graph on v vertices can have at genus <= n.
+
+    On v >= 3 vertices Euler's formula with faces of length >= 3 gives
+    E <= 3(v - 2 + 2n), and with faces of length >= 4 (bipartite) E <=
+    2(v - 2 + 2n).  Bridges joining the components keep the genus and only
+    add edges, so the cap holds for disconnected graphs too.
+    """
+    if v < 3:
+        return math.inf
+    return (2 if bipartite else 3) * (v - 2 + 2 * n)
+
+
 def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     """Enumerate directed covers of the base with bounded fibres, pruning by
     the Euler/girth bound, and return the first certificate whose exact genus
@@ -464,53 +553,68 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
 
     Every assignment of one target fibre vertex per (base edge, source fibre
     vertex) yields a cover; conversely every cover with fibres within the
-    bound arises this way.  An assignment that a fibre permutation maps to a
-    smaller one (in sorted slot order) is skipped, so "exhausted" refutes
-    existence within the bounds up to fibre relabelling.  Candidates whose
-    genus cannot be decided within the rotation budget downgrade "exhausted"
-    to "budget_exceeded".
+    bound arises this way.  Each assignment, in product order, goes through
+    these steps, the last three on the integer vertex pairs of its loopless
+    simple support:
+    1. canonical: one that a fibre permutation maps to a smaller one (in
+       sorted slot order) is skipped, so "exhausted" refutes existence
+       within the bounds up to fibre relabelling;
+    2. connected (when connected_only), by a closure walk over the pairs;
+    3. the edge cut: a support with more edges than _edge_cap allows is
+       skipped, under the bipartite cap when _bipartite_covers(base);
+    4. the planarity test.
+    Only a planar candidate, or a non-planar one when n > 0, is built as a
+    DiGraph, for its certificate or for genus_exact.  Candidates whose genus
+    cannot be decided within the rotation budget downgrade "exhausted" to
+    "budget_exceeded".  The outcome's stats count what each step did.
     """
     spec.validate()
     base = spec.base
     deadline = _time.monotonic() + spec.time_budget
-    undecided = False
-    vectors = _fiber_vectors_within_bound(
-        [len(base.out_edges(v)) for v in base.vertices],
-        spec.max_fiber,
-        min(3, undirected_girth(forget(base))),
-        spec.genus_bound,
-    )
-    for vec in vectors:
-        sizes = dict(zip(base.vertices, vec))
-        slots = [
-            (eid, i) for v in base.vertices for eid in base.out_edges(v) for i in range(sizes[v])
-        ]
-        order = sorted(range(len(slots)), key=slots.__getitem__)
-        tables = _fibre_symmetries(base, sizes, slots, base.vertices[0])
-        for combo in product(*(range(sizes[base.dst(eid)]) for eid, _ in slots)):
-            if _time.monotonic() > deadline:
-                return SearchOutcome("budget_exceeded")
-            if not _is_canonical(combo, order, tables):
-                continue
-            total, morphism = _build_total(base, sizes, zip(slots, combo))
-            if spec.connected_only and not weakly_connected(total):
-                continue
-            planar = is_planar(total)
-            if planar.planar:
-                genus_res = GenusResult(0, planar.witness)
-            elif not spec.genus_bound:
-                continue
-            else:
-                try:
-                    genus_res = genus_exact(total)
-                except BudgetError:
-                    undecided = True
+    tally: Counter = Counter()
+    bipartite = _bipartite_covers(base)
+    try:
+        for sizes, slots, assignments in _candidates(spec, deadline, tally):
+            start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
+            sources = [start[base.src(eid)] + i for eid, i in slots]
+            offsets = [start[base.dst(eid)] for eid, _ in slots]
+            nverts = sum(sizes.values())
+            max_edges = _edge_cap(nverts, spec.genus_bound, bipartite)
+            for combo in assignments:
+                pairs = {
+                    (a, b) if a < b else (b, a)
+                    for a, b in zip(sources, map(add, offsets, combo))
+                    if a != b
+                }
+                if spec.connected_only and not _connected(nverts, pairs):
+                    tally["disconnected"] += 1
                     continue
-                if genus_res.genus > spec.genus_bound:
+                if len(pairs) > max_edges:
+                    tally["edge_cut"] += 1
                     continue
-            cert = CoverCertificate(
-                base, total, morphism, genus_res.witness, genus_res.genus
-            )
-            cert.verify()
-            return SearchOutcome("found", cert)
-    return SearchOutcome("budget_exceeded" if undecided else "exhausted")
+                tally["planarity_tests"] += 1
+                # networkx takes a list as an edge list; a set would make it import numpy
+                planar = nx.check_planarity(nx.Graph(list(pairs)))[0]
+                if not planar and not spec.genus_bound:
+                    continue
+                total, morphism = _build_total(base, sizes, zip(slots, combo))
+                if planar:
+                    genus_res = GenusResult(0, is_planar(total).witness)
+                else:
+                    tally["genus_exact_calls"] += 1
+                    try:
+                        genus_res = genus_exact(total)
+                    except BudgetError:
+                        tally["undecided"] += 1
+                        continue
+                    if genus_res.genus > spec.genus_bound:
+                        continue
+                cert = CoverCertificate(
+                    base, total, morphism, genus_res.witness, genus_res.genus
+                )
+                cert.verify()
+                return SearchOutcome("found", cert, SearchStats(**tally))
+    except _OutOfTime:
+        return SearchOutcome("budget_exceeded", stats=SearchStats(**tally))
+    status = "budget_exceeded" if tally["undecided"] else "exhausted"
+    return SearchOutcome(status, stats=SearchStats(**tally))

@@ -98,6 +98,10 @@ class AutomaticRelation:
     @cached_property
     def _index(self) -> _ClassIndex:
         vc, ec = self.vertex_classes, self.edge_classes
+        if vc != _canonical_partition(vc) or ec != _canonical_partition(ec):
+            # equality is structural, so out-of-order classes would compare
+            # unequal to the same relation in canonical form
+            raise DomainError("classes are not in canonical form; use from_classes")
         vertex_class = {v: i for i, c in enumerate(vc) for v in c}
         edge_class = {e: i for i, c in enumerate(ec, len(vc)) for e in c}
         domain = (tuple(sorted(vertex_class)), tuple(sorted(edge_class)))

@@ -1,7 +1,9 @@
 import math
 import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,7 +50,9 @@ from regulus.digraph import weakly_connected
 from regulus.emulation import (
     CoverCertificate,
     SearchOutcome,
+    _bipartite_covers,
     _build_total,
+    _edge_cap,
     _fiber_vectors_within_bound,
     _fibre_symmetries,
     _is_canonical,
@@ -576,9 +580,9 @@ def search_bases(draw, max_vertices=5, max_edges=6):
     return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(edges)])
 
 
-def _tried_candidates(search, spec: CoverSearchSpec) -> list[DiGraph]:
-    """The candidates a search builds, in order, when each is refused as
-    disconnected, so that the search runs through all of them."""
+def _reference_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
+    """The candidates the reference search builds, in order, when each is
+    refused as disconnected, so that the search runs through all of them."""
     tried = []
 
     def refuse(total):
@@ -586,10 +590,26 @@ def _tried_candidates(search, spec: CoverSearchSpec) -> list[DiGraph]:
         return False
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(emulation, "weakly_connected", refuse)
         mp.setattr(sys.modules[__name__], "weakly_connected", refuse)
-        assert search(spec).status == "exhausted"
+        assert _reference_search_covers(spec).status == "exhausted"
     return tried
+
+
+def _canonical_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
+    """The candidates search_covers takes past its symmetry check, in order,
+    each built as the DiGraph its certificate would carry."""
+    return [
+        _build_total(spec.base, sizes, zip(slots, combo))[0]
+        for sizes, slots, assignments in emulation._candidates(spec, math.inf, Counter())
+        for combo in assignments
+    ]
+
+
+def _k33() -> DiGraph:
+    return DiGraph(
+        ["a0", "a1", "a2", "b0", "b1", "b2"],
+        [(f"e{i}{j}", f"a{i}", f"b{j}") for i in range(3) for j in range(3)],
+    )
 
 
 class TestSearchAgainstReference:
@@ -599,6 +619,8 @@ class TestSearchAgainstReference:
     @example(DiGraph(["a", "b"], []), 2, 0, True)  # every cover disconnected: exhausted
     @example(_circulant(5, (1, 2)), 1, 1, True)  # K5: genus 1 through genus_exact
     @example(_circulant(7, (1, 2, 3)), 1, 1, True)  # K7: genus 1 through genus_exact
+    @example(_circulant(6, (1, 3)), 2, 0, True)  # bipartite base: the edge cut fires
+    @example(_k33(), 2, 1, True)  # K3,3: the bipartite cap, then genus_exact
     def test_same_status_and_certificate(self, base, max_fiber, genus_bound, connected_only):
         spec = CoverSearchSpec(
             base, max_fiber=max_fiber, genus_bound=genus_bound, connected_only=connected_only
@@ -619,9 +641,109 @@ class TestSearchAgainstReference:
     def test_tries_the_same_candidates_in_the_same_order(self, case):
         base, max_fiber = case
         spec = CoverSearchSpec(base, max_fiber=max_fiber)
-        assert _tried_candidates(search_covers, spec) == _tried_candidates(
-            _reference_search_covers, spec
+        tried = _canonical_candidates(spec)
+        assert tried == _reference_candidates(spec)
+        # the search takes every one of them when it finds none
+        out = search_covers(spec)
+        if out.status == "exhausted":
+            assert out.stats.candidates - out.stats.noncanonical == len(tried)
+
+
+class TestSearchStats:
+    @settings(max_examples=150, deadline=None)
+    @given(search_bases(), st.integers(1, 2), st.integers(0, 1), st.booleans())
+    @example(_circulant(6, (1, 3)), 2, 0, True)
+    @example(_circulant(5, (1, 2)), 1, 1, True)
+    def test_each_candidate_is_counted_once(self, base, max_fiber, genus_bound, connected_only):
+        spec = CoverSearchSpec(
+            base, max_fiber=max_fiber, genus_bound=genus_bound, connected_only=connected_only
         )
+        s = search_covers(spec).stats
+        assert s.candidates == s.noncanonical + s.disconnected + s.edge_cut + s.planarity_tests
+        assert s.undecided <= s.genus_exact_calls <= s.planarity_tests
+        assert s.fibre_vectors >= (s.candidates > 0)
+        if not connected_only:
+            assert s.disconnected == 0
+
+    def test_edge_cut_fires_on_a_bipartite_base(self):
+        # _circulant(6, (1, 3)) is K3,3 with its three long chords doubled:
+        # its covers are bipartite, so more than 2(V - 2) support edges refute
+        # planarity before the LR test
+        out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), max_fiber=2))
+        assert out.status == "found"
+        s = out.stats
+        assert s.edge_cut > 0 and s.planarity_tests < s.edge_cut
+        assert s.genus_exact_calls == 0
+
+    def test_budget_exceeded_keeps_its_counts(self):
+        out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), time_budget=1e-9))
+        assert out.status == "budget_exceeded" and out.certificate is None
+        assert (out.stats.fibre_vectors, out.stats.candidates) == (1, 0)
+
+
+@st.composite
+def dense_simple_graphs(draw, max_vertices: int, bipartite: bool | None = None):
+    """(vertex count, edge pairs, bipartite) for a simple graph: the complete
+    graph, or the complete bipartite graph on random colour classes, less
+    some edges (a few, or any number)."""
+    n = draw(st.integers(3, max_vertices))
+    if bipartite is None:
+        bipartite = draw(st.booleans())
+    colour = [draw(st.booleans()) for _ in range(n)]
+    pairs = [(a, b) for a, b in combinations(range(n), 2) if not bipartite or colour[a] != colour[b]]
+    most = draw(st.sampled_from([3, len(pairs)]))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=most)) if pairs else set()
+    return n, [p for p in pairs if p not in missing], bipartite
+
+
+def _undirected(n: int, pairs) -> UndirectedGraph:
+    return UndirectedGraph(
+        [f"v{i}" for i in range(n)], [(f"e{k}", (f"v{a}", f"v{b}")) for k, (a, b) in enumerate(pairs)]
+    )
+
+
+class TestEdgeCapSoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_simple_graphs(12))
+    @example((5, list(combinations(range(5), 2)), False))  # K5: 10 > 9
+    @example((6, [(a, b) for a in range(3) for b in range(3, 6)], True))  # K3,3: 9 > 8
+    def test_a_cut_graph_is_not_planar(self, case):
+        n, pairs, bipartite = case
+        graph = nx.Graph(pairs)
+        assert nx.is_bipartite(graph) or not bipartite
+        if len(pairs) > _edge_cap(n, 0, bipartite):
+            assert not nx.check_planarity(graph)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_bases(4, 5), st.integers(1, 2))
+    @example(DiGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "a"), ("e2", "c", "b")]), 2)
+    def test_bipartite_bases_have_bipartite_covers(self, base, max_fiber):
+        if _bipartite_covers(base):
+            spec = CoverSearchSpec(base, max_fiber=max_fiber, connected_only=False)
+            for total in _canonical_candidates(spec):
+                assert nx.is_bipartite(nx.Graph(total.edges.values()))
+
+    def test_a_loop_rules_out_the_bipartite_cap(self):
+        # the support a - b is bipartite, but the loop lifts to a0 -> a1,
+        # closing the triangle a0, a1, b0
+        base = DiGraph(["a", "b"], [("e0", "a", "b"), ("e1", "b", "a"), ("l", "a", "a")])
+        assert not _bipartite_covers(base)
+        candidates = _canonical_candidates(CoverSearchSpec(base, max_fiber=2))
+        assert not all(nx.is_bipartite(nx.Graph(c.edges.values())) for c in candidates)
+
+    # A graph above the genus-1 cap has average degree above 6, or above 4
+    # when bipartite.  Bipartite ones are decided at once; among the others
+    # K8 and K8 - e are, but K8 less two or three edges can take more than
+    # 10^6 rotation links, so those two stand for them.
+    @settings(max_examples=100, deadline=None)
+    @given(dense_simple_graphs(10, bipartite=True))
+    @example((8, list(combinations(range(8), 2)), False))  # K8: 28 > 24, genus 2
+    @example((8, list(combinations(range(8), 2))[1:], False))  # K8 - e: 27 > 24, genus 2
+    @example((9, [(a, b) for a in range(4) for b in range(4, 9)], True))  # K4,5: 20 > 18
+    def test_a_cut_graph_has_genus_above_one(self, case):
+        n, pairs, bipartite = case
+        if len(pairs) > _edge_cap(n, 1, bipartite):
+            assert genus_exact(_undirected(n, pairs), budget=10**6).genus > 1
 
 
 class TestCertificateRoundTrip:

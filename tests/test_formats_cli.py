@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -455,6 +456,29 @@ class TestCliVerbs:
             err = capsys.readouterr().err
             assert err.startswith("error: cannot write"), (args, err)
 
+    def test_search_stats_are_added_only_when_asked(self, tmp_path, capsys):
+        from regulus import CoverSearchSpec, search_covers
+
+        g = tmp_path / "c2.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        assert main(["emu", "search", str(g)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["emu", "search", str(g), "--stats"]) == 0
+        counted = json.loads(capsys.readouterr().out)
+        stats = counted.pop("stats")
+        assert counted == plain and "stats" not in plain
+        assert stats == dataclasses.asdict(search_covers(CoverSearchSpec(c2())).stats)
+        assert stats["planarity_tests"] == 1 and stats["candidates"] >= 1
+        # a refusal carries its counts too
+        z7 = tmp_path / "z7.json"
+        z7.write_text(formats.dumps(formats.automaton_to_json(z7_123_automaton())))
+        base = tmp_path / "base.json"
+        main(["genus", "language", "--n", "0", str(z7), "--emit-base", str(base), "-o", str(tmp_path / "r.json")])
+        capsys.readouterr()
+        assert main(["emu", "search", str(base), "--max-fiber", "1", "--stats"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "exhausted" and out["stats"]["fibre_vectors"] == 0
+
     def test_negative_genus_bound_with_certificate_is_input_error(self, tmp_path, capsys):
         # a supplied certificate does not bypass the check of the bounds
         a = tmp_path / "z6.json"
@@ -516,12 +540,18 @@ class TestCliVerbs:
             assert captured.out == ""
 
     def test_options_are_offered_only_where_they_act(self, tmp_path, capsys):
-        # --dot on a verb without a DOT rendering, and --morphism-out on a
-        # verb without a morphism, are usage errors before any output
+        # --dot on a verb without a DOT rendering, --morphism-out on a verb
+        # without a morphism, and --stats on any verb but the cover search
+        # are usage errors before any output
         g = tmp_path / "g.json"
         g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        a = tmp_path / "z6.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z6_automaton())))
         for args in (["graph", "reach", str(g), "--dot", str(tmp_path / "r.dot")],
-                     ["graph", "excise", str(g), "--morphism-out", str(tmp_path / "m.json")]):
+                     ["graph", "excise", str(g), "--morphism-out", str(tmp_path / "m.json")],
+                     ["genus", "language", "--n", "0", str(a), "--stats"],
+                     ["genus", "exact", str(g), "--stats"],
+                     ["emu", "check-cover", str(g), "--stats"]):
             assert main(args) == 3, args
             captured = capsys.readouterr()
             assert captured.out == "" and "unrecognized arguments" in captured.err, args

@@ -652,6 +652,21 @@ class TestAgainstReferences:
             with pytest.raises(DomainError, match="do not partition"):
                 relation_leq(r1, r2)
 
+    def test_classes_out_of_canonical_order_are_refused(self):
+        # built directly, out of order, the relation used to check automatic
+        # and then fail its own round trip: it was != its canonical form
+        g = c2()
+        for r in (AutomaticRelation((("b", "a"),), (("e2", "e1"),)),
+                  AutomaticRelation((("b",), ("a",)), (("e1",), ("e2",)))):
+            for check in (is_automatic, automatic_to_mn_roundtrip, quotient, is_cover_relation):
+                with pytest.raises(DomainError, match="canonical"):
+                    check(g, r)
+            with pytest.raises(DomainError, match="canonical"):
+                relation_leq(r, AutomaticRelation.identity(g))
+        canonical = AutomaticRelation.from_classes([("b", "a")], [("e2", "e1")])
+        assert is_automatic(g, canonical).ok
+        assert automatic_to_mn_roundtrip(g, canonical).ok
+
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_class_lists())
     @example((p2(), [["x", "y"]], [["e"]]))
