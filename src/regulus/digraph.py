@@ -224,15 +224,6 @@ class GraphMorphism:
             and self.is_injective()
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GraphMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.p == other.p
-            and self.q == other.q
-        )
-
 
 @dataclass(frozen=True)
 class UndirectedMorphism:
@@ -299,6 +290,10 @@ def validate_undirected_morphism(m: UndirectedMorphism) -> ValidationReport:
     missing_e = [e for e in m.source.edges if e not in m.q]
     if missing_v or missing_e:
         raise DomainError("undirected morphism maps are not total")
+    tv = set(m.target.vertices)
+    for v, w in m.p.items():
+        if w not in tv:
+            return ValidationReport(False, "vertex image outside target", (v, w))
     for e, f in m.q.items():
         if f not in m.target.edges:
             return ValidationReport(False, "edge image outside target", (e, f))

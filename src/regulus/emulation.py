@@ -22,12 +22,12 @@ from .digraph import (
     GraphMorphism,
     UndirectedGraph,
     UndirectedMorphism,
+    ValidationReport,
     _closure,
     bidirect,
     bidirect_edge_id,
     excise,
     forget,
-    opposite,
     simplify,
     subgraph,
     validate_morphism,
@@ -44,53 +44,55 @@ from .genus import (
 )
 
 
-@dataclass(frozen=True)
-class EmulatorReport:
-    ok: bool
-    reason: str = ""
-    witness: tuple = ()
+def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport:
+    """The lifting condition of every emulator and cover predicate, on a valid
+    morphism onto the target's vertices.  An edge lies in the star of each of
+    its `ends`: its source for out-stars, its target for in-stars, every end
+    for undirected stars.  Each pair of a target edge f and a source vertex x
+    whose image has f in its star needs a lift, a source edge over f with x
+    in its star; a cover needs exactly one.  The witness is the first failing
+    pair, missing lifts before repeated ones, taking target edges and then
+    source vertices in id order."""
+    source = phi.source.edges
+    lifts = [(f, x) for e, f in phi.q.items() for x in source[e][ends]]
+    lifted = set(lifts)
+    # the morphism is valid, so every lifted pair is a needed one, and none is
+    # missing when there are as many lifted pairs as needed ones
+    images = list(phi.p.values())
+    needed = sum(images.count(y) for f_ends in phi.target.edges.values() for y in f_ends[ends])
+    if len(lifted) < needed:
+        unlifted = (
+            (f, x) for f, f_ends in phi.target.edges.items() for x, y in phi.p.items()
+            if y in f_ends[ends] and (f, x) not in lifted
+        )
+        return ValidationReport(False, missing, min(unlifted))
+    if cover and len(lifts) > len(lifted):
+        lifts.sort()
+        repeated = next(a for a, b in zip(lifts, lifts[1:]) if a == b)
+        return ValidationReport(False, "lift not unique", repeated)
+    return ValidationReport(True)
 
-    def __bool__(self):
-        return self.ok
 
-
-def is_directed_emulator(phi: GraphMorphism) -> EmulatorReport:
-    """Surjective on vertices, with every outgoing edge of the target lifting
-    through every preimage of its source vertex."""
+def _directed_lifts(phi: GraphMorphism, ends: slice, cover: bool, missing: str) -> ValidationReport:
     base = validate_morphism(phi)
     if not base.ok:
         raise DomainError(f"invalid morphism: {base.reason} at {base.witness}")
-    if set(phi.p.values()) != set(phi.target.vertices):
-        missing = sorted(set(phi.target.vertices) - set(phi.p.values()))
-        return EmulatorReport(False, "vertex map not surjective", tuple(missing[:2]))
-    lifts: dict[tuple[str, str], int] = {}
-    for e0, f in phi.q.items():
-        lifts[(f, phi.source.src(e0))] = lifts.get((f, phi.source.src(e0)), 0) + 1
-    for f in phi.target.edges:
-        fsrc = phi.target.src(f)
-        for x in phi.source.vertices:
-            if phi.p[x] != fsrc:
-                continue
-            if (f, x) not in lifts:
-                return EmulatorReport(
-                    False, "missing outgoing lift", (f, x)
-                )
-    return EmulatorReport(True)
+    unhit = set(phi.target.vertices).difference(phi.p.values())
+    if unhit:
+        return ValidationReport(False, "vertex map not surjective", tuple(sorted(unhit)[:2]))
+    return _star_lifts(phi, ends, cover, missing)
 
 
-def is_directed_cover(phi: GraphMorphism) -> EmulatorReport:
+def is_directed_emulator(phi: GraphMorphism) -> ValidationReport:
+    """Surjective on vertices, with every outgoing edge of the target lifting
+    through every preimage of its source vertex."""
+    return _directed_lifts(phi, slice(0, 1), False, "missing outgoing lift")
+
+
+def is_directed_cover(phi: GraphMorphism) -> ValidationReport:
     """A directed emulator whose lifts are unique: outgoing stars map
     bijectively."""
-    rep = is_directed_emulator(phi)
-    if not rep.ok:
-        return rep
-    counts: dict[tuple[str, str], int] = {}
-    for e0, f in phi.q.items():
-        key = (f, phi.source.src(e0))
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > 1:
-            return EmulatorReport(False, "lift not unique", key)
-    return EmulatorReport(True)
+    return _directed_lifts(phi, slice(0, 1), True, "missing outgoing lift")
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,10 @@ def star_maps(phi: GraphMorphism, x: str) -> StarReport:
     )
 
 
-def is_incoming_emulator(phi: GraphMorphism) -> EmulatorReport:
-    """Dual notion via reversal: phi is an incoming emulator exactly when its
-    opposite is an outgoing one."""
-    op = GraphMorphism(
-        opposite(phi.source), opposite(phi.target), dict(phi.p), dict(phi.q)
-    )
-    return is_directed_emulator(op)
+def is_incoming_emulator(phi: GraphMorphism) -> ValidationReport:
+    """The dual notion: every incoming edge of the target lifts through every
+    preimage of its target vertex."""
+    return _directed_lifts(phi, slice(1, 2), False, "missing incoming lift")
 
 
 def extract_cover(phi: GraphMorphism) -> GraphMorphism:
@@ -179,38 +178,23 @@ def extend_over_excision(psi: GraphMorphism, h: DiGraph) -> GraphMorphism:
     return GraphMorphism(total, h, dict(psi.p), q)
 
 
-def is_undirected_emulator(phi: UndirectedMorphism) -> EmulatorReport:
-    """Fellows-style emulator: epimorphism with an incident lift of every
-    edge at every preimage of each of its endpoints."""
+def _undirected_lifts(phi: UndirectedMorphism, cover: bool) -> ValidationReport:
     base = validate_undirected_morphism(phi)
     if not base.ok:
         raise DomainError(f"invalid undirected morphism: {base.reason}")
     if not phi.is_surjective():
-        return EmulatorReport(False, "not an epimorphism")
-    for f in phi.target.edges:
-        for x in phi.target.ends(f):
-            for xp in (v for v, w in phi.p.items() if w == x):
-                lifts = [
-                    e
-                    for e in phi.source.star(xp)
-                    if phi.q[e] == f
-                ]
-                if not lifts:
-                    return EmulatorReport(False, "missing lift", (f, xp))
-    return EmulatorReport(True)
+        return ValidationReport(False, "not an epimorphism")
+    return _star_lifts(phi, slice(None), cover, "missing lift")
 
 
-def is_undirected_cover(phi: UndirectedMorphism) -> EmulatorReport:
-    rep = is_undirected_emulator(phi)
-    if not rep.ok:
-        return rep
-    for f in phi.target.edges:
-        for x in phi.target.ends(f):
-            for xp in (v for v, w in phi.p.items() if w == x):
-                lifts = [e for e in phi.source.star(xp) if phi.q[e] == f]
-                if len(lifts) > 1:
-                    return EmulatorReport(False, "lift not unique", (f, xp))
-    return EmulatorReport(True)
+def is_undirected_emulator(phi: UndirectedMorphism) -> ValidationReport:
+    """Fellows-style emulator: epimorphism with an incident lift of every
+    edge at every preimage of each of its endpoints."""
+    return _undirected_lifts(phi, False)
+
+
+def is_undirected_cover(phi: UndirectedMorphism) -> ValidationReport:
+    return _undirected_lifts(phi, True)
 
 
 def adjunction_transfer(phi: GraphMorphism, h: UndirectedGraph) -> UndirectedMorphism:

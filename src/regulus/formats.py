@@ -213,7 +213,8 @@ def undirected_morphism_from_json(data: dict) -> UndirectedMorphism:
 
 
 def is_undirected_morphism_payload(data: dict) -> bool:
-    return is_undirected_payload(data.get("source", {}))
+    """Whether the source or the target has an edge given by its "ends"."""
+    return is_undirected_payload(data.get("source")) or is_undirected_payload(data.get("target"))
 
 
 def semi_morphism_to_json(m: SemiMorphism) -> dict:

@@ -52,10 +52,9 @@ class _ClassIndex:
     relation last verified automatic; graphs and relations are immutable, so
     that verdict stands."""
 
-    def __init__(self, domain: tuple, vector: tuple[int, ...], is_partition: bool = True):
+    def __init__(self, domain: tuple, vector: tuple[int, ...]):
         self.domain = domain
         self.vector = vector
-        self.is_partition = is_partition
         self.verified_on = None
 
     @cached_property
@@ -65,8 +64,6 @@ class _ClassIndex:
         exactly when r1's mask lies in r2's.  A row is its class's column
         bits padded to whole bytes, and the rows are joined as bytes, so the
         mask of n ids costs O(n^2 / 8) bytes of work."""
-        if not self.is_partition:
-            raise DomainError("classes do not partition the underlying set")
         width = (len(self.vector) + 7) // 8
         cols = [0] * (max(self.vector, default=-1) + 1)
         for p, k in enumerate(self.vector):
@@ -108,7 +105,9 @@ class AutomaticRelation:
         vector = tuple(map(vertex_class.__getitem__, domain[0])) + tuple(
             map(edge_class.__getitem__, domain[1])
         )
-        return _ClassIndex(domain, vector, len(vector) == sum(map(len, vc + ec)))
+        if len(vector) != sum(map(len, vc + ec)):
+            raise DomainError("classes do not partition the underlying set")
+        return _ClassIndex(domain, vector)
 
     def vertex_class_of(self) -> dict[str, tuple[str, ...]]:
         return {v: c for c in self.vertex_classes for v in c}
@@ -168,7 +167,7 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
     if idx.verified_on is g:
         return _AUTOMATIC
     view = g.int_view()
-    if not idx.is_partition or (idx.domain is not view.domain and idx.domain != view.domain):
+    if idx.domain is not view.domain and idx.domain != view.domain:
         raise DomainError("classes do not partition the underlying set")
     idx.domain = view.domain
     vertices, edges = view.domain

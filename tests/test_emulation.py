@@ -66,6 +66,7 @@ from regulus.genus import GenusResult, genus_exact, is_planar, undirected_girth
 from conftest import (
     c2,
     loop1,
+    multidigraphs,
     random_digraph,
     random_emulator,
     random_morphism_into,
@@ -244,6 +245,93 @@ class TestUndirectedPredicates:
             {"e1": "f1", "e2": "f2", "e3": "f1", "e4": "f2"},
         )
         assert is_undirected_cover(m).ok
+
+
+@st.composite
+def star_morphisms(draw, directed: bool):
+    """A valid morphism onto a small multigraph with loops and parallel
+    edges, directed or (forgetting directions) undirected.  Each target
+    vertex gets a fibre of 1 to 2 vertices, or of 0 to 2 when a drawn flag
+    allows a map that is not onto.  On one drawn side of every
+    target edge, each fibre vertex gets 0 to 2 lifts of it, each to a drawn
+    vertex of the fibre on the other side.  Empty fibres and missing or
+    repeated lifts make non-emulators and non-covers."""
+    target = draw(multidigraphs(max_vertices=3, max_edges=5))
+    least = int(not draw(st.booleans()))
+    fibres = {v: [f"{v}.{i}" for i in range(draw(st.integers(least, 2)))] for v in target.vertices}
+    side = draw(st.sampled_from((0, 1)))
+    edges, q = [], {}
+    for f, ends in target.edges.items():
+        near, far = fibres[ends[side]], fibres[ends[1 - side]]
+        for x in near if far else ():
+            for _ in range(draw(st.integers(0, 2))):
+                e, y = f"{f}.{len(edges)}", draw(st.sampled_from(far))
+                edges.append((e, x, y) if side == 0 else (e, y, x))
+                q[e] = f
+    # the maps in drawn order, so no predicate can lean on their order
+    p = dict(draw(st.permutations([(x, v) for v, xs in fibres.items() for x in xs])))
+    q = dict(draw(st.permutations(list(q.items()))))
+    if directed:
+        return GraphMorphism(DiGraph(p, edges), target, p, q)
+    source = UndirectedGraph(p, [(e, (x, y)) for e, x, y in edges])
+    return UndirectedMorphism(source, forget(target), p, q)
+
+
+def _star_reference(phi, star, cover: bool, missing: str):
+    """(ok, reason, witness) read off the definition after the predicate's
+    surjectivity step: each source vertex's star maps onto the star of its
+    image, and for a cover bijectively.  The witness is the least failing
+    (target edge, source vertex) pair of the reason."""
+    if isinstance(phi, GraphMorphism):
+        unhit = sorted(set(phi.target.vertices) - set(phi.p.values()))
+        if unhit:
+            return False, "vertex map not surjective", tuple(unhit[:2])
+    elif not phi.is_surjective():
+        return False, "not an epimorphism", ()
+    unlifted, repeated = set(), set()
+    for x in phi.source.vertices:
+        images = Counter(phi.q[e] for e in star(phi.source, x))
+        for f in star(phi.target, phi.p[x]):
+            if images[f] != 1:
+                (unlifted if images[f] == 0 else repeated).add((f, x))
+    if unlifted:
+        return False, missing, min(unlifted)
+    if cover and repeated:
+        return False, "lift not unique", min(repeated)
+    return True, "", ()
+
+
+class TestStarPredicatesAgainstDefinition:
+    def test_witness_is_the_least_failing_pair(self):
+        # neither the order of q nor the end of an undirected edge decides
+        # which failing pair is reported
+        two_loops = DiGraph(["v"], [("g", "v", "v"), ("h", "v", "v")])
+        four_loops = DiGraph(["u"], [(e, "u", "u") for e in "abcd"])
+        q = {"a": "h", "b": "h", "c": "g", "d": "g"}
+        m = GraphMorphism(four_loops, two_loops, {"u": "v"}, q)
+        assert is_directed_cover(m).witness == ("g", "u")
+        edge = UndirectedGraph(["x", "y"], [("f", ("x", "y"))])
+        source = UndirectedGraph(["a", "b", "w", "z"], [("e", ("w", "b"))])
+        um = UndirectedMorphism(source, edge, {"a": "y", "b": "y", "w": "x", "z": "x"}, {"e": "f"})
+        assert is_undirected_emulator(um).witness == ("f", "a")
+
+    @pytest.mark.parametrize(
+        "check, directed, star, cover, missing",
+        [
+            (is_directed_emulator, True, DiGraph.out_edges, False, "missing outgoing lift"),
+            (is_directed_cover, True, DiGraph.out_edges, True, "missing outgoing lift"),
+            (is_incoming_emulator, True, DiGraph.in_edges, False, "missing incoming lift"),
+            (is_undirected_emulator, False, UndirectedGraph.star, False, "missing lift"),
+            (is_undirected_cover, False, UndirectedGraph.star, True, "missing lift"),
+        ],
+        ids=["emulator", "cover", "incoming", "undirected-emulator", "undirected-cover"],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verdict_reason_and_witness(self, check, directed, star, cover, missing, data):
+        phi = data.draw(star_morphisms(directed))
+        rep = check(phi)
+        assert (rep.ok, rep.reason, rep.witness) == _star_reference(phi, star, cover, missing)
 
 
 class TestAdjunction:

@@ -12,9 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regulus import GraphMorphism, RegulusError, SemiMorphism, formats
+from regulus import (
+    GraphMorphism,
+    RegulusError,
+    SemiMorphism,
+    UndirectedGraph,
+    UndirectedMorphism,
+    formats,
+    validate_undirected_morphism,
+)
 from regulus.cli import main
-from regulus.corpus import ENTRIES, get, z6_automaton, z7_123_automaton
+from regulus.corpus import ENTRIES, get, path_4_over_3, z6_automaton, z7_123_automaton
+from regulus.digraph import ValidationReport
 
 from conftest import c2, c4, loop2, par2
 
@@ -392,6 +401,38 @@ class TestCliVerbs:
         good = tmp_path / "cert.json"
         good.write_text(json.dumps({**cert, "rotation": rotation}))
         assert main(["emu", "verify-cert", str(good), "-o", str(tmp_path / "o.json")]) == 0
+
+    def test_undirected_morphism_out_of_an_edgeless_graph(self, tmp_path, capsys):
+        # an "ends" edge in the target alone marks the file undirected; read
+        # as directed, the loop used to be a missing "src" key and exit 3
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({
+            "source": {"vertices": ["a"], "edges": []},
+            "target": {"vertices": ["x"], "edges": [{"id": "f", "ends": ["x"]}]},
+            "p": {"a": "x"},
+            "q": {},
+        }))
+        for verb in ("check", "check-cover"):
+            assert main(["emu", verb, str(f)]) == 1
+            assert json.loads(capsys.readouterr().out) == {
+                "ok": False, "directed": False, "reason": "not an epimorphism", "witness": []
+            }
+
+    def test_undirected_vertex_image_outside_target_is_an_input_error(self, tmp_path, capsys):
+        # the isolated vertex "iso" goes to no vertex of the target: exit 3
+        # like its directed twin, not a "not an epimorphism" verdict
+        m = path_4_over_3()
+        source = UndirectedGraph([*m.source.vertices, "iso"], m.source.edges.items())
+        bad = UndirectedMorphism(source, m.target, {**m.p, "iso": "zzz"}, m.q)
+        assert validate_undirected_morphism(bad) == ValidationReport(
+            False, "vertex image outside target", ("iso", "zzz")
+        )
+        f = tmp_path / "m.json"
+        f.write_text(formats.dumps(formats.undirected_morphism_to_json(bad)))
+        for verb in ("check", "check-cover"):
+            assert main(["emu", verb, str(f)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: "), (out, err)
 
     def test_repeated_calls_keep_append_options_apart(self, tmp_path):
         # main reuses one parser; an appended --final must not reach the next call
