@@ -57,7 +57,6 @@ from .emulation import (
     is_undirected_emulator,
     lift_direction,
     search_covers,
-    star_maps,
 )
 from .errors import BudgetError, DomainError, PreconditionError, RegulusError
 from .genus import (

@@ -195,11 +195,11 @@ class UndirectedGraph:
 
 
 @dataclass(frozen=True)
-class GraphMorphism:
-    """A pair of total maps (p on vertices, q on edges) between digraphs."""
+class _Maps:
+    """A pair of maps, p on vertices and q on edges, between two graphs."""
 
-    source: DiGraph
-    target: DiGraph
+    source: DiGraph | UndirectedGraph
+    target: DiGraph | UndirectedGraph
     p: Mapping[str, str]
     q: Mapping[str, str]
 
@@ -211,6 +211,11 @@ class GraphMorphism:
         return set(self.p.values()) == set(self.target.vertices) and set(
             self.q.values()
         ) == set(self.target.edges)
+
+
+@dataclass(frozen=True)
+class GraphMorphism(_Maps):
+    """A pair of total maps (p on vertices, q on edges) between digraphs."""
 
     def is_injective(self) -> bool:
         return len(set(self.p.values())) == len(self.p) and len(set(self.q.values())) == len(
@@ -226,22 +231,8 @@ class GraphMorphism:
 
 
 @dataclass(frozen=True)
-class UndirectedMorphism:
+class UndirectedMorphism(_Maps):
     """A pair of total maps between undirected graphs preserving edge ends."""
-
-    source: UndirectedGraph
-    target: UndirectedGraph
-    p: Mapping[str, str]
-    q: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", dict(self.p))
-        object.__setattr__(self, "q", dict(self.q))
-
-    def is_surjective(self) -> bool:
-        return set(self.p.values()) == set(self.target.vertices) and set(
-            self.q.values()
-        ) == set(self.target.edges)
 
 
 @dataclass(frozen=True)
@@ -261,18 +252,26 @@ class DirectedCycle:
     edges: tuple[str, ...]
 
 
-def validate_morphism(m: GraphMorphism) -> ValidationReport:
-    """Check that m's maps are total and preserve sources and targets edge-wise."""
+def _vertex_images(m: _Maps, kind: str) -> ValidationReport:
+    """Raise unless m's maps are total; report a vertex image outside the target."""
     missing_v = [v for v in m.source.vertices if v not in m.p]
     missing_e = [e for e in m.source.edges if e not in m.q]
     if missing_v or missing_e:
         raise DomainError(
-            f"morphism maps are not total: missing vertices {missing_v[:3]} edges {missing_e[:3]}"
+            f"{kind} maps are not total: missing vertices {missing_v[:3]} edges {missing_e[:3]}"
         )
     tv = set(m.target.vertices)
     for v, w in m.p.items():
         if w not in tv:
             return ValidationReport(False, "vertex image outside target", (v, w))
+    return ValidationReport(True)
+
+
+def validate_morphism(m: GraphMorphism) -> ValidationReport:
+    """Check that m's maps are total and preserve sources and targets edge-wise."""
+    rep = _vertex_images(m, "morphism")
+    if not rep.ok:
+        return rep
     for e, f in m.q.items():
         if f not in m.target.edges:
             return ValidationReport(False, "edge image outside target", (e, f))
@@ -286,14 +285,10 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
 
 
 def validate_undirected_morphism(m: UndirectedMorphism) -> ValidationReport:
-    missing_v = [v for v in m.source.vertices if v not in m.p]
-    missing_e = [e for e in m.source.edges if e not in m.q]
-    if missing_v or missing_e:
-        raise DomainError("undirected morphism maps are not total")
-    tv = set(m.target.vertices)
-    for v, w in m.p.items():
-        if w not in tv:
-            return ValidationReport(False, "vertex image outside target", (v, w))
+    """Check that m's maps are total and send each edge's ends onto its image's."""
+    rep = _vertex_images(m, "undirected morphism")
+    if not rep.ok:
+        return rep
     for e, f in m.q.items():
         if f not in m.target.edges:
             return ValidationReport(False, "edge image outside target", (e, f))

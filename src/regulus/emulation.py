@@ -37,6 +37,7 @@ from .errors import BudgetError, DomainError, PreconditionError
 from .genus import (
     GenusResult,
     RotationSystem,
+    _lr_planar,
     genus_exact,
     is_planar,
     trace_faces,
@@ -93,36 +94,6 @@ def is_directed_cover(phi: GraphMorphism) -> ValidationReport:
     """A directed emulator whose lifts are unique: outgoing stars map
     bijectively."""
     return _directed_lifts(phi, slice(0, 1), True, "missing outgoing lift")
-
-
-@dataclass(frozen=True)
-class StarReport:
-    out_map: dict[str, str]
-    in_map: dict[str, str]
-    out_injective: bool
-    out_surjective: bool
-    in_injective: bool
-    in_surjective: bool
-
-
-def star_maps(phi: GraphMorphism, x: str) -> StarReport:
-    """Restrictions of the edge map to the outgoing and incoming stars at x,
-    with their classification."""
-    if x not in set(phi.source.vertices):
-        raise DomainError(f"unknown vertex {x!r}")
-    out_map = {e: phi.q[e] for e in phi.source.out_edges(x)}
-    in_map = {e: phi.q[e] for e in phi.source.in_edges(x)}
-    img = phi.p[x]
-    out_target = set(phi.target.out_edges(img))
-    in_target = set(phi.target.in_edges(img))
-    return StarReport(
-        out_map,
-        in_map,
-        len(set(out_map.values())) == len(out_map),
-        set(out_map.values()) == out_target,
-        len(set(in_map.values())) == len(in_map),
-        set(in_map.values()) == in_target,
-    )
 
 
 def is_incoming_emulator(phi: GraphMorphism) -> ValidationReport:
@@ -546,7 +517,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     2. connected (when connected_only), by a closure walk over the pairs;
     3. the edge cut: a support with more edges than _edge_cap allows is
        skipped, under the bipartite cap when _bipartite_covers(base);
-    4. the planarity test.
+    4. the planarity test, _lr_planar.
     Only a planar candidate, or a non-planar one when n > 0, is built as a
     DiGraph, for its certificate or for genus_exact.  Candidates whose genus
     cannot be decided within the rotation budget downgrade "exhausted" to
@@ -577,8 +548,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                     tally["edge_cut"] += 1
                     continue
                 tally["planarity_tests"] += 1
-                # networkx takes a list as an edge list; a set would make it import numpy
-                planar = nx.check_planarity(nx.Graph(list(pairs)))[0]
+                planar = _lr_planar(nverts, pairs)
                 if not planar and not spec.genus_bound:
                     continue
                 total, morphism = _build_total(base, sizes, zip(slots, combo))

@@ -222,6 +222,191 @@ def _insert_multiedges_and_loops(
     return RotationSystem(rot)
 
 
+def _lr_planar(n: int, pairs) -> bool:
+    """Whether the simple graph on vertices 0..n-1 with the given distinct
+    pairs (a, b), a != b, as edges is planar.
+
+    The left-right test of de Fraysseix and Rosenstiehl as Brandes writes it
+    ("The Left-Right Planarity Test", 2009), without the embedding phase, on
+    flat lists: edges are numbered in pair order and keep the orientation the
+    first DFS gives them; a conflict pair is a list [left low, left high,
+    right low, right high] of back edges, -1 for none; an edge's stack bottom
+    is the stack height when it was reached.  Both DFSs keep explicit stacks,
+    so long paths stay within the recursion limit.
+    """
+    m = len(pairs)
+    if n > 2 and m > 3 * n - 6:
+        return False
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(pairs):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+
+    # orientation: heights, the tree edge into each vertex, each edge's two
+    # lowest return heights, and its nesting depth
+    height = [-1] * n
+    parent = [-1] * n
+    tail, head = [0] * m, [0] * m
+    lowpt, lowpt2, depth = [0] * m, [0] * m, [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]
+    oriented = bytearray(m)
+    nxt = [0] * n
+    roots = []
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            if nxt[v] < len(adj[v]):
+                w, e = adj[v][nxt[v]]
+                nxt[v] += 1
+                if oriented[e]:
+                    continue
+                oriented[e] = 1
+                tail[e], head[e] = v, w
+                out[v].append(e)
+                lowpt[e] = lowpt2[e] = height[v]
+                if height[w] < 0:
+                    parent[w] = e
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue
+                lowpt[e] = height[w]
+            else:
+                stack.pop()
+                e = parent[v]
+                if e < 0:
+                    continue
+                v = tail[e]
+            # e, leaving v, is done: set its depth and pass its return
+            # heights to the tree edge into v
+            depth[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
+            f = parent[v]
+            if f >= 0:
+                if lowpt[e] < lowpt[f]:
+                    lowpt2[f] = min(lowpt[f], lowpt2[e])
+                    lowpt[f] = lowpt[e]
+                elif lowpt[e] > lowpt[f]:
+                    lowpt2[f] = min(lowpt2[f], lowpt[e])
+                else:
+                    lowpt2[f] = min(lowpt2[f], lowpt2[e])
+
+    # testing: a DFS over each vertex's edges in nesting order
+    ordered = [sorted(es, key=depth.__getitem__) for es in out]
+    # one spare slot, so that ref[-1] (an interval with no low end) is a sink
+    ref = [-1] * (m + 1)
+    lowpt_edge = [0] * m
+    bottom = [0] * m
+    pairs_stack: list[list[int]] = []
+
+    def conflicting(p: list[int], side: int, b: int) -> bool:
+        # whether the interval at p[side:side + 2] is non-empty and has a
+        # return edge above b's lowest
+        return (p[side] >= 0 or p[side + 1] >= 0) and lowpt[p[side + 1]] > lowpt[b]
+
+    def lowest(p: list[int]) -> int:
+        if p[0] < 0 and p[1] < 0:
+            return lowpt[p[2]]
+        if p[2] < 0 and p[3] < 0:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [-1, -1, -1, -1]
+        # merge the return edges of ei into p's right interval
+        while True:
+            q = pairs_stack.pop()
+            if q[0] >= 0 or q[1] >= 0:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if q[0] >= 0 or q[1] >= 0:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] < 0 and p[3] < 0:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:
+                ref[q[2]] = lowpt_edge[e]
+            if len(pairs_stack) == bottom[ei]:
+                break
+        # merge the conflicting return edges of ei's earlier siblings into
+        # p's left interval
+        while True:
+            top = pairs_stack[-1]
+            if not (conflicting(top, 0, ei) or conflicting(top, 2, ei)):
+                break
+            q = pairs_stack.pop()
+            if conflicting(q, 2, ei):
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if conflicting(q, 2, ei):
+                return False
+            ref[p[2]] = q[3]
+            if q[2] >= 0:
+                p[2] = q[2]
+            if p[0] < 0 and p[1] < 0:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p[0] >= 0 or p[1] >= 0 or p[2] >= 0 or p[3] >= 0:
+            pairs_stack.append(p)
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        while pairs_stack and lowest(pairs_stack[-1]) == height[u]:
+            pairs_stack.pop()
+        if pairs_stack:
+            p = pairs_stack[-1]
+            # trim each interval's high end past the back edges into u
+            while p[1] >= 0 and head[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] < 0 and p[0] >= 0:
+                ref[p[0]] = p[2]
+                p[0] = -1
+            while p[3] >= 0 and head[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] < 0 and p[2] >= 0:
+                ref[p[2]] = p[0]
+                p[2] = -1
+
+    nxt = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            es = ordered[v]
+            i = nxt[v]
+            if i < len(es):
+                ei = es[i]
+                nxt[v] = i + 1
+                bottom[ei] = len(pairs_stack)
+                if parent[head[ei]] == ei:
+                    stack.append(head[ei])
+                    continue
+                lowpt_edge[ei] = ei
+                pairs_stack.append([-1, -1, ei, ei])
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                remove_back_edges(ei)
+                v = tail[ei]
+                i = nxt[v] - 1
+            # integrate the return edges of ei, the i-th edge out of v
+            if lowpt[ei] < height[v]:
+                if i == 0:
+                    lowpt_edge[parent[v]] = lowpt_edge[ei]
+                elif not add_constraints(ei, parent[v]):
+                    return False
+    return True
+
+
 @dataclass(frozen=True)
 class PlanarityReport:
     """Outcome of is_planar; support is the loopless simple graph tested,

@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import networkx as nx
 import pytest
@@ -33,7 +34,6 @@ from regulus import (
     pullback,
     search_covers,
     simplify,
-    star_maps,
 )
 from regulus.corpus import (
     amalgamation_loop,
@@ -116,6 +116,32 @@ class TestDirectedPredicates:
             )
             compc = compose_morphisms(midc, topc)
             assert is_directed_cover(compc).ok
+
+
+class StarReport(NamedTuple):
+    out_map: dict[str, str]
+    in_map: dict[str, str]
+    out_injective: bool
+    out_surjective: bool
+    in_injective: bool
+    in_surjective: bool
+
+
+def star_maps(phi: GraphMorphism, x: str) -> StarReport:
+    """Restrictions of the edge map to the outgoing and incoming stars at x,
+    with their classification: the star definition of emulators and covers
+    written out, a reference for the predicates."""
+    out_map = {e: phi.q[e] for e in phi.source.out_edges(x)}
+    in_map = {e: phi.q[e] for e in phi.source.in_edges(x)}
+    img = phi.p[x]
+    return StarReport(
+        out_map,
+        in_map,
+        len(set(out_map.values())) == len(out_map),
+        set(out_map.values()) == set(phi.target.out_edges(img)),
+        len(set(in_map.values())) == len(in_map),
+        set(in_map.values()) == set(phi.target.in_edges(img)),
+    )
 
 
 class TestStarMaps:
@@ -762,6 +788,35 @@ class TestSearchStats:
         s = out.stats
         assert s.edge_cut > 0 and s.planarity_tests < s.edge_cut
         assert s.genus_exact_calls == 0
+
+    @pytest.mark.parametrize(
+        "base, max_fiber, genus_bound, tests",
+        [(_circulant(7, (1, 2)), 2, 0, 86), (_k33(), 1, 1, 1)],
+        ids=["L7-12", "K3,3"],
+    )
+    def test_each_planarity_test_is_one_lr_call(
+        self, monkeypatch, base, max_fiber, genus_bound, tests
+    ):
+        lr_calls, nx_calls = [], []
+        lr_planar, check_planarity = emulation._lr_planar, nx.check_planarity
+
+        def counted_lr(n, pairs):
+            lr_calls.append(n)
+            return lr_planar(n, pairs)
+
+        def counted_nx(graph, counterexample=False):
+            nx_calls.append(counterexample)
+            return check_planarity(graph, counterexample)
+
+        monkeypatch.setattr(emulation, "_lr_planar", counted_lr)
+        monkeypatch.setattr(nx, "check_planarity", counted_nx)
+        spec = CoverSearchSpec(base, max_fiber=max_fiber, genus_bound=genus_bound)
+        out = search_covers(spec)
+        assert out.status == "found"
+        assert len(lr_calls) == out.stats.planarity_tests == tests
+        if genus_bound == 0:
+            # the planar hit's is_planar witness is the search's one networkx test
+            assert nx_calls == [False]
 
     def test_budget_exceeded_keeps_its_counts(self):
         out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), time_budget=1e-9))

@@ -434,6 +434,18 @@ class TestCliVerbs:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: "), (out, err)
 
+    def test_undirected_map_missing_a_vertex_names_it(self, tmp_path, capsys):
+        m = path_4_over_3()
+        source = UndirectedGraph([*m.source.vertices, "iso"], m.source.edges.items())
+        f = tmp_path / "m.json"
+        f.write_text(formats.dumps(formats.undirected_morphism_to_json(
+            UndirectedMorphism(source, m.target, m.p, m.q)
+        )))
+        for verb in ("check", "check-cover"):
+            assert main(["emu", verb, str(f)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "missing vertices ['iso'] edges []" in err, (out, err)
+
     def test_repeated_calls_keep_append_options_apart(self, tmp_path):
         # main reuses one parser; an appended --final must not reach the next call
         semi = tmp_path / "loops.json"

@@ -28,6 +28,7 @@ from regulus.digraph import components
 from regulus.genus import (
     GenusResult,
     _insert_multiedges_and_loops,
+    _lr_planar,
     _search_min_genus,
     _support,
     dart_tokens,
@@ -437,6 +438,143 @@ class TestPlanarity:
         assert rep.planar
         toks = [t for rot in rep.witness.rotations.values() for t in rot]
         assert sorted(toks) == ["e+", "e-", "f+", "f-"]
+
+
+_K5 = list(combinations(range(5), 2))
+_K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+def _relabelled(draw, n: int, pairs) -> tuple[int, list[tuple[int, int]]]:
+    """The graph under a drawn vertex numbering, its sorted pairs in drawn order."""
+    perm = draw(st.permutations(range(n)))
+    return n, draw(st.permutations([tuple(sorted((perm[a], perm[b]))) for a, b in pairs]))
+
+
+def _triangulation(draw, n: int) -> set[tuple[int, int]]:
+    """Edges of a triangulation of the sphere on n >= 3 vertices: a stacked
+    one (each vertex put into a drawn face), then drawn edge flips."""
+    faces = [(0, 1, 2), (0, 2, 1)]  # a face (a, b, c) has the darts a->b, b->c, c->a
+    for v in range(3, n):
+        a, b, c = faces.pop(draw(st.integers(0, len(faces) - 1)))
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+    edges = {tuple(sorted((f[i - 1], f[i]))) for f in faces for i in range(3)}
+    for _ in range(draw(st.integers(0, n))):
+        i = draw(st.integers(0, len(faces) - 1))
+        a, b, c = faces[i]
+        # the face across a->b has the dart b->a: rotate it to (b, a, d)
+        j, (_, _, d) = next(
+            (j, g) for j, f in enumerate(faces) for g in (f, f[1:] + f[:1], f[2:] + f[:2])
+            if g[:2] == (b, a)
+        )
+        if c == d or tuple(sorted((c, d))) in edges:
+            continue
+        edges.remove(tuple(sorted((a, b))))
+        edges.add(tuple(sorted((c, d))))
+        faces[i], faces[j] = (a, d, c), (d, b, c)
+    return edges
+
+
+@st.composite
+def random_graphs(draw, max_vertices: int = 40):
+    """A random graph: sparse, with up to n + 3 edges, or dense, with 2n to
+    3n edges where there are that many pairs."""
+    n = draw(st.integers(0, max_vertices))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]).map(lambda p: tuple(sorted(p)))
+    if draw(st.booleans()):
+        least, most = min(2 * n, n * (n - 1) // 2), 3 * n
+    else:
+        least, most = 0, n + 3
+    return n, list(draw(st.sets(pair, min_size=least, max_size=most)))
+
+
+@st.composite
+def near_triangulations(draw, max_vertices: int = 40):
+    """A triangulation less a few edges, plus up to three random edges (which
+    make most of them non-planar), relabelled."""
+    n = draw(st.integers(3, max_vertices))
+    edges = _triangulation(draw, n)
+    edges -= draw(st.sets(st.sampled_from(sorted(edges)), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.add((min(a, b), max(a, b)))
+    return _relabelled(draw, n, edges)
+
+
+@st.composite
+def hung_kuratowski(draw):
+    """K5 or K3,3 with each edge subdivided up to twice, and up to two
+    planar parts (triangulations less some edges) hung on it at a vertex."""
+    n, core = draw(st.sampled_from([(5, _K5), (6, _K33)]))
+    pairs = []
+    for a, b in core:
+        k = draw(st.integers(0, 2))
+        path = [a, *range(n, n + k), b]
+        n += k
+        pairs += zip(path, path[1:])
+    for _ in range(draw(st.integers(0, 2))):
+        size = draw(st.integers(3, 8))
+        part = sorted(_triangulation(draw, size))
+        part = draw(st.lists(st.sampled_from(part), unique=True, min_size=1))
+        at = draw(st.integers(0, n - 1))
+        pairs += [(at if a == 0 else n + a - 1, n + b - 1) for a, b in part]
+        n += size - 1
+    return _relabelled(draw, n, pairs)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two graphs side by side with up to three isolated vertices, relabelled."""
+    part = st.one_of(random_graphs(12), near_triangulations(12), hung_kuratowski())
+    (n, first), (m, second) = draw(part), draw(part)
+    pairs = first + [(a + n, b + n) for a, b in second]
+    return _relabelled(draw, n + m + draw(st.integers(0, 3)), pairs)
+
+
+def _nx_planar(n: int, pairs) -> bool:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(pairs)
+    return nx.check_planarity(graph)[0]
+
+
+class TestLRPlanar:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(random_graphs(), near_triangulations(), hung_kuratowski(), disjoint_unions()))
+    @example((0, []))
+    @example((5, _K5))
+    @example((6, _K33))
+    @example((6, _K5))  # K5 and an isolated vertex
+    def test_agrees_with_networkx(self, case):
+        n, pairs = case
+        assert _lr_planar(n, pairs) == _nx_planar(n, pairs)
+
+    @pytest.mark.parametrize("k, steps", [(6, (1, 3)), (7, (1, 2))], ids=["L6-13", "L7-12"])
+    def test_agrees_on_the_supports_a_cover_search_tests(self, monkeypatch, k, steps):
+        from regulus import CoverSearchSpec, emulation, search_covers
+
+        tested = []
+
+        def recording(n, pairs):
+            tested.append((n, list(pairs)))
+            return _lr_planar(n, pairs)
+
+        monkeypatch.setattr(emulation, "_lr_planar", recording)
+        base = DiGraph(
+            [str(i) for i in range(k)],
+            [(f"t{i}_{j}", str(i), str((i + j) % k)) for i in range(k) for j in steps],
+        )
+        out = search_covers(CoverSearchSpec(base, max_fiber=2))
+        assert out.status == "found" and len(tested) == out.stats.planarity_tests
+        for n, pairs in tested:
+            assert _lr_planar(n, pairs) == _nx_planar(n, pairs)
+
+    def test_long_cycle_and_large_grid_stay_within_the_recursion_limit(self):
+        assert _lr_planar(5000, [(i, i + 1) for i in range(4999)] + [(0, 4999)])
+        grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(70, 70))
+        assert _lr_planar(4900, [tuple(sorted(e)) for e in grid.edges])
 
 
 class TestSupport:
