@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, count, product
-from operator import itemgetter
 from typing import Iterable
 
 from .digraph import (
     DiGraph,
     GraphMorphism,
-    IntView,
     ancestors,
     strongly_connected_components,
 )
@@ -35,27 +33,90 @@ def _classes(ids: Iterable[str], blocks: Iterable) -> tuple[tuple[str, ...], ...
     return tuple(map(tuple, groups.values()))
 
 
-def _canonical_partition(classes: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    normed = [tuple(sorted(set(c))) for c in classes]
-    return tuple(sorted(filter(None, normed), key=itemgetter(0)))
+def _blocks(keys) -> tuple[list[int], int]:
+    """Each key's block number, blocks numbered in first-seen order, and the
+    number of blocks."""
+    number: dict = {}
+    blocks = [number.setdefault(k, len(number)) for k in keys]
+    return blocks, len(number)
 
 
-class _ClassIndex:
-    """Derived data of one relation on its domain, the pair (sorted vertex
-    ids, sorted edge ids): `vector` holds each id's class number in domain
-    order, vertex classes numbered first and edge classes after them, both in
-    the order of the relation's classes.  A relation that a layer builds on a
-    graph shares the graph's domain object (`DiGraph.int_view`), and one that
-    `is_automatic` checks on a graph takes that object over, so relations on
-    one graph compare domains by identity.  `mask`, the same-class pairs, is
-    built on first use.  `verified_on` is the graph object on which the
-    relation last verified automatic; graphs and relations are immutable, so
-    that verdict stands."""
+class AutomaticRelation:
+    """Paired vertex/edge equivalences held as one class-number vector over
+    their domain, the pair (sorted vertex ids, sorted edge ids).  `vector`
+    numbers the vertex classes first and the edge classes after them, each in
+    first-seen order over the sorted ids.  That numbering is canonical, so
+    equality and hashing read only the domain and the vector.  The
+    constructor takes any hashable key per id and renumbers the vertex part
+    and the edge part separately into it.
 
-    def __init__(self, domain: tuple, vector: tuple[int, ...]):
+    A relation that the layer builds on a graph shares the graph's domain
+    object (`DiGraph.int_view`), and one that `is_automatic` checks on a
+    graph takes that object over, so relations on one graph compare domains
+    by identity.  `verified_on` is the graph object on which the relation
+    last verified automatic; graphs and relations are immutable, so that
+    verdict stands."""
+
+    def __init__(self, domain: tuple, vector: Iterable):
+        keys = tuple(vector)
+        n = len(domain[0])
+        if len(keys) != n + len(domain[1]):
+            raise DomainError("class vector and domain differ in length")
+        vertex_blocks, nv = _blocks(keys[:n])
         self.domain = domain
-        self.vector = vector
+        self.vector = tuple(vertex_blocks + [nv + b for b in _blocks(keys[n:])[0]])
         self.verified_on = None
+
+    @staticmethod
+    def from_classes(vertex_classes, edge_classes) -> "AutomaticRelation":
+        """The relation with the given classes.  The vertex classes and the
+        edge classes must each partition their ids; the two are kept apart,
+        as a vertex and an edge may share an id."""
+        class_maps = []
+        for classes in (vertex_classes, edge_classes):
+            class_of: dict = {}
+            for k, c in enumerate(classes):
+                for x in c:
+                    if class_of.setdefault(x, k) != k:
+                        raise DomainError("classes do not partition the underlying set")
+            class_maps.append(class_of)
+        vertex_class, edge_class = class_maps
+        domain = (tuple(sorted(vertex_class)), tuple(sorted(edge_class)))
+        vector = [*map(vertex_class.get, domain[0]), *map(edge_class.get, domain[1])]
+        return AutomaticRelation(domain, vector)
+
+    @staticmethod
+    def identity(g: DiGraph) -> "AutomaticRelation":
+        domain = g.int_view().domain
+        return AutomaticRelation(domain, range(len(domain[0]) + len(domain[1])))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AutomaticRelation)
+            and self.vector == other.vector
+            and (self.domain is other.domain or self.domain == other.domain)
+        )
+
+    def __hash__(self):
+        return hash((self.domain, self.vector))
+
+    def __repr__(self):
+        return f"AutomaticRelation({self.domain!r}, {self.vector!r})"
+
+    @cached_property
+    def _partition(self) -> tuple:
+        """The vertex classes and the edge classes in canonical form: members
+        sorted, classes ordered by least member."""
+        vertices, edges = self.domain
+        return _classes(vertices, self.vector), _classes(edges, self.vector[len(vertices):])
+
+    @property
+    def vertex_classes(self) -> tuple[tuple[str, ...], ...]:
+        return self._partition[0]
+
+    @property
+    def edge_classes(self) -> tuple[tuple[str, ...], ...]:
+        return self._partition[1]
 
     @cached_property
     def mask(self) -> int:
@@ -71,44 +132,6 @@ class _ClassIndex:
         rows = [c.to_bytes(width, "little") for c in cols]
         return int.from_bytes(b"".join(map(rows.__getitem__, self.vector)), "little")
 
-
-@dataclass(frozen=True)
-class AutomaticRelation:
-    """Paired vertex/edge partitions in canonical form (classes sorted by
-    least member), so relation equality is structural equality."""
-
-    vertex_classes: tuple[tuple[str, ...], ...]
-    edge_classes: tuple[tuple[str, ...], ...]
-
-    @staticmethod
-    def from_classes(vertex_classes, edge_classes) -> "AutomaticRelation":
-        return AutomaticRelation(
-            _canonical_partition(vertex_classes), _canonical_partition(edge_classes)
-        )
-
-    @staticmethod
-    def identity(g: DiGraph) -> "AutomaticRelation":
-        return AutomaticRelation.from_classes(
-            [[v] for v in g.vertices], [[e] for e in g.edges]
-        )
-
-    @cached_property
-    def _index(self) -> _ClassIndex:
-        vc, ec = self.vertex_classes, self.edge_classes
-        if vc != _canonical_partition(vc) or ec != _canonical_partition(ec):
-            # equality is structural, so out-of-order classes would compare
-            # unequal to the same relation in canonical form
-            raise DomainError("classes are not in canonical form; use from_classes")
-        vertex_class = {v: i for i, c in enumerate(vc) for v in c}
-        edge_class = {e: i for i, c in enumerate(ec, len(vc)) for e in c}
-        domain = (tuple(sorted(vertex_class)), tuple(sorted(edge_class)))
-        vector = tuple(map(vertex_class.__getitem__, domain[0])) + tuple(
-            map(edge_class.__getitem__, domain[1])
-        )
-        if len(vector) != sum(map(len, vc + ec)):
-            raise DomainError("classes do not partition the underlying set")
-        return _ClassIndex(domain, vector)
-
     def vertex_class_of(self) -> dict[str, tuple[str, ...]]:
         return {v: c for c in self.vertex_classes for v in c}
 
@@ -116,32 +139,16 @@ class AutomaticRelation:
         return {e: c for c in self.edge_classes for e in c}
 
     def is_identity(self) -> bool:
-        return all(len(c) == 1 for c in self.vertex_classes) and all(
-            len(c) == 1 for c in self.edge_classes
-        )
-
-
-def _relation(view: IntView, vector: list[int]) -> AutomaticRelation:
-    """The relation with the given class numbers over the graph's domain.
-    Numbered first-seen over the sorted ids, they are the canonical class
-    numbers, so the classes come out canonical and the relation keeps the
-    vector as its index."""
-    vertices, edges = view.domain
-    vertex_classes = max(vector[: len(vertices)], default=-1) + 1
-    classes = _classes(vertices + edges, vector)
-    r = AutomaticRelation(classes[:vertex_classes], classes[vertex_classes:])
-    object.__setattr__(r, "_index", _ClassIndex(view.domain, tuple(vector)))
-    return r
+        return max(self.vector, default=-1) + 1 == len(self.vector)
 
 
 def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
     """r1 <= r2 when every r1 class is contained in an r2 class (both sorts):
     exactly when r1's same-class pairs are r2's too."""
-    a, b = r1._index, r2._index
-    if a.domain is not b.domain and a.domain != b.domain:
+    if r1.domain is not r2.domain and r1.domain != r2.domain:
         raise DomainError("relations on different vertex or edge sets")
-    m = a.mask
-    return m & b.mask == m
+    m = r1.mask
+    return m & r2.mask == m
 
 
 @dataclass(frozen=True)
@@ -163,15 +170,14 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
     first witness met going through the classes in order, and each class's
     members in order.  A relation verified on this graph object before is not
     checked again."""
-    idx = r._index
-    if idx.verified_on is g:
+    if r.verified_on is g:
         return _AUTOMATIC
     view = g.int_view()
-    if idx.domain is not view.domain and idx.domain != view.domain:
+    if r.domain is not view.domain and r.domain != view.domain:
         raise DomainError("classes do not partition the underlying set")
-    idx.domain = view.domain
+    r.domain = view.domain
     vertices, edges = view.domain
-    vclass, eclass = idx.vector[: len(vertices)], idx.vector[len(vertices):]
+    vclass, eclass = r.vector[: len(vertices)], r.vector[len(vertices):]
     sources, targets = view.sources, view.targets
     first: dict[int, int] = {}  # the first edge of each edge class
     bad = None  # (class, edge, end) of the least class's first violation
@@ -194,7 +200,7 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
             for k, j0 in first.items() for x, c in enumerate(vclass)
             if c == vclass[sources[j0]] and (k, x) not in fanout
         )
-    idx.verified_on = g
+    r.verified_on = g
     return _AUTOMATIC
 
 
@@ -216,14 +222,13 @@ def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
         [c[0] for c in r.vertex_classes],
         [(c[0], vrep[g.src(c[0])], vrep[g.dst(c[0])]) for c in r.edge_classes],
     )
-    can = GraphMorphism(g, q, vrep, erep)
-    return q, can
+    return q, GraphMorphism(g, q, vrep, erep)
 
 
 def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
     """True when distinct related edges always have distinct sources."""
     _require_automatic(g, r, "relation is not automatic")
-    eclass = r._index.vector[len(g.vertices):]
+    eclass = r.vector[len(g.vertices):]
     return len(set(zip(eclass, g.int_view().sources))) == len(eclass)
 
 
@@ -234,8 +239,10 @@ def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
     report = is_directed_emulator(phi)
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")
-    return AutomaticRelation.from_classes(
-        _classes(phi.p, phi.p.values()), _classes(phi.q, phi.q.values())
+    view = phi.source.int_view()
+    vertices, edges = view.domain
+    return AutomaticRelation(
+        view.domain, [*map(phi.p.__getitem__, vertices), *map(phi.q.__getitem__, edges)]
     )
 
 
@@ -258,16 +265,15 @@ def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
 def compose_relations(
     g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation
 ) -> AutomaticRelation:
-    """Compose r1 on g with r2 on the quotient g/r1 into a relation on g."""
-    q, can = quotient(g, r1)
+    """Compose r1 on g with r2 on the quotient g/r1 into a relation on g.
+    The quotient's ids are r1's least members, so its sorted vertices and
+    edges come in r1's class order: position k of r2's vector is r1's class
+    k, and each id's class under the composite is r2's class of its r1 class."""
+    q, _ = quotient(g, r1)
     report = is_automatic(q, r2)
     if not report.ok:
         raise DomainError("second relation is not automatic on the quotient")
-    v2, e2 = r2.vertex_class_of(), r2.edge_class_of()
-    return AutomaticRelation.from_classes(
-        _classes(g.vertices, (v2[can.p[v]] for v in g.vertices)),
-        _classes(g.edges, (e2[can.q[e]] for e in g.edges)),
-    )
+    return AutomaticRelation(g.int_view().domain, map(r2.vector.__getitem__, r1.vector))
 
 
 @dataclass(frozen=True)
@@ -292,14 +298,6 @@ class FinalFamily:
             seen |= s
 
 
-def _blocks(keys) -> tuple[list[int], int]:
-    """Each key's block number, blocks numbered in first-seen order, and the
-    number of blocks."""
-    number: dict = {}
-    blocks = [number.setdefault(k, len(number)) for k in keys]
-    return blocks, len(number)
-
-
 def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation:
     """The coarsest automatic relation whose classes lie within those of the
     keys, one hashable per vertex and per edge in id order.  Moore-style steps
@@ -307,9 +305,8 @@ def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation
     vertices by (block, set of out-edge blocks) in turn.  A step that adds no
     block leaves the next one nothing to split, so the first such step ends
     the refinement, except the first edge step, which no vertex step has seen.
-    The steps run on the graph's integer view (`DiGraph.int_view`), and its
-    ids are sorted, so the first-seen block numbers are the canonical class
-    numbers: the result is built from them and keeps them as its index."""
+    The steps run on the graph's integer view (`DiGraph.int_view`), and the
+    result is the block numbers over its domain."""
     view = g.int_view()
     sources, targets, outs = view.sources, view.targets, view.outs
     vb, nv = _blocks(vertex_keys)
@@ -324,7 +321,7 @@ def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation
         if ne_next == ne:
             break
         nv, ne = nv_next, ne_next
-    return _relation(view, vb + [nv_next + b for b in eb])
+    return AutomaticRelation(view.domain, vb + eb)
 
 
 def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
@@ -417,8 +414,8 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
     vectors joins both."""
     for r in (r1, r2):
         _require_automatic(g, r, "join input is not automatic")
-    x, y = r1._index.vector, r2._index.vector
-    parent = list(range(len(r1.vertex_classes) + len(r1.edge_classes)))
+    x, y = r1.vector, r2.vector
+    parent = list(range(len(x)))
 
     def root(k: int) -> int:
         while parent[k] != k:
@@ -430,7 +427,7 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
         a, b = root(i), root(first.setdefault(j, i))
         if a != b:
             parent[max(a, b)] = min(a, b)
-    out = _relation(g.int_view(), _blocks(map(root, x))[0])
+    out = AutomaticRelation(g.int_view().domain, map(root, x))
     _require_automatic(g, out, "join failed to be automatic")
     return out
 
@@ -440,7 +437,7 @@ def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
     pairwise intersections of the classes."""
     for r in (r1, r2):
         _require_automatic(g, r, "meet input is not automatic")
-    x, y = r1._index.vector, r2._index.vector
+    x, y = r1.vector, r2.vector
     n = len(g.vertices)
     out = _coarsest_automatic(g, zip(x[:n], y[:n]), zip(x[n:], y[n:]))
     _require_automatic(g, out, "meet failed to be automatic")
@@ -497,8 +494,8 @@ def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
         else:
             for parts in product(*kept_per_group):
                 eclass = [0] * len(sources)
-                for n, block in enumerate(chain.from_iterable(parts), len(vpart)):
+                for n, block in enumerate(chain.from_iterable(parts)):
                     for j in block:
                         eclass[j] = n
-                out.append(_relation(view, _blocks(vclass + eclass)[0]))
+                out.append(AutomaticRelation(view.domain, vclass + eclass))
     return out

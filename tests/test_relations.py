@@ -30,7 +30,10 @@ from regulus import (
     relation_leq,
     simplify,
 )
+from regulus import formats
+from regulus.cli import main
 from regulus.corpus import amalgamation_loop, loop2_to_loop1, par2_swap
+from regulus.formats import relation_from_json, relation_to_json
 from regulus.relations import canonical_semi_automaton, is_complete_final_system
 
 from conftest import (
@@ -465,6 +468,12 @@ def _reference_is_automatic(g, r):
     return True, "", ()
 
 
+def _overlaps(classes):
+    """Whether some id lies in two of the classes."""
+    sets = [set(c) for c in classes]
+    return sum(map(len, sets)) != len(set().union(*sets))
+
+
 def _reference_partitions(items):
     if not items:
         yield []
@@ -645,27 +654,28 @@ class TestAgainstReferences:
             relation_leq(AutomaticRelation.identity(c2()), AutomaticRelation.identity(p2()))
 
     def test_leq_refuses_classes_that_do_not_partition(self):
-        # "a" lies in two classes of r, so r is no relation to order
-        r = AutomaticRelation.from_classes([["a", "b"], ["a"]], [])
-        s = AutomaticRelation.from_classes([["a", "b"]], [])
-        for r1, r2 in ((r, s), (s, r), (r, r)):
-            with pytest.raises(DomainError, match="do not partition"):
-                relation_leq(r1, r2)
+        # "a" lies in two classes, so they make no relation to order: they
+        # are refused where they enter
+        with pytest.raises(DomainError, match="do not partition"):
+            AutomaticRelation.from_classes([["a", "b"], ["a"]], [])
 
-    def test_classes_out_of_canonical_order_are_refused(self):
-        # built directly, out of order, the relation used to check automatic
-        # and then fail its own round trip: it was != its canonical form
+    def test_a_non_canonical_numbering_is_its_canonical_relation(self):
+        # a relation that compared unequal to its own canonical form used to
+        # check automatic and then fail its own round trip; any numbering
+        # given to the constructor now comes out canonical
         g = c2()
-        for r in (AutomaticRelation((("b", "a"),), (("e2", "e1"),)),
-                  AutomaticRelation((("b",), ("a",)), (("e1",), ("e2",)))):
-            for check in (is_automatic, automatic_to_mn_roundtrip, quotient, is_cover_relation):
-                with pytest.raises(DomainError, match="canonical"):
-                    check(g, r)
-            with pytest.raises(DomainError, match="canonical"):
-                relation_leq(r, AutomaticRelation.identity(g))
-        canonical = AutomaticRelation.from_classes([("b", "a")], [("e2", "e1")])
-        assert is_automatic(g, canonical).ok
-        assert automatic_to_mn_roundtrip(g, canonical).ok
+        total = ((("a", "b"),), (("e1", "e2"),))
+        identity = ((("a",), ("b",)), (("e1",), ("e2",)))
+        for keys, classes in (((7, 7, "x", "x"), total), ((1, 0, 1, 0), identity),
+                              ((1, 0, 9, 3), identity)):
+            r = AutomaticRelation((("a", "b"), ("e1", "e2")), keys)
+            assert (r.vertex_classes, r.edge_classes) == classes
+            canonical = AutomaticRelation.from_classes(*classes)
+            assert r == canonical and hash(r) == hash(canonical)
+            assert r.vector == canonical.vector
+            assert is_automatic(g, r).ok and automatic_to_mn_roundtrip(g, r).ok
+        with pytest.raises(DomainError, match="differ in length"):
+            AutomaticRelation((("a", "b"), ("e1", "e2")), (0, 0, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_with_class_lists())
@@ -677,6 +687,10 @@ class TestAgainstReferences:
     @example((c2(), [["a", "b"], ["a"]], [["e1", "e2"]]))
     def test_is_automatic_matches_reference(self, case):
         g, vertex_classes, edge_classes = case
+        if _overlaps(vertex_classes) or _overlaps(edge_classes):
+            with pytest.raises(DomainError, match="do not partition"):
+                AutomaticRelation.from_classes(vertex_classes, edge_classes)
+            return
         r = AutomaticRelation.from_classes(vertex_classes, edge_classes)
         try:
             want = _reference_is_automatic(g, r)
@@ -784,28 +798,90 @@ class TestAgainstReferences:
     @settings(max_examples=150, deadline=None)
     @given(multidigraphs(), st.data())
     def test_layer_relations_index_like_their_classes(self, g, data):
-        # mn_refine, maximum, meet and join build their results from block
-        # numbers on the graph's domain; each must index as the same classes
-        # do when built afresh, whose domain is equal but another object
+        # every relation the layer builds is a vector on the graph's domain
+        # object; each must index as the same classes do when built afresh,
+        # whose domain is equal but another object
         rels = enumerate_automatic_relations(g)
+        assert all(r.domain is g.int_view().domain for r in rels)
         relation = st.sampled_from(rels)
         labels = {e: data.draw(st.sampled_from("ab")) for e in g.edges}
         a = SemiAutomaton(g, set(labels.values()), labels)
         finals = data.draw(partitions([v for v in g.vertices if data.draw(st.booleans())]))
         r1, r2 = data.draw(relation), data.draw(relation)
+        q, can = quotient(g, r1)
         built = [mn_refine(a, FinalFamily.of(*finals)), maximum(g), meet(g, r1, r2),
-                 join(g, r1, r2)]
+                 join(g, r1, r2), AutomaticRelation.identity(g), canonical_relation(can),
+                 compose_relations(g, r1, maximum(q))]
+        assert all(r.domain is g.int_view().domain for r in built)
         for r in built:
             fresh, unchecked = _canonical(r), _canonical(r)
-            got, want = r._index, fresh._index
-            assert got.domain is g.int_view().domain
-            assert (got.vector, got.mask) == (want.vector, want.mask)
+            assert (r.vector, r.mask) == (fresh.vector, fresh.mask)
             for s in rels + built:
                 for x, y in ((r, unchecked), (unchecked, r), (unchecked, s), (s, unchecked)):
                     assert relation_leq(x, y) == _reference_leq(x, y)
-            assert unchecked._index.domain == got.domain
-            assert unchecked._index.domain is not got.domain
+            assert unchecked.domain == r.domain
+            assert unchecked.domain is not r.domain
             want_report, got_report = is_automatic(g, fresh), is_automatic(g, r)
             assert (got_report.ok, got_report.clause, got_report.witness) == (
                 want_report.ok, want_report.clause, want_report.witness)
-            assert fresh._index.domain is got.domain  # checked, it takes the graph's over
+            assert fresh.domain is r.domain  # checked, it takes the graph's over
+
+    @settings(max_examples=200, deadline=None)
+    @given(multidigraphs(), st.data())
+    def test_one_relation_three_constructions(self, g, data):
+        # built by the layer, from its classes, and from its class numbers
+        # relabelled by an injection on an equal but distinct domain object
+        rels = enumerate_automatic_relations(g)
+        r1, r2 = data.draw(st.sampled_from(rels)), data.draw(st.sampled_from(rels))
+        how = data.draw(st.sampled_from(["meet", "join", "mn_refine"]))
+        if how == "mn_refine":
+            labels = {e: data.draw(st.sampled_from("ab")) for e in g.edges}
+            a = SemiAutomaton(g, set(labels.values()), labels)
+            finals = data.draw(partitions([v for v in g.vertices if data.draw(st.booleans())]))
+            layer = mn_refine(a, FinalFamily.of(*finals))
+        else:
+            layer = {"meet": meet, "join": join}[how](g, r1, r2)
+        by_classes = AutomaticRelation.from_classes(layer.vertex_classes, layer.edge_classes)
+        # shifted, the relabelling is never the identity on a non-empty vector
+        shift = data.draw(st.integers(1, 50))
+        relabel = [k + shift for k in data.draw(st.permutations(range(len(layer.vector))))]
+        domain = (tuple(g.vertices), tuple(sorted(g.edges)))
+        by_keys = AutomaticRelation(domain, [relabel[k] for k in layer.vector])
+        three = (layer, by_classes, by_keys)
+        for x in three:
+            for y in three:
+                assert x == y and hash(x) == hash(y)
+            assert relation_from_json(relation_to_json(x)) == x
+        assert len(set(three)) == 1
+
+
+class TestOverlappingIds:
+    # a 4-cycle whose edges are named after vertices: vertex a and edge a
+    # lie in different classes, so one shared id->class map refuses them
+    def graph(self):
+        return DiGraph("abcd", [("b", "a", "b"), ("c", "b", "c"), ("d", "c", "d"), ("a", "d", "a")])
+
+    def relation(self):
+        return AutomaticRelation.from_classes([["a", "c"], ["b", "d"]], [["b", "d"], ["a", "c"]])
+
+    def test_the_layer_keeps_vertex_and_edge_ids_apart(self):
+        g, r = self.graph(), self.relation()
+        assert r.vertex_classes == (("a", "c"), ("b", "d"))
+        assert r.edge_classes == (("a", "c"), ("b", "d"))
+        assert r.vector == (0, 1, 0, 1, 2, 3, 2, 3)
+        assert relation_from_json(relation_to_json(r)) == r
+        assert is_automatic(g, r).ok and is_cover_relation(g, r)
+        q, can = quotient(g, r)
+        assert q == DiGraph("ab", [("a", "b", "a"), ("b", "a", "b")])
+        assert is_directed_cover(can).ok
+        back, iota = factorize(can)
+        assert back == r and iota.is_isomorphism()
+        assert automatic_to_mn_roundtrip(g, r).ok
+
+    def test_rel_check(self, tmp_path):
+        g, rel, out = tmp_path / "g.json", tmp_path / "r.json", tmp_path / "out.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(self.graph())))
+        rel.write_text(formats.dumps({"vertex_classes": [["a", "c"], ["b", "d"]],
+                                      "edge_classes": [["b", "d"], ["a", "c"]]}))
+        assert main(["rel", "check", str(g), str(rel), "-o", str(out)]) == 0
+        assert formats.loads(out.read_text()) == {"automatic": True, "cover": True}
