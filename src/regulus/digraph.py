@@ -8,9 +8,8 @@ operation is a pure function, so everything here is safe to share freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Callable, Iterable, Mapping
-
-import networkx as nx
 
 from .errors import DomainError
 
@@ -432,6 +431,15 @@ def _closure(starts: Iterable, step: Callable[[Any], Iterable]) -> frozenset:
     return frozenset(seen)
 
 
+def _adjacency(n: int, pairs) -> list[list[int]]:
+    """Each vertex's neighbours along the pairs of 0..n-1, taken both ways."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    return adjacent
+
+
 def ancestors(g: DiGraph, w: str) -> frozenset[str]:
     """All vertices with a walk to w, including w itself."""
     return _closure([w], lambda x: map(g.src, g.in_edges(x)))
@@ -478,11 +486,43 @@ def components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
 
 
 def strongly_connected_components(g: DiGraph) -> list[frozenset[str]]:
-    """The strongly connected components, by networkx, in no promised order."""
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from(g.edges.values())
-    return [frozenset(c) for c in nx.strongly_connected_components(nxg)]
+    """Tarjan's algorithm over the integer view with an explicit stack; the
+    components come in reverse topological order.  A vertex whose component
+    is done takes index n, so that it lowers no other vertex's low link."""
+    view = g.int_view()
+    n = len(g.vertices)
+    index, low = [-1] * n, [0] * n
+    stack, work, comps = [], [], []  # work: (vertex, iterator over its out-edges)
+    clock = count()
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = next(clock)
+        stack.append(v)
+        work.append((v, iter(view.outs[v])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, edges = work[-1]
+            for e in edges:
+                w = view.targets[e]
+                if index[w] < 0:
+                    visit(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = n
+                    comps.append(frozenset(g.vertices[x] for x in comp))
+    return comps
 
 
 def contract_cycle(g: DiGraph, cycle: DirectedCycle) -> DiGraph:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 from operator import add
 
-import networkx as nx
-
 from .digraph import (
     DiGraph,
     GraphMorphism,
     UndirectedGraph,
     UndirectedMorphism,
     ValidationReport,
+    _adjacency,
     _closure,
     bidirect,
     bidirect_edge_id,
@@ -474,18 +473,21 @@ def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter):
 
 def _connected(n: int, pairs) -> bool:
     """Whether the vertex pairs join 0..n-1 into one component."""
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    return len(_closure([0], adjacent.__getitem__)) == n
+    return len(_closure([0], _adjacency(n, pairs).__getitem__)) == n
 
 
 def _bipartite_covers(base: DiGraph) -> bool:
     """Whether every cover of the base is bipartite: a 2-colouring of the base
     lifts through the cover map.  A loop may lift to an edge inside one fibre,
-    so it counts as the odd cycle it is."""
-    return nx.is_bipartite(nx.Graph(list(base.edges.values())))
+    so it counts as the odd cycle it is.  Each vertex takes the parity of a
+    walk to it; a graph with an odd cycle keeps an edge within one colour."""
+    view = base.int_view()
+    adjacent = _adjacency(len(view.outs), zip(view.sources, view.targets))
+    colour: dict[int, int] = {}
+    for v in range(len(adjacent)):
+        if v not in colour:
+            colour.update(_closure([(v, 0)], lambda x: [(y, 1 - x[1]) for y in adjacent[x[0]]]))
+    return all(colour[a] != colour[b] for a, b in zip(view.sources, view.targets))
 
 
 def _edge_cap(v: int, n: int, bipartite: bool) -> float:
@@ -548,7 +550,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                     tally["edge_cut"] += 1
                     continue
                 tally["planarity_tests"] += 1
-                planar = _lr_planar(nverts, pairs)
+                planar = _lr_planar(nverts, pairs) is not None
                 if not planar and not spec.genus_bound:
                     continue
                 total, morphism = _build_total(base, sizes, zip(slots, combo))

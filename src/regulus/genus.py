@@ -16,11 +16,11 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-import networkx as nx
-
-from .digraph import DiGraph, UndirectedGraph, components, excise, forget, opposite, simplify
+from .digraph import (
+    DiGraph, UndirectedGraph, _adjacency, components, excise, forget, opposite, simplify
+)
 from .errors import BudgetError, DomainError, PreconditionError
 
 DEFAULT_ROTATION_BUDGET = 10**5
@@ -166,37 +166,65 @@ def undirected_girth(g: DiGraph | UndirectedGraph) -> float:
     """Length of a shortest cycle: loops give 1, parallel edges 2, inf if acyclic."""
     if any(g.is_loop(e) for e in g.edges):
         return 1
-    support = _support(g)[0]
-    return 2 if len(support.edges) < len(g.edges) else nx.girth(support)
+    support = _support(g)
+    return 2 if len(support.pairs) < len(g.edges) else _girth(len(g.vertices), support.pairs)
 
 
-def _support(g: DiGraph | UndirectedGraph) -> tuple[nx.Graph, dict[tuple[str, str], list[str]]]:
-    """Loopless simple support as the nx.Graph the planarity test reads, each edge's "eid"
-    its least original edge, added in vertex and edge-id order; plus the edge groups."""
+def _girth(n: int, pairs) -> float:
+    """Girth of the simple graph on 0..n-1 with these pairs as edges, inf if
+    acyclic: a breadth-first search from every vertex, in which each non-tree
+    edge closes a walk that holds a cycle, a shortest one from its own vertices."""
+    adjacent = _adjacency(n, pairs)
+    best = math.inf
+    for root in range(n):
+        dist, parent = {root: 0}, {root: -1}
+        frontier = [root]
+        # a level-d search closes no walk shorter than 2d + 1
+        while frontier and 2 * dist[frontier[0]] + 1 < best:
+            nxt = []
+            for x in frontier:
+                for y in adjacent[x]:
+                    if y not in dist:
+                        dist[y], parent[y] = dist[x] + 1, x
+                        nxt.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        best = min(best, dist[x] + dist[y] + 1)
+            frontier = nxt
+    return best
+
+
+class _Support(NamedTuple):
+    """A graph's loopless simple support: each edge as its vertex positions,
+    smaller first, and as its least original edge, in that edge's order, and
+    the original edges grouped by their sorted ends in the same order."""
+
+    vertices: tuple[str, ...]
+    pairs: list[tuple[int, int]]
+    eids: list[str]
+    groups: dict[tuple[str, str], list[str]]
+
+
+def _support(g: DiGraph | UndirectedGraph) -> _Support:
     groups: dict[tuple[str, str], list[str]] = {}
     for e, ends in g.edges.items():
         a, b = min(ends), max(ends)
         if a != b:
             groups.setdefault((a, b), []).append(e)
-    support = nx.Graph()
-    support.add_nodes_from(g.vertices)
-    support.add_edges_from((a, b, {"eid": es[0]}) for (a, b), es in groups.items())
-    return support, groups
+    index = {v: i for i, v in enumerate(g.vertices)}
+    pairs = [(index[a], index[b]) for a, b in groups]
+    return _Support(g.vertices, pairs, [es[0] for es in groups.values()], groups)
 
 
-def _planar_embedding_support(support: nx.Graph):
+def _planar_embedding_support(support: _Support):
     """Rotations of a planar embedding of the support ("+" at each edge's smaller end), or None."""
-    ok, cert = nx.check_planarity(support)
-    if not ok:
+    embedding = _lr_planar(len(support.vertices), support.pairs)
+    if embedding is None:
         return None
-    rotations = {}
-    for v, nbrs in support.adj.items():
-        order = []
-        for w in cert.neighbors_cw_order(v):
-            e = nbrs[w]["eid"]
-            order.append(f"{e}+" if v < w else f"{e}-")
-        rotations[v] = tuple(order)
-    return rotations
+    eid = dict(zip(support.pairs, support.eids))
+    return {
+        v: tuple(f"{eid[v_, w]}+" if v_ < w else f"{eid[w, v_]}-" for w in nbrs)
+        for v_, (v, nbrs) in enumerate(zip(support.vertices, embedding))
+    }
 
 
 def _insert_multiedges_and_loops(
@@ -222,21 +250,24 @@ def _insert_multiedges_and_loops(
     return RotationSystem(rot)
 
 
-def _lr_planar(n: int, pairs) -> bool:
-    """Whether the simple graph on vertices 0..n-1 with the given distinct
-    pairs (a, b), a != b, as edges is planar.
+def _lr_planar(n: int, pairs) -> list[list[int]] | None:
+    """A planar embedding of the simple graph on vertices 0..n-1 with the
+    given distinct pairs (a, b), a != b, as edges: each vertex's neighbours
+    in clockwise order, or None when the graph is not planar.
 
-    The left-right test of de Fraysseix and Rosenstiehl as Brandes writes it
-    ("The Left-Right Planarity Test", 2009), without the embedding phase, on
-    flat lists: edges are numbered in pair order and keep the orientation the
-    first DFS gives them; a conflict pair is a list [left low, left high,
-    right low, right high] of back edges, -1 for none; an edge's stack bottom
-    is the stack height when it was reached.  Both DFSs keep explicit stacks,
-    so long paths stay within the recursion limit.
+    The left-right test of de Fraysseix and Rosenstiehl and its embedding
+    phase as Brandes writes them ("The Left-Right Planarity Test", 2009), on
+    flat lists and in the orders of nx.check_planarity, so both embed alike:
+    edges are read by their smaller end, stably, numbered so, and keep the
+    orientation the first DFS gives them; a conflict pair is a list [left
+    low, left high, right low, right high] of back edges, -1 for none; an
+    edge's stack bottom is the stack height when it was reached.  Every DFS
+    keeps an explicit stack, so long paths stay within the recursion limit.
     """
+    pairs = sorted(pairs, key=min)
     m = len(pairs)
     if n > 2 and m > 3 * n - 6:
-        return False
+        return None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e, (a, b) in enumerate(pairs):
         adj[a].append((b, e))
@@ -296,16 +327,18 @@ def _lr_planar(n: int, pairs) -> bool:
 
     # testing: a DFS over each vertex's edges in nesting order
     ordered = [sorted(es, key=depth.__getitem__) for es in out]
-    # one spare slot, so that ref[-1] (an interval with no low end) is a sink
+    # one spare slot, so that ref[-1] (an interval with no low end) is a sink;
+    # side[e] is -1 where e lies on the other side of ref[e]
     ref = [-1] * (m + 1)
+    side = [1] * m
     lowpt_edge = [0] * m
     bottom = [0] * m
     pairs_stack: list[list[int]] = []
 
-    def conflicting(p: list[int], side: int, b: int) -> bool:
-        # whether the interval at p[side:side + 2] is non-empty and has a
+    def conflicting(p: list[int], at: int, b: int) -> bool:
+        # whether the interval at p[at:at + 2] is non-empty and has a
         # return edge above b's lowest
-        return (p[side] >= 0 or p[side + 1] >= 0) and lowpt[p[side + 1]] > lowpt[b]
+        return (p[at] >= 0 or p[at + 1] >= 0) and lowpt[p[at + 1]] > lowpt[b]
 
     def lowest(p: list[int]) -> int:
         if p[0] < 0 and p[1] < 0:
@@ -359,20 +392,24 @@ def _lr_planar(n: int, pairs) -> bool:
     def remove_back_edges(e: int) -> None:
         u = tail[e]
         while pairs_stack and lowest(pairs_stack[-1]) == height[u]:
-            pairs_stack.pop()
+            p = pairs_stack.pop()
+            if p[0] >= 0:
+                side[p[0]] = -1
         if pairs_stack:
             p = pairs_stack[-1]
-            # trim each interval's high end past the back edges into u
-            while p[1] >= 0 and head[p[1]] == u:
-                p[1] = ref[p[1]]
-            if p[1] < 0 and p[0] >= 0:
-                ref[p[0]] = p[2]
-                p[0] = -1
-            while p[3] >= 0 and head[p[3]] == u:
-                p[3] = ref[p[3]]
-            if p[3] < 0 and p[2] >= 0:
-                ref[p[2]] = p[0]
-                p[2] = -1
+            # trim each interval's high end past the back edges into u, the
+            # left one first; an emptied interval refers to the other's low
+            for low, high, other in ((0, 1, 2), (2, 3, 0)):
+                while p[high] >= 0 and head[p[high]] == u:
+                    p[high] = ref[p[high]]
+                if p[high] < 0 and p[low] >= 0:
+                    ref[p[low]] = p[other]
+                    side[p[low]] = -1
+                    p[low] = -1
+        # e takes the side of a highest return edge
+        if lowpt[e] < height[u]:
+            hl, hr = pairs_stack[-1][1], pairs_stack[-1][3]
+            ref[e] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
 
     nxt = [0] * n
     for r in roots:
@@ -403,8 +440,47 @@ def _lr_planar(n: int, pairs) -> bool:
                 if i == 0:
                     lowpt_edge[parent[v]] = lowpt_edge[ei]
                 elif not add_constraints(ei, parent[v]):
-                    return False
-    return True
+                    return None
+
+    # embedding: resolve each side along its ref chain, sign the nesting
+    # depths and re-sort each vertex's out-edges by them
+    for e in range(m):
+        chain = [e]
+        while ref[chain[-1]] >= 0:
+            chain.append(ref[chain[-1]])
+        for f in reversed(chain[:-1]):
+            side[f] *= side[ref[f]]
+            ref[f] = -1
+        depth[e] *= side[e]
+    ordered = [sorted(es, key=depth.__getitem__) for es in out]
+
+    # each vertex's neighbours clockwise from its leftmost one: out-edges'
+    # heads, then by a DFS each edge's tail at its head; a tail put just
+    # before the leftmost neighbour becomes the leftmost
+    rotations = [[head[e] for e in es] for es in ordered]
+    left_ref, right_ref = [0] * n, [0] * n
+    nxt = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            es = ordered[v]
+            while nxt[v] < len(es):
+                e = es[nxt[v]]
+                nxt[v] += 1
+                w = head[e]
+                rot = rotations[w]
+                if parent[w] == e:
+                    rot.insert(0, v)
+                    left_ref[v] = right_ref[v] = w
+                    stack += (v, w)
+                    break
+                if side[e] == 1:
+                    rot.insert(rot.index(right_ref[w]) + 1, v)
+                else:
+                    rot.insert(rot.index(left_ref[w]), v)
+                    left_ref[w] = v
+    return rotations
 
 
 @dataclass(frozen=True)
@@ -414,19 +490,25 @@ class PlanarityReport:
 
     planar: bool
     witness: RotationSystem | None = None
-    support: nx.Graph | None = field(default=None, repr=False, compare=False)
+    support: _Support | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def obstruction(self) -> tuple[str, ...] | None:
         """Support edges of a Kuratowski subgraph of a non-planar graph.
 
-        Extracting it costs dozens of planarity tests, so it is computed on
-        first read only.
+        Each support edge in turn, by smaller end and then in support order
+        (as nx.get_counterexample goes), is deleted for good when the graph
+        stays non-planar without it: one planarity test per edge, so this
+        runs on first read only.
         """
         if self.planar:
             return None
-        _, kuratowski = nx.check_planarity(self.support, counterexample=True)
-        return tuple(sorted({self.support.adj[a][b]["eid"] for a, b in kuratowski.edges()}))
+        n, pairs = len(self.support.vertices), self.support.pairs
+        kept = bytearray([1]) * len(pairs)
+        for i in sorted(range(len(pairs)), key=lambda i: pairs[i][0]):
+            kept[i] = 0
+            kept[i] = _lr_planar(n, [p for p, k in zip(pairs, kept) if k]) is not None
+        return tuple(sorted(e for e, k in zip(self.support.eids, kept) if k))
 
 
 def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
@@ -436,12 +518,12 @@ def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
     failure the report's obstruction lists the support edges of a Kuratowski
     subgraph, extracted when first read.
     """
-    support, groups = _support(g)
+    support = _support(g)
     rotations = _planar_embedding_support(support)
     if rotations is None:
         return PlanarityReport(False, support=support)
     ug = forget(g) if isinstance(g, DiGraph) else g
-    witness = _insert_multiedges_and_loops(ug, groups, rotations)
+    witness = _insert_multiedges_and_loops(ug, support.groups, rotations)
     _, genus = trace_faces(ug, witness)
     if genus != 0:
         raise DomainError("planar witness failed verification")
@@ -738,13 +820,14 @@ def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> Ge
 
     for comp_vs, comp_es in components(ug):
         comp = UndirectedGraph(comp_vs, [(e, ug.ends(e)) for e in comp_es])
-        support, groups = _support(comp)
+        support = _support(comp)
         support_rot = _planar_embedding_support(support)
         if support_rot is None:
-            simple = UndirectedGraph(comp_vs, [(es[0], ends) for ends, es in groups.items()])
-            comp_genus, support_rot = _search_min_genus(simple, nx.girth(support), 1, budget)
+            simple = UndirectedGraph(comp_vs, zip(support.eids, support.groups))
+            girth = _girth(len(comp_vs), support.pairs)
+            comp_genus, support_rot = _search_min_genus(simple, girth, 1, budget)
             total += comp_genus
-        rotations.update(_insert_multiedges_and_loops(comp, groups, support_rot).rotations)
+        rotations.update(_insert_multiedges_and_loops(comp, support.groups, support_rot).rotations)
 
     witness = RotationSystem(rotations)
     _, traced = trace_faces(ug, witness)

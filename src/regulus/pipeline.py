@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .automaton import (
     Automaton,
     accessible_part,
@@ -103,9 +101,12 @@ def language_genus_leq(
 def find_monomorphism(small: DiGraph, big: DiGraph) -> GraphMorphism | None:
     """An injective morphism from small into big, or None if there is none.
 
-    networkx's VF2 matcher finds the vertex map, counting parallel edges and
-    loops; each edge then takes the first free big edge with the same ends.
+    The VF2 matcher finds the vertex map, counting parallel edges and loops;
+    each edge then takes the first free big edge with the same ends.  Its
+    graph library is imported here, by the one function that uses it, so
+    that importing regulus does not load it.
     """
+    import networkx as nx
 
     def multidigraph(g: DiGraph) -> nx.MultiDiGraph:
         m = nx.MultiDiGraph()

@@ -174,7 +174,7 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
         return _AUTOMATIC
     view = g.int_view()
     if r.domain is not view.domain and r.domain != view.domain:
-        raise DomainError("classes do not partition the underlying set")
+        raise DomainError("relation and graph have different vertex or edge ids")
     r.domain = view.domain
     vertices, edges = view.domain
     vclass, eclass = r.vector[: len(vertices)], r.vector[len(vertices):]

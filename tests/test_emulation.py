@@ -45,7 +45,7 @@ from regulus.corpus import (
     path_4_over_3,
     vee_over_path,
 )
-from regulus import emulation
+from regulus import emulation, genus
 from regulus.digraph import weakly_connected
 from regulus.emulation import (
     CoverCertificate,
@@ -797,26 +797,21 @@ class TestSearchStats:
     def test_each_planarity_test_is_one_lr_call(
         self, monkeypatch, base, max_fiber, genus_bound, tests
     ):
-        lr_calls, nx_calls = [], []
-        lr_planar, check_planarity = emulation._lr_planar, nx.check_planarity
+        lr_calls, witness_calls = [], []
+        lr_planar = emulation._lr_planar
 
-        def counted_lr(n, pairs):
-            lr_calls.append(n)
-            return lr_planar(n, pairs)
+        def counted(calls):
+            return lambda n, pairs: calls.append(n) or lr_planar(n, pairs)
 
-        def counted_nx(graph, counterexample=False):
-            nx_calls.append(counterexample)
-            return check_planarity(graph, counterexample)
-
-        monkeypatch.setattr(emulation, "_lr_planar", counted_lr)
-        monkeypatch.setattr(nx, "check_planarity", counted_nx)
+        monkeypatch.setattr(emulation, "_lr_planar", counted(lr_calls))
+        monkeypatch.setattr(genus, "_lr_planar", counted(witness_calls))
         spec = CoverSearchSpec(base, max_fiber=max_fiber, genus_bound=genus_bound)
         out = search_covers(spec)
         assert out.status == "found"
         assert len(lr_calls) == out.stats.planarity_tests == tests
         if genus_bound == 0:
-            # the planar hit's is_planar witness is the search's one networkx test
-            assert nx_calls == [False]
+            # the planar hit's is_planar witness is the search's one further test
+            assert len(witness_calls) == 1
 
     def test_budget_exceeded_keeps_its_counts(self):
         out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), time_budget=1e-9))
@@ -865,6 +860,18 @@ class TestEdgeCapSoundness:
             spec = CoverSearchSpec(base, max_fiber=max_fiber, connected_only=False)
             for total in _canonical_candidates(spec):
                 assert nx.is_bipartite(nx.Graph(total.edges.values()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_simple_graphs(10), st.sets(st.integers(0, 9), max_size=2))
+    @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)], True), set())  # a square
+    @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)], True), {2})  # and a loop
+    def test_bipartite_covers_matches_networkx(self, case, loops):
+        n, pairs, _ = case
+        edges = [(f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(pairs)]
+        edges += [(f"l{v}", f"v{v}", f"v{v}") for v in loops if v < n]
+        base = DiGraph([f"v{i}" for i in range(n)], edges)
+        want = nx.is_bipartite(nx.Graph(list(base.edges.values())))
+        assert _bipartite_covers(base) == want
 
     def test_a_loop_rules_out_the_bipartite_cap(self):
         # the support a - b is bipartite, but the loop lifts to a0 -> a1,

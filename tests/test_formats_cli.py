@@ -459,6 +459,23 @@ class TestCliVerbs:
             assert main(["rel", "mn", str(semi), "--final", final, "-o", str(out)]) == 0
             assert formats.loads(out.read_text())["vertex_classes"] == classes
 
+    def test_relation_on_other_ids_names_the_mismatch(self, tmp_path, capsys):
+        # the graph is the 6-state minimal automaton's, the Myhill-Nerode
+        # relation is on the 12-state automaton: each file's classes
+        # partition their own ids, so the fault is the mismatch between them
+        assert main(["corpus", "emit", "z6-unrolled12", "--out-dir", str(tmp_path)]) == 0
+        auto = capsys.readouterr().out.strip()
+        g, mx, mn = (str(tmp_path / n) for n in ("g.json", "max.json", "mn.json"))
+        finals = ",".join(formats.loads(Path(auto).read_text())["finals"])
+        assert main(["auto", "graph", auto, "-o", g]) == 0
+        assert len(formats.loads(Path(g).read_text())["vertices"]) == 6
+        assert main(["rel", "max", g, "-o", mx]) == 0
+        assert main(["rel", "mn", auto, "--final", finals, "-o", mn]) == 0
+        capsys.readouterr()
+        assert main(["rel", "join", g, mx, mn]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "relation and graph have different vertex or edge ids" in err, err
+
     def test_infinite_budget_is_input_error(self, tmp_path, monkeypatch, capsys):
         from conftest import k_complete
 
@@ -658,6 +675,59 @@ class TestCliSubprocess:
         code, out, _ = run_cli(["emu", "verify-cert", str(cert), "--base", str(g)])
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_no_verb_loads_networkx(self, tmp_path):
+        # this process has networkx loaded, so a fresh interpreter runs the
+        # verbs: a yes at n 0, a genus-bound yes at n 1, a refusal printing
+        # its obstruction, an exact genus, a cover search and a relation
+        # round trip, which reaches the strongly connected components
+        from conftest import k_complete
+
+        def modk(k, letters):
+            edges = [{"id": f"t{i}_{j}", "src": str(i), "dst": str((i + j) % k),
+                      "label": str(j)} for i in range(k) for j in letters]
+            return {"vertices": [str(i) for i in range(k)], "alphabet": sorted(map(str, letters)),
+                    "edges": edges, "initials": ["0"], "finals": ["0"]}
+
+        inputs = {
+            "l7-12.json": modk(7, (1, 2)),
+            "l9-14.json": modk(9, (1, 4)),
+            "k5.json": formats.undirected_to_json(k_complete(5)),
+            "k7.json": formats.undirected_to_json(k_complete(7)),
+            "c2.json": formats.digraph_to_json(c2()),
+        }
+        for name, data in inputs.items():
+            (tmp_path / name).write_text(formats.dumps(data))
+        l7, l9, k5, k7, g, mx = (
+            str(tmp_path / n) for n in (*inputs, "max.json")
+        )
+        calls = [
+            ["genus", "language", "--n", "0", "--max-fiber", "2", l7],
+            ["genus", "language", "--n", "1", "--max-fiber", "1", l9],
+            ["genus", "planar", k5],
+            ["genus", "exact", k7],
+            ["emu", "search", g],
+            ["rel", "max", g, "-o", mx],
+            ["rel", "check", "--roundtrip", g, mx],
+        ]
+        script = (
+            "import json, sys\n"
+            "import regulus\n"
+            "from regulus.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'networkx' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *printed, last = proc.stdout.splitlines()
+        codes, loaded = json.loads(last)
+        assert codes == [0, 0, 1, 0, 0, 0, 0], proc.stderr
+        assert '"obstruction"' in "\n".join(printed)
+        assert json.loads(Path(mx).read_text())["vertex_classes"]
+        assert not loaded
 
     def test_budget_exit_code(self, tmp_path):
         from conftest import k_complete

@@ -352,8 +352,8 @@ class TestGenusExact:
                 continue
             comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
             comp_best = _brute_force_min_genus(comp)
-            simple = _support(comp)[0]
-            support = UndirectedGraph(vs, [(e, (a, b)) for a, b, e in simple.edges(data="eid")])
+            simple = _support(comp)
+            support = UndirectedGraph(vs, zip(simple.eids, simple.groups))
             girth = undirected_girth(support)
             for n in range(comp_best + 2):
                 genus, rotations = _search_min_genus(support, girth, n, math.inf)
@@ -384,19 +384,19 @@ class TestPlanarity:
         assert not nx.check_planarity(nx.Graph(g.ends(e) for e in obstruction))[0]
 
     def test_obstruction_is_extracted_on_first_read_only(self, monkeypatch):
+        import regulus.genus
+
         calls = []
-        check = nx.check_planarity
-
-        def recording(graph, counterexample=False):
-            calls.append(counterexample)
-            return check(graph, counterexample)
-
-        monkeypatch.setattr(nx, "check_planarity", recording)
+        monkeypatch.setattr(
+            regulus.genus, "_lr_planar", lambda n, pairs: calls.append(n) or _lr_planar(n, pairs)
+        )
         rep = is_planar(k_complete(5))
-        assert calls == [False]
+        assert len(calls) == 1
         first = rep.obstruction
+        extraction = len(calls)
+        assert extraction > 1
         assert rep.obstruction == first
-        assert calls == [False, True]
+        assert len(calls) == extraction
         assert is_planar(k_complete(4)).obstruction is None
 
     def test_k7_like_language_graph_not_planar(self):
@@ -533,11 +533,21 @@ def disjoint_unions(draw):
     return _relabelled(draw, n + m + draw(st.integers(0, 3)), pairs)
 
 
-def _nx_planar(n: int, pairs) -> bool:
+def _nx_graph(n: int, pairs) -> nx.Graph:
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(pairs)
-    return nx.check_planarity(graph)[0]
+    return graph
+
+
+def _nx_planar(n: int, pairs) -> list[list[int]] | None:
+    """networkx's planar embedding as each vertex's clockwise neighbours, or
+    None, so that comparing it with _lr_planar pins the witness too."""
+    graph = _nx_graph(n, pairs)
+    ok, embedding = nx.check_planarity(graph)
+    if not ok:
+        return None
+    return [list(embedding.neighbors_cw_order(v)) if graph.degree(v) else [] for v in range(n)]
 
 
 class TestLRPlanar:
@@ -577,6 +587,62 @@ class TestLRPlanar:
         assert _lr_planar(4900, [tuple(sorted(e)) for e in grid.edges])
 
 
+def _named(n: int, pairs) -> UndirectedGraph:
+    """The graph on the pairs with ids that sort in vertex and pair order,
+    so that its support reads the pairs as given."""
+    return UndirectedGraph(
+        [f"v{i:04d}" for i in range(n)],
+        [(f"e{k:05d}", (f"v{a:04d}", f"v{b:04d}")) for k, (a, b) in enumerate(pairs)],
+    )
+
+
+_lr_cases = st.one_of(random_graphs(), near_triangulations(), hung_kuratowski(), disjoint_unions())
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=200, deadline=None)
+    @given(_lr_cases)
+    @example((6, [(0, 1), (1, 2), (2, 0), (3, 4)]))  # a triangle, an edge and a lone vertex
+    def test_each_embedding_traces_to_genus_zero(self, case):
+        # test_agrees_with_networkx holds each embedding to networkx's
+        n, pairs = case
+        rotations = _lr_planar(n, pairs)
+        if rotations is None:
+            return
+        g = _named(n, pairs)
+        eid = {frozenset(p): f"e{k:05d}" for k, p in enumerate(pairs)}
+        token = {(e, v): t for e in g.edges for t, v in dart_tokens(g, e)}
+        rot = {
+            f"v{v:04d}": tuple(token[eid[frozenset((v, w))], f"v{v:04d}"] for w in nbrs)
+            for v, nbrs in enumerate(rotations)
+        }
+        assert trace_faces(g, RotationSystem(rot))[1] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_graphs(12), hung_kuratowski(), disjoint_unions()))
+    def test_obstruction_is_networkx_counterexample(self, case):
+        n, pairs = case
+        rep = is_planar(_named(n, pairs))
+        ok, kuratowski = nx.check_planarity(_nx_graph(n, pairs), counterexample=True)
+        assert rep.planar == ok
+        if not ok:
+            got = {frozenset(pairs[int(e[1:])]) for e in rep.obstruction}
+            assert got == {frozenset(e) for e in kuratowski.edges()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lr_cases)
+    @example((0, []))
+    @example((5, [(0, 1), (1, 2), (1, 3), (3, 4)]))  # a tree
+    def test_girth_is_networkx_girth(self, case):
+        n, pairs = case
+        assert undirected_girth(_named(n, pairs)) == nx.girth(_nx_graph(n, pairs))
+
+    def test_long_cycle_and_large_grid_embed_within_the_recursion_limit(self):
+        assert is_planar(_named(5000, [(i, i + 1) for i in range(4999)] + [(0, 4999)])).planar
+        grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(70, 70))
+        assert is_planar(_named(4900, [tuple(sorted(e)) for e in grid.edges])).planar
+
+
 class TestSupport:
     @settings(max_examples=150, deadline=None)
     @given(component_multigraphs(), st.sampled_from([10, 1000]))
@@ -613,9 +679,9 @@ class TestSupport:
     def test_support_edges_carry_their_least_edge(self):
         g = DiGraph(["a", "b"], [("e3", "b", "a"), ("e1", "a", "b"), ("e2", "b", "a"),
                                  ("e0", "a", "a")])
-        support, groups = _support(g)
-        assert list(support.edges(data="eid")) == [("a", "b", "e1")]
-        assert groups == {("a", "b"): ["e1", "e2", "e3"]}
+        support = _support(g)
+        assert (support.pairs, support.eids) == ([(0, 1)], ["e1"])
+        assert support.groups == {("a", "b"): ["e1", "e2", "e3"]}
 
 
 def _reference_girth(g):
