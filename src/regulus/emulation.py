@@ -446,7 +446,7 @@ def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter):
     vectors = _fiber_vectors_within_bound(
         [len(base.out_edges(v)) for v in base.vertices],
         spec.max_fiber,
-        min(3, undirected_girth(forget(base))),
+        min(3, undirected_girth(base)),
         spec.genus_bound,
     )
 

@@ -5,8 +5,10 @@ thereby an embedding into an orientable closed surface; tracing its faces and
 applying Euler's relation gives the genus of that embedding.  The minimum over
 all rotation systems is the genus of the graph.  Only face tracing handles
 loops and parallel edges natively (a loop contributes two ends at its
-vertex); the exact genus search runs on the loopless simple support, which
-has the same genus, and re-inserts them into its witness.
+vertex).  The planarity test and the exact genus search both run on the
+integer vertex pairs of the loopless simple support, which has the same
+genus, and return each vertex's clockwise neighbours; _rotation adds the
+parallel edges and loops to build every witness.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ class RotationSystem:
             for tok, v in dart_tokens(g, eid):
                 expected[tok] = v
         seen: set[str] = set()
+        vertices = set(g.vertices)
         for v, rot in self.rotations.items():
-            if v not in set(g.vertices):
+            if v not in vertices:
                 raise DomainError(f"rotation given for unknown vertex {v!r}")
             for tok in rot:
                 if tok in seen:
@@ -94,27 +97,6 @@ class FaceVector:
         return sum(i * c for i, c in self.counts.items())
 
 
-class _Darts:
-    """Integer dart tables for one undirected graph."""
-
-    def __init__(self, g: UndirectedGraph):
-        self.g = g
-        self.tokens: list[str] = []
-        self.vertex_of: list[int] = []
-        self.vid = {v: i for i, v in enumerate(g.vertices)}
-        self.token_index: dict[str, int] = {}
-        self.darts_at: list[list[int]] = [[] for _ in g.vertices]
-        for eid in g.edges:
-            for tok, v in dart_tokens(g, eid):
-                d = len(self.tokens)
-                self.tokens.append(tok)
-                self.vertex_of.append(self.vid[v])
-                self.token_index[tok] = d
-                self.darts_at[self.vid[v]].append(d)
-        # darts were appended pairwise, so twin(2i) = 2i+1
-        self.twin = [d ^ 1 for d in range(len(self.tokens))]
-
-
 def trace_faces(
     g: UndirectedGraph, rot: RotationSystem
 ) -> tuple[FaceVector, int]:
@@ -123,16 +105,23 @@ def trace_faces(
     Disconnected graphs are traced per component and the genus is summed.
     """
     rot.validate(g)
-    tables = _Darts(g)
-    nd = len(tables.tokens)
+    # dart 2i and its twin 2i + 1 are the two ends of the i-th edge
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    token_index: dict[str, int] = {}
+    vertex_of: list[int] = []
+    for eid in g.edges:
+        for tok, v in dart_tokens(g, eid):
+            token_index[tok] = len(vertex_of)
+            vertex_of.append(vid[v])
+    nd = len(vertex_of)
     rot_next = [-1] * nd
-    for v, order in rot.rotations.items():
-        idx = [tables.token_index[t] for t in order]
+    for order in rot.rotations.values():
+        idx = [token_index[t] for t in order]
         for i, d in enumerate(idx):
             rot_next[d] = idx[(i + 1) % len(idx)]
-    next_dart = [rot_next[tables.twin[d]] for d in range(nd)]
+    next_dart = [rot_next[d ^ 1] for d in range(nd)]
     comps = components(g)
-    comp_of = {tables.vid[v]: i for i, (comp_vs, _) in enumerate(comps) for v in comp_vs}
+    comp_of = {vid[v]: i for i, (comp_vs, _) in enumerate(comps) for v in comp_vs}
     # the rotation is total, so next_dart is a permutation: walk each orbit once
     counts: dict[int, int] = {}
     faces = [0] * len(comps)
@@ -146,7 +135,7 @@ def trace_faces(
             length += 1
             cur = next_dart[cur]
         counts[length] = counts.get(length, 0) + 1
-        faces[comp_of[tables.vertex_of[d]]] += 1
+        faces[comp_of[vertex_of[d]]] += 1
 
     genus = 0
     for (comp_vs, comp_es), fcount in zip(comps, faces):
@@ -167,7 +156,7 @@ def undirected_girth(g: DiGraph | UndirectedGraph) -> float:
     if any(g.is_loop(e) for e in g.edges):
         return 1
     support = _support(g)
-    return 2 if len(support.pairs) < len(g.edges) else _girth(len(g.vertices), support.pairs)
+    return 2 if len(support.edges) < len(g.edges) else _girth(len(g.vertices), support.edges)
 
 
 def _girth(n: int, pairs) -> float:
@@ -194,59 +183,42 @@ def _girth(n: int, pairs) -> float:
 
 
 class _Support(NamedTuple):
-    """A graph's loopless simple support: each edge as its vertex positions,
-    smaller first, and as its least original edge, in that edge's order, and
-    the original edges grouped by their sorted ends in the same order."""
+    """A graph's loopless simple support: its vertex ids, and each pair of
+    vertex positions joined by an edge, smaller first, mapped to the edges
+    joining it in id order; the pairs come in the order of their least edge."""
 
     vertices: tuple[str, ...]
-    pairs: list[tuple[int, int]]
-    eids: list[str]
-    groups: dict[tuple[str, str], list[str]]
+    edges: dict[tuple[int, int], list[str]]
 
 
 def _support(g: DiGraph | UndirectedGraph) -> _Support:
-    groups: dict[tuple[str, str], list[str]] = {}
-    for e, ends in g.edges.items():
-        a, b = min(ends), max(ends)
-        if a != b:
-            groups.setdefault((a, b), []).append(e)
     index = {v: i for i, v in enumerate(g.vertices)}
-    pairs = [(index[a], index[b]) for a, b in groups]
-    return _Support(g.vertices, pairs, [es[0] for es in groups.values()], groups)
+    edges: dict[tuple[int, int], list[str]] = {}
+    for e, ends in g.edges.items():
+        a, b = index[min(ends)], index[max(ends)]
+        if a != b:
+            edges.setdefault((a, b), []).append(e)
+    return _Support(g.vertices, edges)
 
 
-def _planar_embedding_support(support: _Support):
-    """Rotations of a planar embedding of the support ("+" at each edge's smaller end), or None."""
-    embedding = _lr_planar(len(support.vertices), support.pairs)
-    if embedding is None:
-        return None
-    eid = dict(zip(support.pairs, support.eids))
-    return {
-        v: tuple(f"{eid[v_, w]}+" if v_ < w else f"{eid[w, v_]}-" for w in nbrs)
-        for v_, (v, nbrs) in enumerate(zip(support.vertices, embedding))
-    }
+def _rotation(g: UndirectedGraph, support: _Support, nbrs: list[list[int]]) -> RotationSystem:
+    """The rotation system of g given by an embedding of its support, as each
+    vertex's support neighbours in clockwise order.
 
-
-def _insert_multiedges_and_loops(
-    g: UndirectedGraph,
-    groups: Mapping[tuple[str, str], list[str]],
-    support_rot: Mapping[str, tuple[str, ...]],
-) -> RotationSystem:
-    """Extend a rotation system of the support graph to the full multigraph,
-    given the edge groups of _support(g).
-
-    Each extra parallel edge is inserted beside its representative (forming a
-    bigon face) and each loop as an adjacent pair of ends (forming a monogon);
-    neither insertion changes the genus.
+    Each neighbour stands for its pair's edges, in id order at the pair's
+    smaller end and reversed at the other, so that each edge bounds a bigon
+    face with the one before it; then each loop is appended as an adjacent
+    pair of ends, forming a monogon.  Neither changes the genus.
     """
-    rot = {v: list(support_rot.get(v, ())) for v in g.vertices}
-    for (a, b), group in groups.items():
-        for prev, e in zip(group, group[1:]):
-            rot[a].insert(rot[a].index(f"{prev}+") + 1, f"{e}+")
-            rot[b].insert(rot[b].index(f"{prev}-"), f"{e}-")
-    for e in g.edges:
-        if g.is_loop(e):
-            rot[g.ends(e)[0]].extend([f"{e}+", f"{e}-"])
+    rot: dict[str, list[str]] = {}
+    for v, (name, ws) in enumerate(zip(support.vertices, nbrs)):
+        toks = rot[name] = []
+        for w in ws:
+            es = support.edges[min(v, w), max(v, w)]
+            toks += (f"{e}+" for e in es) if v < w else (f"{e}-" for e in reversed(es))
+    for e, ends in g.edges.items():
+        if len(ends) == 1:
+            rot[ends[0]] += (f"{e}+", f"{e}-")
     return RotationSystem(rot)
 
 
@@ -503,12 +475,13 @@ class PlanarityReport:
         """
         if self.planar:
             return None
-        n, pairs = len(self.support.vertices), self.support.pairs
+        n, edges = len(self.support.vertices), self.support.edges
+        pairs = list(edges)
         kept = bytearray([1]) * len(pairs)
         for i in sorted(range(len(pairs)), key=lambda i: pairs[i][0]):
             kept[i] = 0
             kept[i] = _lr_planar(n, [p for p, k in zip(pairs, kept) if k]) is not None
-        return tuple(sorted(e for e, k in zip(self.support.eids, kept) if k))
+        return tuple(sorted(edges[p][0] for p, k in zip(pairs, kept) if k))
 
 
 def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
@@ -519,11 +492,11 @@ def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
     subgraph, extracted when first read.
     """
     support = _support(g)
-    rotations = _planar_embedding_support(support)
-    if rotations is None:
+    nbrs = _lr_planar(len(support.vertices), support.edges)
+    if nbrs is None:
         return PlanarityReport(False, support=support)
     ug = forget(g) if isinstance(g, DiGraph) else g
-    witness = _insert_multiedges_and_loops(ug, support.groups, rotations)
+    witness = _rotation(ug, support, nbrs)
     _, genus = trace_faces(ug, witness)
     if genus != 0:
         raise DomainError("planar witness failed verification")
@@ -578,22 +551,17 @@ class GenusResult:
     witness: RotationSystem
 
 
-def _bfs_vertex_order(nvert: int, darts_at: list[list[int]], twin, vertex_of) -> list[int]:
-    degs = [len(darts_at[v]) for v in range(nvert)]
-    start = max(range(nvert), key=lambda v: degs[v])
-    order = [start]
-    placed = {start}
-    while len(order) < nvert:
-        best, best_key = None, None
-        for v in range(nvert):
-            if v in placed:
-                continue
-            attached = sum(
-                1 for d in darts_at[v] if vertex_of[twin[d]] in placed
-            )
-            key = (attached, degs[v])
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+def _bfs_vertex_order(vertex_of: list[int], darts_at: list[list[int]]) -> list[int]:
+    # a vertex of highest degree, then greedily the one with the most
+    # neighbours placed and then the highest degree, the first one on ties
+    degs = [len(ds) for ds in darts_at]
+    order = [max(range(len(degs)), key=degs.__getitem__)]
+    placed = set(order)
+    while len(order) < len(degs):
+        best = max(
+            (v for v in range(len(degs)) if v not in placed),
+            key=lambda v: (sum(vertex_of[d ^ 1] in placed for d in darts_at[v]), degs[v]),
+        )
         order.append(best)
         placed.add(best)
     return order
@@ -607,10 +575,13 @@ class _OverBudget(Exception):
 
 
 def _decide_faces(
-    tables: _Darts, order: list[int], need: int, girth: float, nodes_left: float
+    vertex_of: list[int], darts_at: list[list[int]], order: list[int], need: int,
+    girth: float, nodes_left: float,
 ) -> tuple[list[int] | None, int, int]:
     """Search for a rotation system of a connected, loopless, simple graph
-    with at least `need` faces; `girth` is the graph's girth.
+    with at least `need` faces; `girth` is the graph's girth.  Dart d lies
+    at vertex vertex_of[d], its twin is d ^ 1, and darts_at lists each
+    vertex's darts.
 
     Every face holds a cycle and so is at least `girth` long, unless the
     graph is a tree and has one face.  The search links the darts at each
@@ -630,8 +601,7 @@ def _decide_faces(
     Returns (rot_next, faces, nodes), rot_next None when no rotation system
     has `need` faces; raises _OverBudget after `nodes_left` links.
     """
-    nd = len(tables.tokens)
-    vertex_of = tables.vertex_of
+    nd = len(vertex_of)
     # on a tree girth 1 makes the length term the count of open walks
     y = 1 if girth == math.inf else int(girth)
     far = 1 if y >= 2 else 0
@@ -685,7 +655,7 @@ def _decide_faces(
             length[t] = lb
 
     # frame i makes the i-th link: (darts of its vertex, position)
-    frames = [(tables.darts_at[v], p) for v in order for p in range(len(tables.darts_at[v]))]
+    frames = [(darts_at[v], p) for v in order for p in range(len(darts_at[v]))]
     nframes = len(frames)
     src = [0] * nframes
     options: list[list[int]] = [[] for _ in range(nframes)]
@@ -752,10 +722,11 @@ def _decide_faces(
 
 
 def _search_min_genus(
-    g: UndirectedGraph, girth: float, stop_genus: int, budget: float
-) -> tuple[int, dict[str, tuple[str, ...]]]:
-    """Least genus >= stop_genus of one connected component, with rotations
-    of an embedding of that genus.
+    nvert: int, pairs, girth: float, stop_genus: int, budget: float
+) -> tuple[int, list[list[int]]]:
+    """Least genus >= stop_genus of a connected simple graph on 0..nvert-1 with
+    the given pairs (a, b), a < b, as edges, and each vertex's clockwise
+    neighbours in an embedding of that genus.
 
     Decides "genus <= n" for n = n0, n0 + 1, ... until a rotation system is
     found, where n0 is the larger of stop_genus and the Euler bound for the
@@ -764,19 +735,23 @@ def _search_min_genus(
     the decisions; past it BudgetError names the nodes explored and the
     highest genus refuted.
     """
-    tables = _Darts(g)
-    nvert = len(g.vertices)
-    nd = len(tables.tokens)
+    # dart 2e is the e-th pair's end at its smaller vertex, 2e + 1 the other
+    # end; each vertex lists its darts in pair order
+    vertex_of = [x for pair in pairs for x in pair]
+    darts_at: list[list[int]] = [[] for _ in range(nvert)]
+    for d, v in enumerate(vertex_of):
+        darts_at[v].append(d)
+    nd = len(vertex_of)
     if nd == 0:
-        return 0, {v: () for v in g.vertices}
+        return 0, darts_at
     n, spent = stop_genus, 0
     if girth < math.inf:
         n = max(n, _euler_bound(nvert, nd // 2, int(girth)))
-    order = _bfs_vertex_order(nvert, tables.darts_at, tables.twin, tables.vertex_of)
+    order = _bfs_vertex_order(vertex_of, darts_at)
     while True:
         try:
             rot_next, faces, nodes = _decide_faces(
-                tables, order, 2 - 2 * n - nvert + nd // 2, girth, budget - spent
+                vertex_of, darts_at, order, 2 - 2 * n - nvert + nd // 2, girth, budget - spent
             )
         except _OverBudget as over:
             # the caller and the Euler bound vouch for every genus below n0
@@ -790,25 +765,21 @@ def _search_min_genus(
             break
         n += 1
     genus = (2 - nvert + nd // 2 - faces) // 2
-    rotations: dict[str, tuple[str, ...]] = {}
-    for vi, v in enumerate(g.vertices):
-        ds = tables.darts_at[vi]
-        if not ds:
-            rotations[v] = ()
-            continue
-        seq = [ds[0]]
+    nbrs = []
+    for ds in darts_at:
+        seq = ds[:1]
         while len(seq) < len(ds):
             seq.append(rot_next[seq[-1]])
-        rotations[v] = tuple(tables.tokens[d] for d in seq)
-    return genus, rotations
+        nbrs.append([vertex_of[d ^ 1] for d in seq])
+    return genus, nbrs
 
 
 def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> GenusResult:
     """Minimum genus over all rotation systems, with a verifying witness.
 
     Each component is embedded through its loopless simple support, which
-    has the same genus; loops and parallel edges are re-inserted into the
-    witness afterwards.  Components are summed.  Each component's search may
+    has the same genus; _rotation puts the loops and parallel edges back into
+    the witness.  Components are summed.  Each component's search may
     try `budget` rotation links (default rotation_budget(); math.inf never
     refuses) and raises BudgetError past them.
     """
@@ -821,13 +792,13 @@ def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> Ge
     for comp_vs, comp_es in components(ug):
         comp = UndirectedGraph(comp_vs, [(e, ug.ends(e)) for e in comp_es])
         support = _support(comp)
-        support_rot = _planar_embedding_support(support)
-        if support_rot is None:
-            simple = UndirectedGraph(comp_vs, zip(support.eids, support.groups))
-            girth = _girth(len(comp_vs), support.pairs)
-            comp_genus, support_rot = _search_min_genus(simple, girth, 1, budget)
+        n = len(comp_vs)
+        nbrs = _lr_planar(n, support.edges)
+        if nbrs is None:
+            girth = _girth(n, support.edges)
+            comp_genus, nbrs = _search_min_genus(n, support.edges, girth, 1, budget)
             total += comp_genus
-        rotations.update(_insert_multiedges_and_loops(comp, support.groups, support_rot).rotations)
+        rotations.update(_rotation(comp, support, nbrs).rotations)
 
     witness = RotationSystem(rotations)
     _, traced = trace_faces(ug, witness)

@@ -21,6 +21,7 @@ from .digraph import (
     ancestors,
     strongly_connected_components,
 )
+from .emulation import is_directed_emulator
 from .errors import DomainError
 from .semiauto import SemiAutomaton
 
@@ -234,8 +235,6 @@ def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
 
 def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
     """The relation identifying the fibres of a verified directed emulator."""
-    from .emulation import is_directed_emulator
-
     report = is_directed_emulator(phi)
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")

@@ -27,8 +27,8 @@ from regulus import (
 from regulus.digraph import components
 from regulus.genus import (
     GenusResult,
-    _insert_multiedges_and_loops,
     _lr_planar,
+    _rotation,
     _search_min_genus,
     _support,
     dart_tokens,
@@ -146,6 +146,40 @@ def _reference_planar_embedding_support(support):
     return rotations
 
 
+def _insert_multiedges_and_loops(g, groups, support_rot):
+    """Extend a rotation system of the support graph to the full multigraph,
+    given the edge groups of _reference_support(g): each extra parallel edge
+    is inserted beside the one before it, found by its token, and each loop
+    is appended as an adjacent pair of ends."""
+    rot = {v: list(support_rot.get(v, ())) for v in g.vertices}
+    for (a, b), group in groups.items():
+        for prev, e in zip(group, group[1:]):
+            rot[a].insert(rot[a].index(f"{prev}+") + 1, f"{e}+")
+            rot[b].insert(rot[b].index(f"{prev}-"), f"{e}-")
+    for e in g.edges:
+        if g.is_loop(e):
+            rot[g.ends(e)[0]].extend([f"{e}+", f"{e}-"])
+    return RotationSystem(rot)
+
+
+def _tokens(simple, nbrs):
+    """Neighbour lists over a simple graph's vertex positions as its edge-end tokens."""
+    token = {}
+    for e, (a, b) in simple.edges.items():
+        token[a, b], token[b, a] = f"{e}+", f"{e}-"
+    vs = simple.vertices
+    return {v: tuple(token[v, vs[w]] for w in ws) for v, ws in zip(vs, nbrs)}
+
+
+def _search_tokens(simple, girth, stop_genus, budget):
+    """_search_min_genus on a loopless simple UndirectedGraph, with its
+    rotations as that graph's edge-end tokens."""
+    index = {v: i for i, v in enumerate(simple.vertices)}
+    pairs = [tuple(index[x] for x in ends) for ends in simple.edges.values()]
+    genus, nbrs = _search_min_genus(len(index), pairs, girth, stop_genus, budget)
+    return genus, _tokens(simple, nbrs)
+
+
 def _reference_is_planar(g):
     """(witness, obstruction) of is_planar along the reference path."""
     ug = forget(g) if isinstance(g, DiGraph) else g
@@ -167,7 +201,7 @@ def _reference_genus_exact(g, budget):
         support, groups = _reference_support(comp)
         support_rot = _reference_planar_embedding_support(support)
         if support_rot is None:
-            comp_genus, support_rot = _search_min_genus(
+            comp_genus, support_rot = _search_tokens(
                 support, undirected_girth(support), 1, budget
             )
             total += comp_genus
@@ -201,6 +235,17 @@ def component_multigraphs(draw, directed=st.booleans()):
         pairs += [(b, a) for a, b in pairs[: draw(st.integers(0, 3))]]
         ids += [f"r{i}" for i in range(len(pairs) - len(ids))]
         return DiGraph(vs, [(e, a, b) for e, (a, b) in zip(ids, pairs)])
+    return UndirectedGraph(vs, list(zip(ids, pairs)))
+
+
+@st.composite
+def crowded_multigraphs(draw):
+    """Up to 6 vertices and 14 edges, so most pairs carry a parallel group
+    and most vertices a loop; edge ids are a shuffle of the drawing order."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    vertex = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    ids = [f"e{i}" for i in draw(st.permutations(range(len(pairs))))]
     return UndirectedGraph(vs, list(zip(ids, pairs)))
 
 
@@ -352,11 +397,10 @@ class TestGenusExact:
                 continue
             comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
             comp_best = _brute_force_min_genus(comp)
-            simple = _support(comp)
-            support = UndirectedGraph(vs, zip(simple.eids, simple.groups))
+            support, _ = _reference_support(comp)
             girth = undirected_girth(support)
             for n in range(comp_best + 2):
-                genus, rotations = _search_min_genus(support, girth, n, math.inf)
+                genus, rotations = _search_tokens(support, girth, n, math.inf)
                 assert trace_faces(support, RotationSystem(rotations))[1] == genus
                 assert (genus <= n) == (comp_best <= n)
                 assert genus >= comp_best
@@ -658,6 +702,42 @@ class TestSupport:
         got = _outcome(lambda: genus_exact(g, budget=budget))
         assert got == _outcome(lambda: _reference_genus_exact(g, budget))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(crowded_multigraphs(), component_multigraphs(directed=st.just(False))),
+           st.data())
+    def test_rotation_is_the_reference_insertion(self, g, data):
+        # any cyclic neighbour orders, not only those the LR test or the
+        # rotation search give, so a parallel group may be met at its larger
+        # end before its smaller one
+        support = _support(g)
+        nbrs = [[] for _ in support.vertices]
+        for a, b in support.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        nbrs = [data.draw(st.permutations(ws)) for ws in nbrs]
+        simple, groups = _reference_support(g)
+        support_rot = _tokens(simple, nbrs)
+        rot = _rotation(g, support, nbrs)
+        reference = _insert_multiedges_and_loops(g, groups, support_rot)
+        assert list(rot.rotations.items()) == list(reference.rotations.items())
+        assert trace_faces(g, rot)[1] == trace_faces(simple, RotationSystem(support_rot))[1]
+
+    def test_genus_exact_builds_one_undirected_graph_per_component(self, monkeypatch):
+        # the rotation search reads the support's integer pairs, so no
+        # simple graph is built beside the component
+        import regulus.genus
+
+        built = []
+
+        class Counted(UndirectedGraph):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(regulus.genus, "UndirectedGraph", Counted)
+        assert genus_exact(k_complete(7)).genus == 1
+        assert len(built) == 1
+
     def test_non_planar_component_builds_its_support_once(self, monkeypatch):
         # the rotation search takes its girth from the support the planarity
         # test already read, instead of building that support again
@@ -680,8 +760,8 @@ class TestSupport:
         g = DiGraph(["a", "b"], [("e3", "b", "a"), ("e1", "a", "b"), ("e2", "b", "a"),
                                  ("e0", "a", "a")])
         support = _support(g)
-        assert (support.pairs, support.eids) == ([(0, 1)], ["e1"])
-        assert support.groups == {("a", "b"): ["e1", "e2", "e3"]}
+        assert [es[0] for es in support.edges.values()] == ["e1"]
+        assert support.edges == {(0, 1): ["e1", "e2", "e3"]}
 
 
 def _reference_girth(g):
