@@ -107,6 +107,12 @@ class LanguageSample:
     max_length: int
 
 
+def _step(semi: SemiAutomaton, states: Iterable[str], letter: str) -> frozenset[str]:
+    """The subset step: every state one letter leads to from the given ones."""
+    table = semi.table()
+    return frozenset(t for q in states for t in table[q].get(letter, ()))
+
+
 def accepts(a: Automaton, word: Word | str) -> bool:
     """Nondeterministic acceptance by subset simulation."""
     if isinstance(word, str):
@@ -114,14 +120,9 @@ def accepts(a: Automaton, word: Word | str) -> bool:
     for letter in word:
         if letter not in a.alphabet:
             raise DomainError(f"letter {letter!r} is not in the alphabet")
-    current = set(a.initials)
+    current = a.initials
     for letter in word:
-        nxt = set()
-        for q in current:
-            for e in a.graph.out_edges(q):
-                if a.semi.label(e) == letter:
-                    nxt.add(a.graph.dst(e))
-        current = nxt
+        current = _step(a.semi, current, letter)
         if not current:
             return False
     return bool(current & a.finals)
@@ -140,12 +141,7 @@ def sample_language(a: Automaton, max_length: int) -> LanguageSample:
         nxt: list[tuple[Word, frozenset[str]]] = []
         for word, states in frontier:
             for letter in letters:
-                targets = frozenset(
-                    a.graph.dst(e)
-                    for q in states
-                    for e in a.graph.out_edges(q)
-                    if a.semi.label(e) == letter
-                )
+                targets = _step(a.semi, states, letter)
                 if not targets:
                     continue
                 w2 = word + (letter,)
@@ -179,29 +175,18 @@ def complete_with_trash(a: Automaton) -> Automaton:
     if is_complete(a.semi):
         return a
     trash = "⊥"
-    existing = set(a.graph.vertices)
-    while trash in existing:
+    while trash in a.graph.vertices:
         trash += "'"
     edges = a.graph.edge_list()
     labels = dict(a.semi.labelling)
-    eids = set(a.graph.edges)
-
-    def fresh_edge(base: str) -> str:
-        nid = base
-        while nid in eids:
+    missing = [(q, x) for q, row in a.semi.table().items()
+               for x in sorted(a.alphabet - row.keys())]
+    # each missing transition, then each trash loop, takes a fresh edge id
+    for q, letter in missing + [(trash, x) for x in sorted(a.alphabet)]:
+        nid = f"{q}>{trash}:{letter}"
+        while nid in labels:
             nid += "'"
-        eids.add(nid)
-        return nid
-
-    for q in a.graph.vertices:
-        have = {a.semi.label(e) for e in a.graph.out_edges(q)}
-        for letter in sorted(a.alphabet - have):
-            nid = fresh_edge(f"{q}>{trash}:{letter}")
-            edges.append((nid, q, trash))
-            labels[nid] = letter
-    for letter in sorted(a.alphabet):
-        nid = fresh_edge(f"{trash}>{trash}:{letter}")
-        edges.append((nid, trash, trash))
+        edges.append((nid, q, trash))
         labels[nid] = letter
     g = DiGraph(list(a.graph.vertices) + [trash], edges)
     semi = SemiAutomaton(g, a.alphabet, labels)
@@ -258,20 +243,15 @@ def languages_equal(a: Automaton, b: Automaton) -> bool:
     start = (a.single_initial(), b.single_initial())
     if not is_deterministic(a.semi) or not is_deterministic(b.semi):
         raise PreconditionError("exact equality requires deterministic automata")
-
-    def table(m: Automaton) -> dict[str, dict[str, str]]:
-        out: dict[str, dict[str, str]] = {q: {} for q in m.graph.vertices}
-        for e, s, t in m.graph.edge_list():
-            out[s][m.semi.label(e)] = t
-        return out
-
-    ta, tb = table(a), table(b)
+    ta, tb = a.semi.table(), b.semi.table()
     letters = sorted(a.alphabet | b.alphabet)
 
     def step(pair: tuple) -> list[tuple]:
-        # a missing transition leads to the dead state None, which stays put
+        # each row holds one target per letter; a missing transition leads to
+        # the dead state None, which stays put
         qa, qb = pair
-        return [(ta.get(qa, {}).get(x), tb.get(qb, {}).get(x)) for x in letters]
+        return [(*ta.get(qa, {}).get(x, [None]), *tb.get(qb, {}).get(x, [None]))
+                for x in letters]
 
     return all((qa in a.finals) == (qb in b.finals) for qa, qb in _closure([start], step))
 

@@ -71,12 +71,14 @@ class AutomaticRelation:
     @staticmethod
     def from_classes(vertex_classes, edge_classes) -> "AutomaticRelation":
         """The relation with the given classes.  The vertex classes and the
-        edge classes must each partition their ids; the two are kept apart,
-        as a vertex and an edge may share an id."""
+        edge classes must each partition their ids into non-empty classes;
+        the two are kept apart, as a vertex and an edge may share an id."""
         class_maps = []
         for classes in (vertex_classes, edge_classes):
             class_of: dict = {}
             for k, c in enumerate(classes):
+                if not c:
+                    raise DomainError("classes must be non-empty")
                 for x in c:
                     if class_of.setdefault(x, k) != k:
                         raise DomainError("classes do not partition the underlying set")
@@ -287,10 +289,11 @@ class FinalFamily:
 
     def validate(self, g: DiGraph) -> None:
         seen: set[str] = set()
+        vertices = set(g.vertices)
         for s in self.subsets:
             if not s:
                 raise DomainError("final family subsets must be non-empty")
-            if not s <= set(g.vertices):
+            if not s <= vertices:
                 raise DomainError("final family mentions unknown vertices")
             if s & seen:
                 raise DomainError("final family subsets must be pairwise disjoint")
@@ -364,12 +367,6 @@ def is_complete_final_system(g: DiGraph, vertices: Iterable[str]) -> bool:
     return len(covered) == len(g.vertices)
 
 
-def canonical_semi_automaton(g: DiGraph, r: AutomaticRelation) -> SemiAutomaton:
-    """Label each edge by (the representative of) its edge class."""
-    erep = {e: c[0] for c in r.edge_classes for e in c}
-    return SemiAutomaton(g, set(erep.values()), erep)
-
-
 @dataclass(frozen=True)
 class RoundTripReport:
     ok: bool
@@ -379,28 +376,26 @@ class RoundTripReport:
 
 
 def automatic_to_mn_roundtrip(g: DiGraph, r: AutomaticRelation) -> RoundTripReport:
-    """Recover an automatic relation by refinement over its own canonical
-    semi-automaton, from a minimal complete final system, from the full class
-    partition, and (when a reachable vertex exists) from that single class."""
+    """Recover an automatic relation by Myhill-Nerode refinement over its own
+    canonical semi-automaton, the graph labelled by r's edge classes, from a
+    minimal complete final system, from the full class partition, and (when a
+    reachable vertex exists) from that single class.  The refinements run on
+    r's class vector: each edge is keyed by its class, and each vertex by the
+    family member that holds it, one key standing for outside every member."""
     _require_automatic(g, r, "relation is not automatic")
-    a_r = canonical_semi_automaton(g, r)
-    vclass = r.vertex_class_of()
-
+    n = len(g.vertices)
+    vclass, eclass = r.vector[:n], r.vector[n:]
     system = complete_final_systems(g).minimal_system
-    fam_min = FinalFamily(tuple({frozenset(vclass[s]) for s in system}))
-    got_min = mn_refine(a_r, fam_min)
-    minimal_ok = got_min == r
-
-    fam_all = FinalFamily(tuple(frozenset(c) for c in r.vertex_classes))
-    got_all = mn_refine(a_r, fam_all)
-    class_ok = got_all == r
+    finals = {k for v, k in zip(g.vertices, vclass) if v in system}
+    minimal_keys = [k if k in finals else None for k in vclass]
+    minimal_ok = _coarsest_automatic(g, minimal_keys, eclass) == r
+    class_ok = _coarsest_automatic(g, vclass, eclass) == r
 
     # every vertex reaches v exactly when the graph has one sink component
     # and v lies in it; the minimal system then holds its least vertex
     single_ok: bool | None = None
     if len(system) == 1:
-        got_single = mn_refine(a_r, FinalFamily.of(vclass[system[0]]))
-        single_ok = got_single == r
+        single_ok = _coarsest_automatic(g, [k in finals for k in vclass], eclass) == r
 
     ok = minimal_ok and class_ok and (single_ok is not False)
     return RoundTripReport(ok, minimal_ok, class_ok, single_ok)

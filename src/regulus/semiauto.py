@@ -14,9 +14,11 @@ class SemiAutomaton:
     """A digraph with a surjective edge labelling onto a finite alphabet.
 
     Underused alphabets are rejected: every letter must label some edge.
+    `table()` gives each state's targets per letter, in edge-id order; it is
+    built on first use and kept, as the graph and labelling are immutable.
     """
 
-    __slots__ = ("_graph", "_alphabet", "_labels")
+    __slots__ = ("_graph", "_alphabet", "_labels", "_table")
 
     def __init__(self, graph: DiGraph, alphabet: Iterable[str], labelling: Mapping[str, str]):
         letters = frozenset(alphabet)
@@ -37,6 +39,7 @@ class SemiAutomaton:
         self._graph = graph
         self._alphabet = letters
         self._labels = labels
+        self._table = None
 
     @property
     def graph(self) -> DiGraph:
@@ -56,8 +59,13 @@ class SemiAutomaton:
     def states(self) -> tuple[str, ...]:
         return self._graph.vertices
 
-    def out_labels(self, q: str) -> list[str]:
-        return [self._labels[e] for e in self._graph.out_edges(q)]
+    def table(self) -> Mapping[str, Mapping[str, tuple[str, ...]]]:
+        if self._table is None:
+            rows: dict[str, dict[str, list[str]]] = {q: {} for q in self._graph.vertices}
+            for e, (s, t) in self._graph.edges.items():
+                rows[s].setdefault(self._labels[e], []).append(t)
+            self._table = {q: {x: tuple(ts) for x, ts in row.items()} for q, row in rows.items()}
+        return self._table
 
     def __eq__(self, other) -> bool:
         return (
@@ -132,10 +140,7 @@ def tautological_morphism(m: GraphMorphism) -> SemiMorphism:
 
 def is_complete(a: SemiAutomaton) -> bool:
     """Every letter labels an outgoing edge at every state."""
-    for q in a.states():
-        if not a.alphabet <= set(a.out_labels(q)):
-            return False
-    return True
+    return all(len(row) == len(a.alphabet) for row in a.table().values())
 
 
 def is_deterministic(a: SemiAutomaton) -> bool:
@@ -144,11 +149,7 @@ def is_deterministic(a: SemiAutomaton) -> bool:
     Parallel equal-labelled edges count as violations even when they share
     source and target.
     """
-    for q in a.states():
-        labels = a.out_labels(q)
-        if len(labels) != len(set(labels)):
-            return False
-    return True
+    return all(len(ts) == 1 for row in a.table().values() for ts in row.values())
 
 
 def relabel(a: SemiAutomaton, alpha: Mapping[str, str]) -> tuple[SemiAutomaton, SemiMorphism]:

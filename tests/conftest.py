@@ -126,6 +126,18 @@ def multidigraphs(draw, max_vertices=6, max_edges=10):
     return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)])
 
 
+@st.composite
+def semi_automata(draw, max_states=4, max_edges=10):
+    """Semi-automata over up to three letters, with parallel equal-labelled
+    edges, loops, unreachable states and states missing letters."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, max_states)))]
+    state = st.sampled_from(states)
+    arcs = draw(st.lists(st.tuples(state, state, st.sampled_from("abc")), max_size=max_edges))
+    labels = {f"e{i}": x for i, (_, _, x) in enumerate(arcs)}
+    edges = [(f"e{i}", s, t) for i, (s, t, _) in enumerate(arcs)]
+    return SemiAutomaton(DiGraph(states, edges), set(labels.values()), labels)
+
+
 def canonical_multidigraphs(max_v=4, max_e=6):
     """One multidigraph per isomorphism class with at most max_v vertices and
     max_e edges (4,388 of them for the defaults), loops included."""

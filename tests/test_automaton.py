@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,18 @@ from regulus.corpus import (
     z7_123_automaton,
 )
 
-from conftest import random_complete_dfa
+from conftest import random_complete_dfa, semi_automata
+
+
+def reference_accepts(a: Automaton, word) -> bool:
+    """Subset simulation by walking each state's out-edges."""
+    current = set(a.initials)
+    for letter in word:
+        current = {
+            a.graph.dst(e) for q in current for e in a.graph.out_edges(q)
+            if a.semi.label(e) == letter
+        }
+    return bool(current & a.finals)
 
 
 def single_letter_cycle(n, finals):
@@ -61,6 +74,17 @@ class TestAccepts:
         assert accepts(a, "0 0 0")
         assert not accepts(a, "1 2 3")
         assert not accepts(a, "1 6")
+
+    @settings(max_examples=300, deadline=None)
+    @given(semi_automata(), st.data())
+    def test_matches_the_out_edge_walk(self, semi, data):
+        # every word up to length 3, and the sample of the same length
+        states = st.sets(st.sampled_from(semi.states()))
+        a = Automaton(semi, data.draw(states), data.draw(states))
+        words = [w for n in range(4) for w in product(sorted(a.alphabet), repeat=n)]
+        accepted = {w for w in words if reference_accepts(a, w)}
+        assert {w for w in words if accepts(a, w)} == accepted
+        assert sample_language(a, 3).words == accepted
 
 
 class TestSampleLanguage:

@@ -298,6 +298,17 @@ class TestCliVerbs:
         assert main(["rel", "check", str(g), str(good), "-o", str(tmp_path / "r.json")]) == 0
         assert main(["rel", "check", str(g), str(bad), "-o", str(tmp_path / "r.json")]) == 1
 
+    def test_rel_check_refuses_an_empty_class(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(formats.dumps(formats.digraph_to_json(c2())))
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps({"vertex_classes": [["a", "b"], []],
+                                 "edge_classes": [["e1", "e2"]]}))
+        assert main(["rel", "check", str(g), str(r)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: classes must be non-empty\n"
+
     def test_genus_verbs(self, tmp_path):
         g = tmp_path / "k5.json"
         from conftest import k_complete
@@ -679,8 +690,9 @@ class TestCliSubprocess:
     def test_no_verb_loads_networkx(self, tmp_path):
         # this process has networkx loaded, so a fresh interpreter runs the
         # verbs: a yes at n 0, a genus-bound yes at n 1, a refusal printing
-        # its obstruction, an exact genus, a cover search and a relation
-        # round trip, which reaches the strongly connected components
+        # its obstruction, an exact genus, a cover search, a relation round
+        # trip, which reaches the strongly connected components, and the
+        # automaton verbs that read the transition table
         from conftest import k_complete
 
         def modk(k, letters):
@@ -709,6 +721,9 @@ class TestCliSubprocess:
             ["emu", "search", g],
             ["rel", "max", g, "-o", mx],
             ["rel", "check", "--roundtrip", g, mx],
+            ["auto", "accept", l7, "1 2 2 2"],
+            ["auto", "sample", l7, "--max-length", "3"],
+            ["auto", "equal", l7, l7],
         ]
         script = (
             "import json, sys\n"
@@ -724,7 +739,7 @@ class TestCliSubprocess:
         assert proc.returncode == 0, proc.stderr
         *printed, last = proc.stdout.splitlines()
         codes, loaded = json.loads(last)
-        assert codes == [0, 0, 1, 0, 0, 0, 0], proc.stderr
+        assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0], proc.stderr
         assert '"obstruction"' in "\n".join(printed)
         assert json.loads(Path(mx).read_text())["vertex_classes"]
         assert not loaded

@@ -34,7 +34,7 @@ from regulus import formats
 from regulus.cli import main
 from regulus.corpus import amalgamation_loop, loop2_to_loop1, par2_swap
 from regulus.formats import relation_from_json, relation_to_json
-from regulus.relations import canonical_semi_automaton, is_complete_final_system
+from regulus.relations import is_complete_final_system
 
 from conftest import (
     c2,
@@ -333,6 +333,36 @@ class TestRoundTrip:
         r = canonical_relation(loop2_to_loop1())
         g = loop2()
         assert automatic_to_mn_roundtrip(g, r).ok
+
+    def test_parallel_edges_keep_their_classes(self):
+        # the two parallel edges share their end classes, so only the edge
+        # keys tell them apart
+        g = par2()
+        assert automatic_to_mn_roundtrip(g, AutomaticRelation.identity(g)).ok
+
+    def test_round_trip_builds_no_semi_automaton(self, monkeypatch):
+        # the refinements run on the relation's class vector, with no
+        # labelled copy of the graph and no final family
+        built = []
+
+        def count(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        count(SemiAutomaton)
+        count(FinalFamily)
+        g = c4()
+        relations = enumerate_automatic_relations(g)
+        assert len(relations) > 1
+        assert all(automatic_to_mn_roundtrip(g, r).ok for r in relations)
+        assert built == []
+        FinalFamily.of(["a"])  # the count does see a construction
+        assert built == ["FinalFamily"]
 
     def test_round_trips_over_one_graph_find_its_final_system_once(self, monkeypatch):
         # the graph is immutable, so the strong components behind its final

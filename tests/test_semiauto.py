@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from regulus import (
     DiGraph,
@@ -14,7 +15,26 @@ from regulus import (
 )
 from regulus.semiauto import factor_morphism, validate_semi_morphism
 
-from conftest import c2, loop2, random_digraph
+from conftest import c2, loop2, random_digraph, semi_automata
+
+
+def reference_is_complete(a: SemiAutomaton) -> bool:
+    """Every letter labels an outgoing edge at every state, by walking each
+    state's out-edges."""
+    for q in a.states():
+        if not a.alphabet <= {a.label(e) for e in a.graph.out_edges(q)}:
+            return False
+    return True
+
+
+def reference_is_deterministic(a: SemiAutomaton) -> bool:
+    """No state carries two outgoing edges with the same label, by walking
+    each state's out-edges."""
+    for q in a.states():
+        labels = [a.label(e) for e in a.graph.out_edges(q)]
+        if len(labels) != len(set(labels)):
+            return False
+    return True
 
 
 def compose_semi(outer: SemiMorphism, inner: SemiMorphism) -> SemiMorphism:
@@ -109,6 +129,19 @@ class TestCompletenessDeterminism:
         a = z6_semi()
         for q in a.states():
             assert len(a.graph.out_edges(q)) == len(a.alphabet)
+
+    @settings(max_examples=300, deadline=None)
+    @given(semi_automata())
+    def test_match_the_out_edge_walks(self, a):
+        assert is_deterministic(a) == reference_is_deterministic(a)
+        assert is_complete(a) == reference_is_complete(a)
+
+    def test_table_is_built_once(self):
+        a = z6_semi()
+        table = a.table()
+        assert is_complete(a) and is_deterministic(a)
+        assert a.table() is table
+        assert table["0"]["2"] == ("2",)
 
 
 class TestRelabel:
