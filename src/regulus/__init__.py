@@ -72,7 +72,6 @@ from .genus import (
 )
 from .pipeline import (
     LanguageGenusAnswer,
-    genus_monotonicity_checks,
     language_base,
     language_genus_leq,
 )

@@ -107,9 +107,6 @@ class DiGraph:
         s, t = self._edges[eid]
         return s == t
 
-    def is_simple(self) -> bool:
-        return len({(s, t) for s, t in self._edges.values()}) == len(self._edges)
-
     def edge_list(self) -> list[tuple[str, str, str]]:
         return [(e, s, t) for e, (s, t) in self._edges.items()]
 
@@ -252,13 +249,17 @@ class DirectedCycle:
 
 
 def _vertex_images(m: _Maps, kind: str) -> ValidationReport:
-    """Raise unless m's maps are total; report a vertex image outside the target."""
-    missing_v = [v for v in m.source.vertices if v not in m.p]
-    missing_e = [e for e in m.source.edges if e not in m.q]
-    if missing_v or missing_e:
-        raise DomainError(
-            f"{kind} maps are not total: missing vertices {missing_v[:3]} edges {missing_e[:3]}"
-        )
+    """Raise unless m maps exactly the source's ids; report a vertex image outside the target."""
+    if m.p.keys() != set(m.source.vertices) or m.q.keys() != m.source.edges.keys():
+        missing_v = [v for v in m.source.vertices if v not in m.p]
+        missing_e = [e for e in m.source.edges if e not in m.q]
+        if missing_v or missing_e:
+            raise DomainError(
+                f"{kind} maps are not total: missing vertices {missing_v[:3]} edges {missing_e[:3]}"
+            )
+        extra_v = sorted(m.p.keys() - m.source.vertices)
+        extra_e = sorted(m.q.keys() - m.source.edges.keys())
+        raise DomainError(f"{kind} maps name unknown vertices {extra_v[:3]} edges {extra_e[:3]}")
     tv = set(m.target.vertices)
     for v, w in m.p.items():
         if w not in tv:
@@ -373,28 +374,30 @@ def pullback(
 ) -> tuple[DiGraph, GraphMorphism, GraphMorphism]:
     """Fibre product of phi and psi over their common target.
 
-    Vertices are pairs with equal image, edges are edge pairs with equal
-    image; the returned morphisms are the two projections.
+    Both must be morphisms (DomainError otherwise).  Vertices are pairs with
+    equal image, edges are edge pairs with equal image, each in the order of
+    phi's id and then psi's; the returned morphisms are the two projections.
     """
     if phi.target != psi.target:
         raise DomainError("pullback requires morphisms with the same target")
-    vs = [
-        (u, v)
-        for u in phi.source.vertices
-        for v in psi.source.vertices
-        if phi.p[u] == psi.p[v]
-    ]
-    es = [
-        (e, f)
-        for e in phi.source.edges
-        for f in psi.source.edges
-        if phi.q[e] == psi.q[f]
-    ]
+    for m in (phi, psi):
+        rep = validate_morphism(m)
+        if not rep.ok:
+            raise DomainError(f"pullback of an invalid morphism: {rep.reason} at {rep.witness}")
+
+    def fibre_pairs(xs, fx: Mapping[str, str], ys, fy: Mapping[str, str]) -> list[tuple[str, str]]:
+        fibres: dict[str, list[str]] = {}  # each image's preimages under fy, in the order of ys
+        for y in ys:
+            fibres.setdefault(fy[y], []).append(y)
+        return [(x, y) for x in xs for y in fibres.get(fx[x], ())]
+
+    vs = fibre_pairs(phi.source.vertices, phi.p, psi.source.vertices, psi.p)
+    es = fibre_pairs(phi.source.edges, phi.q, psi.source.edges, psi.q)
     vertex_ids = [pair_id(u, v) for u, v in vs]
     if len(set(vertex_ids)) != len(vertex_ids):
         raise DomainError("pullback pair ids collide; rename vertices without ',' or '()'")
     g = DiGraph(
-        [pair_id(u, v) for u, v in vs],
+        vertex_ids,
         [
             (
                 pair_id(e, f),

@@ -90,12 +90,6 @@ class FaceVector:
     def __post_init__(self):
         object.__setattr__(self, "counts", dict(self.counts))
 
-    def total_faces(self) -> int:
-        return sum(self.counts.values())
-
-    def total_length(self) -> int:
-        return sum(i * c for i, c in self.counts.items())
-
 
 def trace_faces(
     g: UndirectedGraph, rot: RotationSystem

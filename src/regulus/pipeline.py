@@ -18,12 +18,11 @@ from .automaton import (
     languages_equal,
     minimal_cover_base,
 )
-from .digraph import DiGraph, GraphMorphism, pullback
+from .digraph import DiGraph
 from .emulation import (
     CoverCertificate,
     CoverSearchSpec,
     SearchOutcome,
-    is_directed_cover,
     search_covers,
 )
 from .errors import DomainError, PreconditionError
@@ -96,61 +95,3 @@ def language_genus_leq(
     if not languages_equal(witness, prepared):
         raise DomainError("witness language mismatch")
     return LanguageGenusAnswer("yes", witness, wg, cert)
-
-
-def find_monomorphism(small: DiGraph, big: DiGraph) -> GraphMorphism | None:
-    """An injective morphism from small into big, or None if there is none.
-
-    The VF2 matcher finds the vertex map, counting parallel edges and loops;
-    each edge then takes the first free big edge with the same ends.  Its
-    graph library is imported here, by the one function that uses it, so
-    that importing regulus does not load it.
-    """
-    import networkx as nx
-
-    def multidigraph(g: DiGraph) -> nx.MultiDiGraph:
-        m = nx.MultiDiGraph()
-        m.add_nodes_from(g.vertices)
-        m.add_edges_from(g.edges.values())
-        return m
-
-    matcher = nx.isomorphism.MultiDiGraphMatcher(multidigraph(big), multidigraph(small))
-    match = next(matcher.subgraph_monomorphisms_iter(), None)
-    if match is None:
-        return None
-    p = {v: w for w, v in match.items()}
-    pools: dict[tuple[str, str], list[str]] = {}
-    for e, s, t in big.edge_list():
-        pools.setdefault((s, t), []).append(e)
-    q = {e: pools[(p[s], p[t])].pop(0) for e, s, t in small.edge_list()}
-    return GraphMorphism(small, big, p, q)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    is_subgraph: bool
-    transported: CoverCertificate | None
-    transported_genus_ok: bool | None
-
-
-def genus_monotonicity_checks(
-    l_big: Automaton, l_small: Automaton, cert: CoverCertificate
-) -> MonotonicityReport:
-    """Given a genus-n cover certificate for the larger language's base graph,
-    transport it by pullback to a cover of the smaller language's base when
-    the latter embeds as a subgraph, and verify the genus did not grow."""
-    base_big, base_small = language_base(l_big), language_base(l_small)
-    cert.verify()
-    if cert.base != base_big:
-        raise DomainError("certificate does not certify the larger language's base")
-    mono = find_monomorphism(base_small, base_big)
-    if mono is None:
-        return MonotonicityReport(False, None, None)
-    _, pi1, _ = pullback(mono, cert.morphism)
-    rep = is_directed_cover(pi1)
-    if not rep.ok:
-        raise DomainError(f"transported morphism is not a cover: {rep.reason}")
-    res = genus_exact(pi1.source)
-    transported = CoverCertificate(base_small, pi1.source, pi1, res.witness, res.genus)
-    transported.verify()
-    return MonotonicityReport(True, transported, res.genus <= cert.genus)

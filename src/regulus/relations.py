@@ -135,15 +135,6 @@ class AutomaticRelation:
         rows = [c.to_bytes(width, "little") for c in cols]
         return int.from_bytes(b"".join(map(rows.__getitem__, self.vector)), "little")
 
-    def vertex_class_of(self) -> dict[str, tuple[str, ...]]:
-        return {v: c for c in self.vertex_classes for v in c}
-
-    def edge_class_of(self) -> dict[str, tuple[str, ...]]:
-        return {e: c for c in self.edge_classes for e in c}
-
-    def is_identity(self) -> bool:
-        return max(self.vector, default=-1) + 1 == len(self.vector)
-
 
 def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
     """r1 <= r2 when every r1 class is contained in an r2 class (both sorts):

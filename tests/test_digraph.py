@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regulus import (
     DiGraph,
@@ -8,6 +9,7 @@ from regulus import (
     DomainError,
     GraphMorphism,
     UndirectedGraph,
+    UndirectedMorphism,
     bidirect,
     contract_cycle,
     excise,
@@ -19,12 +21,14 @@ from regulus import (
     simplify,
     subgraph,
     validate_morphism,
+    validate_undirected_morphism,
 )
 from regulus.corpus import fork_nonemulator, op_example_graph
 from regulus.digraph import (
     ancestors,
     components,
     descendants,
+    pair_id,
     strongly_connected_components,
     weakly_connected,
 )
@@ -62,6 +66,24 @@ class TestValidateMorphism:
     def test_partial_map_is_domain_error(self):
         with pytest.raises(DomainError):
             validate_morphism(GraphMorphism(p2(), p2(), {"x": "x"}, {"e": "e"}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multidigraphs(max_vertices=4, max_edges=6), st.data())
+    def test_one_id_added_or_dropped_is_domain_error(self, g, data):
+        # a KeyError here used to crash the CLI (exit 4), and an added vertex
+        # passed unnoticed
+        simple, rho = simplify(g)
+        undirected = UndirectedMorphism(forget(g), forget(simple), rho.p, rho.q)
+        for validate, m in ((validate_morphism, rho), (validate_undirected_morphism, undirected)):
+            assert validate(m).ok
+            maps = {"p": dict(m.p), "q": dict(m.q)}
+            ids = maps[data.draw(st.sampled_from("pq"))]
+            if ids and data.draw(st.booleans()):
+                del ids[data.draw(st.sampled_from(sorted(ids)))]
+            else:
+                ids["zz"] = next(iter(ids.values()), "zz")
+            with pytest.raises(DomainError):
+                validate(type(m)(m.source, m.target, **maps))
 
 
 class TestSimplify:
@@ -180,6 +202,65 @@ class TestBidirect:
             assert len(fb.edges) == 2 * nonloops + loops
 
 
+def _reference_pullback(phi, psi):
+    """The fibre product as every vertex pair and every edge pair with equal
+    image, in phi's order and then psi's; neither map is checked."""
+    vs = [
+        (u, v)
+        for u in phi.source.vertices
+        for v in psi.source.vertices
+        if phi.p[u] == psi.p[v]
+    ]
+    es = [
+        (e, f)
+        for e in phi.source.edges
+        for f in psi.source.edges
+        if phi.q[e] == psi.q[f]
+    ]
+    g = DiGraph(
+        [pair_id(u, v) for u, v in vs],
+        [
+            (
+                pair_id(e, f),
+                pair_id(phi.source.src(e), psi.source.src(f)),
+                pair_id(phi.source.dst(e), psi.source.dst(f)),
+            )
+            for e, f in es
+        ],
+    )
+    pi1 = GraphMorphism(
+        g, phi.source, {pair_id(u, v): u for u, v in vs}, {pair_id(e, f): e for e, f in es}
+    )
+    pi2 = GraphMorphism(
+        g, psi.source, {pair_id(u, v): v for u, v in vs}, {pair_id(e, f): f for e, f in es}
+    )
+    return g, pi1, pi2
+
+
+@st.composite
+def cospans(draw):
+    """Two morphisms into one multidigraph, the second sometimes the first:
+    each source vertex picks an image, and each target edge whose ends both
+    have preimages lifts once or twice, between vertices of those fibres."""
+    target = draw(multidigraphs(max_vertices=3, max_edges=5))
+
+    def morphism():
+        vertex = st.sampled_from(target.vertices)
+        images = draw(st.lists(vertex, min_size=1, max_size=6)) if target.vertices else []
+        p = {f"v{i}": y for i, y in enumerate(images)}
+        edges, q = [], {}
+        for f, ends in target.edges.items():
+            over = [[v for v in p if p[v] == y] for y in ends]
+            for _ in range(draw(st.integers(1, 2)) if all(over) else 0):
+                e = f"e{len(q)}"
+                q[e] = f
+                edges.append((e, draw(st.sampled_from(over[0])), draw(st.sampled_from(over[1]))))
+        return GraphMorphism(DiGraph(p, edges), target, p, q)
+
+    phi = morphism()
+    return phi, phi if draw(st.booleans()) else morphism()
+
+
 class TestPullback:
     def test_identity_square_is_diagonal(self):
         g = c2()
@@ -208,6 +289,16 @@ class TestPullback:
     def test_mismatched_targets_rejected(self):
         with pytest.raises(DomainError):
             pullback(identity_morphism(c2()), identity_morphism(p2()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cospans())
+    def test_matches_the_all_pairs_reference(self, pair):
+        phi, psi = pair
+        got, want = pullback(phi, psi), _reference_pullback(phi, psi)
+        assert got[0] == want[0]
+        for mine, theirs in zip(got[1:], want[1:]):
+            assert list(mine.p.items()) == list(theirs.p.items())
+            assert list(mine.q.items()) == list(theirs.q.items())
 
 
 class TestReachability:

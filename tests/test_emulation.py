@@ -596,7 +596,7 @@ def _cover_girth_floor(base: DiGraph) -> int:
     simple, loopless and free of directed 2-cycles, else weaker."""
     if any(base.is_loop(e) for e in base.edges):
         return 1
-    if not base.is_simple():
+    if simplify(base)[0] != base:
         return 2
     pairs = {(s, t) for _, s, t in base.edge_list()}
     if any((t, s) in pairs for s, t in pairs):

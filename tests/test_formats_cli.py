@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -457,6 +458,47 @@ class TestCliVerbs:
             out, err = capsys.readouterr()
             assert out == "" and "missing vertices ['iso'] edges []" in err, (out, err)
 
+    def test_maps_naming_ids_outside_the_source_are_input_errors(self, tmp_path, capsys):
+        # an extra edge id used to crash with a KeyError (exit 4), and an
+        # extra vertex id came back as the witness of a verdict (exit 1)
+        loop = {"vertices": ["x"], "edges": [{"id": "f", "src": "x", "dst": "x"}]}
+        arc = {"id": "e", "src": "a", "dst": "b"}
+        cases = [
+            ({"source": {"vertices": ["a", "b"], "edges": [arc]}, "target": loop,
+              "p": {"a": "x", "b": "x"}, "q": {"e": "f", "zz": "f"}}, "edges ['zz']"),
+            ({"source": {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"]}]},
+              "target": {"vertices": ["x"], "edges": [{"id": "f", "ends": ["x"]}]},
+              "p": {"a": "x", "b": "x"}, "q": {"e": "f", "zz": "f"}}, "edges ['zz']"),
+            ({"source": {"vertices": ["a", "b"],
+                         "edges": [arc, {"id": "g", "src": "b", "dst": "a"}]}, "target": loop,
+              "p": {"a": "x", "b": "x", "ghost": "x"}, "q": {"e": "f", "g": "f"}},
+             "vertices ['ghost']"),
+        ]
+        for i, (payload, named) in enumerate(cases):
+            f = tmp_path / f"m{i}.json"
+            f.write_text(json.dumps(payload))
+            verbs = [("emu", "check"), ("emu", "check-cover")]
+            if i != 1:  # the directed maps
+                verbs += [("emu", "extract"), ("rel", "canonical"), ("rel", "factorize")]
+            for verb in verbs:
+                assert main([*verb, str(f)]) == 3, (i, verb)
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: ") and named in err, (verb, out, err)
+
+    def test_pullback_refuses_maps_that_are_not_morphisms(self, tmp_path, capsys):
+        # swapped ends used to print a "fibre product" (exit 0), and a missing
+        # vertex crashed with a KeyError (exit 4)
+        source = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}]}
+        target = {"vertices": ["x", "y"], "edges": [{"id": "f", "src": "x", "dst": "y"}]}
+        cases = [({"a": "x", "b": "y"}, 0, ""), ({"a": "y", "b": "x"}, 3, "endpoint mismatch"),
+                 ({"a": "x"}, 3, "missing vertices ['b']")]
+        for p, code, named in cases:
+            f = tmp_path / "m.json"
+            f.write_text(json.dumps({"source": source, "target": target, "p": p, "q": {"e": "f"}}))
+            assert main(["graph", "pullback", str(f), str(f)]) == code, p
+            out, err = capsys.readouterr()
+            assert bool(out) == (code == 0) and named in err, (p, out, err)
+
     def test_repeated_calls_keep_append_options_apart(self, tmp_path):
         # main reuses one parser; an appended --final must not reach the next call
         semi = tmp_path / "loops.json"
@@ -688,11 +730,13 @@ class TestCliSubprocess:
         assert json.loads(out)["ok"] is True
 
     def test_no_verb_loads_networkx(self, tmp_path):
-        # this process has networkx loaded, so a fresh interpreter runs the
-        # verbs: a yes at n 0, a genus-bound yes at n 1, a refusal printing
-        # its obstruction, an exact genus, a cover search, a relation round
-        # trip, which reaches the strongly connected components, and the
-        # automaton verbs that read the transition table
+        # a fresh interpreter in which networkx cannot be imported loads every
+        # regulus module and runs verbs from every group: a yes at n 0, a
+        # genus-bound yes at n 1, a refusal printing its obstruction, an exact
+        # genus, a cover search and its certificate check, a relation round
+        # trip, which reaches the strongly connected components, the
+        # automaton verbs that read the transition table, and the morphism
+        # verbs on a corpus file
         from conftest import k_complete
 
         def modk(k, letters):
@@ -710,27 +754,38 @@ class TestCliSubprocess:
         }
         for name, data in inputs.items():
             (tmp_path / name).write_text(formats.dumps(data))
-        l7, l9, k5, k7, g, mx = (
-            str(tmp_path / n) for n in (*inputs, "max.json")
+        l7, l9, k5, k7, g, mx, cert = (
+            str(tmp_path / n) for n in (*inputs, "max.json", "cert.json")
         )
+        mor = str(tmp_path / ENTRIES["loop2-to-loop1"].filename)
         calls = [
             ["genus", "language", "--n", "0", "--max-fiber", "2", l7],
             ["genus", "language", "--n", "1", "--max-fiber", "1", l9],
             ["genus", "planar", k5],
             ["genus", "exact", k7],
-            ["emu", "search", g],
+            ["genus", "invariance", g],
+            ["emu", "search", g, "-o", cert],
+            ["emu", "verify-cert", cert],
             ["rel", "max", g, "-o", mx],
             ["rel", "check", "--roundtrip", g, mx],
             ["auto", "accept", l7, "1 2 2 2"],
             ["auto", "sample", l7, "--max-length", "3"],
             ["auto", "equal", l7, l7],
+            ["sa", "check", l7],
+            ["corpus", "emit", "loop2-to-loop1", "--out-dir", str(tmp_path)],
+            ["emu", "check", mor],
+            ["graph", "pullback", mor, mor],
         ]
         script = (
-            "import json, sys\n"
+            "import importlib, json, pkgutil, sys\n"
+            "sys.modules['networkx'] = None  # any import of it now fails\n"
             "import regulus\n"
+            "names = [m.name for m in pkgutil.iter_modules(regulus.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module(f'regulus.{name}')\n"
             "from regulus.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, 'networkx' in sys.modules]))\n"
+            "print(json.dumps([codes, names, sys.modules['networkx'] is None]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(calls)],
@@ -738,11 +793,24 @@ class TestCliSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         *printed, last = proc.stdout.splitlines()
-        codes, loaded = json.loads(last)
-        assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0], proc.stderr
+        codes, names, blocked = json.loads(last)
+        assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], proc.stderr
         assert '"obstruction"' in "\n".join(printed)
         assert json.loads(Path(mx).read_text())["vertex_classes"]
-        assert not loaded
+        package = Path(formats.__file__).parent
+        assert names == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+        assert blocked
+
+    def test_networkx_is_a_test_dependency_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+
+        def names(requirements):
+            return {re.match(r"[A-Za-z0-9._-]+", r).group().lower() for r in requirements}
+
+        assert "networkx" not in names(project["dependencies"])
+        assert "networkx" in names(project["optional-dependencies"]["test"])
 
     def test_budget_exit_code(self, tmp_path):
         from conftest import k_complete

@@ -143,7 +143,7 @@ class TestCanonicalRelation:
     def test_isomorphism_gives_identity(self):
         m = par2_swap()
         r = canonical_relation(m)
-        assert r.is_identity()
+        assert r == AutomaticRelation.identity(m.source)
 
     def test_simplification_merges_parallel_edges(self):
         g = par2()
@@ -163,7 +163,7 @@ class TestFactorize:
     def test_isomorphism_splits_trivially(self):
         m = par2_swap()
         r, iota = factorize(m)
-        assert r.is_identity()
+        assert r == AutomaticRelation.identity(m.source)
         assert iota.q == m.q
 
     def test_quotient_map_gives_identity_iso(self):
@@ -202,7 +202,7 @@ class TestFactorize:
         for other in enumerate_automatic_relations(g):
             if other == r:
                 continue
-            vclass = other.vertex_class_of()
+            vclass = class_of(other.vertex_classes)
             forced: dict[tuple, str] = {}
             well_defined = True
             for v in g.vertices:
@@ -475,6 +475,11 @@ class TestLattice:
 # -- brute-force references: every candidate partition, checks on class dicts --
 
 
+def class_of(classes):
+    """Each id's class, from a relation's vertex_classes or edge_classes."""
+    return {x: c for c in classes for x in c}
+
+
 def _reference_is_automatic(g, r):
     """Partition check by flattening, then compatibility and bisimilarity on
     class tuples; (ok, clause, witness) or DomainError."""
@@ -482,7 +487,7 @@ def _reference_is_automatic(g, r):
         flat = [x for c in classes for x in c]
         if len(flat) != len(set(flat)) or set(flat) != set(items):
             raise DomainError("classes do not partition the underlying set")
-    vclass = r.vertex_class_of()
+    vclass = class_of(r.vertex_classes)
     for c in r.edge_classes:
         s0, t0 = vclass[g.src(c[0])], vclass[g.dst(c[0])]
         for e in c[1:]:
@@ -533,8 +538,8 @@ def _reference_enumeration(g):
 
 def _reference_leq(r1, r2):
     for mine, theirs in (
-        (r1.vertex_classes, r2.vertex_class_of()),
-        (r1.edge_classes, r2.edge_class_of()),
+        (r1.vertex_classes, class_of(r2.vertex_classes)),
+        (r1.edge_classes, class_of(r2.edge_classes)),
     ):
         for c in mine:
             if any(theirs[x] != theirs[c[0]] for x in c[1:]):
@@ -603,8 +608,8 @@ def _reference_maximum(g):
 def _reference_meet(g, r1, r2):
     """Pairwise class intersections, regrouped on string ids until neither
     block count changes."""
-    v1, v2 = r1.vertex_class_of(), r2.vertex_class_of()
-    e1, e2 = r1.edge_class_of(), r2.edge_class_of()
+    v1, v2 = class_of(r1.vertex_classes), class_of(r2.vertex_classes)
+    e1, e2 = class_of(r1.edge_classes), class_of(r2.edge_classes)
     vblocks = _reference_group_by(g.vertices, lambda v: (v1[v], v2[v]))
     eblocks = _reference_group_by(g.edges, lambda e: (e1[e], e2[e]))
     while True:
