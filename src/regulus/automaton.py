@@ -307,7 +307,7 @@ def automaton_from_cover(a: Automaton, cover: GraphMorphism) -> tuple[Automaton,
     )
     if not is_deterministic(witness.semi):
         raise DomainError("reconstruction produced a nondeterministic automaton")
-    if not languages_equal(witness, a_min):
+    if not languages_equal(witness, a):
         raise DomainError("reconstruction changed the language")
     return witness, strict
 

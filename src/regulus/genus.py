@@ -30,13 +30,15 @@ DEFAULT_ROTATION_BUDGET = 10**5
 
 def rotation_budget() -> int:
     """Search nodes (rotation links tried) that one rotation search may use;
-    the REGULUS_BUDGET env var overrides the default."""
+    REGULUS_BUDGET, a finite number >= 0, overrides the default."""
     raw = os.environ.get("REGULUS_BUDGET")
     if raw:
         try:
-            return int(float(raw))
+            if float(raw) >= 0:
+                return int(float(raw))
         except (ValueError, OverflowError):
-            raise DomainError(f"REGULUS_BUDGET must be a finite number, got {raw!r}") from None
+            pass
+        raise DomainError(f"REGULUS_BUDGET must be a finite number >= 0, got {raw!r}")
     return DEFAULT_ROTATION_BUDGET
 
 

@@ -15,7 +15,6 @@ from .automaton import (
     accessible_part,
     automaton_from_cover,
     complete_with_trash,
-    languages_equal,
     minimal_cover_base,
 )
 from .digraph import DiGraph
@@ -92,6 +91,4 @@ def language_genus_leq(
     wg = genus_exact(witness.graph).genus
     if wg > n:
         raise DomainError("witness genus exceeded the bound after reconstruction")
-    if not languages_equal(witness, prepared):
-        raise DomainError("witness language mismatch")
     return LanguageGenusAnswer("yes", witness, wg, cert)

@@ -18,7 +18,6 @@ from typing import Iterable
 from .digraph import (
     DiGraph,
     GraphMorphism,
-    ancestors,
     strongly_connected_components,
 )
 from .emulation import is_directed_emulator
@@ -51,12 +50,12 @@ class AutomaticRelation:
     constructor takes any hashable key per id and renumbers the vertex part
     and the edge part separately into it.
 
-    A relation that the layer builds on a graph shares the graph's domain
-    object (`DiGraph.int_view`), and one that `is_automatic` checks on a
-    graph takes that object over, so relations on one graph compare domains
-    by identity.  `verified_on` is the graph object on which the relation
-    last verified automatic; graphs and relations are immutable, so that
-    verdict stands."""
+    `verified_on` is the graph object the relation is known to be automatic
+    on; graphs and relations are immutable, so that verdict stands.  A
+    relation the layer builds on a graph (`_built`) is automatic there by
+    construction: it is born with that verdict and shares the graph's domain
+    object (`DiGraph.int_view`).  One from a file or a caller gets its
+    verdict from `is_automatic`."""
 
     def __init__(self, domain: tuple, vector: Iterable):
         keys = tuple(vector)
@@ -90,8 +89,7 @@ class AutomaticRelation:
 
     @staticmethod
     def identity(g: DiGraph) -> "AutomaticRelation":
-        domain = g.int_view().domain
-        return AutomaticRelation(domain, range(len(domain[0]) + len(domain[1])))
+        return _built(g, range(len(g.vertices) + len(g.edges)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,6 +134,14 @@ class AutomaticRelation:
         return int.from_bytes(b"".join(map(rows.__getitem__, self.vector)), "little")
 
 
+def _built(g: DiGraph, keys: Iterable) -> AutomaticRelation:
+    """A relation that a layer construction made on g, keyed per id of g's
+    domain; the construction makes it automatic on g, so it is not checked."""
+    r = AutomaticRelation(g.int_view().domain, keys)
+    r.verified_on = g
+    return r
+
+
 def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
     """r1 <= r2 when every r1 class is contained in an r2 class (both sorts):
     exactly when r1's same-class pairs are r2's too."""
@@ -162,14 +168,14 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
     """Check compatibility and bisimilarity on the class numbers and the
     graph's integer ends.  A failing report names the violated clause and the
     first witness met going through the classes in order, and each class's
-    members in order.  A relation verified on this graph object before is not
-    checked again."""
+    members in order.  A relation verified on this graph object before, or
+    built on it by the layer, is not checked again; recording a verdict is
+    the check's only effect on r."""
     if r.verified_on is g:
         return _AUTOMATIC
     view = g.int_view()
     if r.domain is not view.domain and r.domain != view.domain:
         raise DomainError("relation and graph have different vertex or edge ids")
-    r.domain = view.domain
     vertices, edges = view.domain
     vclass, eclass = r.vector[: len(vertices)], r.vector[len(vertices):]
     sources, targets = view.sources, view.targets
@@ -231,11 +237,8 @@ def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
     report = is_directed_emulator(phi)
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")
-    view = phi.source.int_view()
-    vertices, edges = view.domain
-    return AutomaticRelation(
-        view.domain, [*map(phi.p.__getitem__, vertices), *map(phi.q.__getitem__, edges)]
-    )
+    g = phi.source
+    return _built(g, [*map(phi.p.__getitem__, g.vertices), *map(phi.q.__getitem__, g.edges)])
 
 
 def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
@@ -265,7 +268,7 @@ def compose_relations(
     report = is_automatic(q, r2)
     if not report.ok:
         raise DomainError("second relation is not automatic on the quotient")
-    return AutomaticRelation(g.int_view().domain, map(r2.vector.__getitem__, r1.vector))
+    return _built(g, map(r2.vector.__getitem__, r1.vector))
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation
         if ne_next == ne:
             break
         nv, ne = nv_next, ne_next
-    return AutomaticRelation(view.domain, vb + eb)
+    return _built(g, vb + eb)
 
 
 def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
@@ -336,9 +339,12 @@ class FinalSystemReport:
 @lru_cache(maxsize=1)
 def complete_final_systems(g: DiGraph) -> FinalSystemReport:
     """One minimal complete final system: the least vertex of each sink
-    strongly-connected component.  Its size is an invariant of the graph.
-    Graphs are immutable and equal graphs share the system, so the last one
-    is kept: the round trips over one graph's relations compute it once."""
+    strongly-connected component.  Every vertex of a finite digraph has a
+    walk into a sink component, and a sink component reaches only itself, so
+    the system is complete and minimal, and its size is an invariant of the
+    graph.  Graphs are immutable and equal graphs share the system, so the
+    last one is kept: the round trips over one graph's relations compute it
+    once."""
     comps = strongly_connected_components(g)
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
     has_out = set()
@@ -347,15 +353,7 @@ def complete_final_systems(g: DiGraph) -> FinalSystemReport:
             has_out.add(comp_of[s])
     sinks = [c for i, c in enumerate(comps) if i not in has_out]
     reps = tuple(sorted(min(c) for c in sinks))
-    if not is_complete_final_system(g, reps):
-        raise DomainError("final system construction failed to cover the graph")
     return FinalSystemReport(reps, len(reps))
-
-
-def is_complete_final_system(g: DiGraph, vertices: Iterable[str]) -> bool:
-    """Every vertex has a walk to one of the given vertices."""
-    covered = frozenset().union(*(ancestors(g, v) for v in vertices))
-    return len(covered) == len(g.vertices)
 
 
 @dataclass(frozen=True)
@@ -412,9 +410,7 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
         a, b = root(i), root(first.setdefault(j, i))
         if a != b:
             parent[max(a, b)] = min(a, b)
-    out = AutomaticRelation(g.int_view().domain, map(root, x))
-    _require_automatic(g, out, "join failed to be automatic")
-    return out
+    return _built(g, map(root, x))
 
 
 def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
@@ -424,18 +420,14 @@ def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
         _require_automatic(g, r, "meet input is not automatic")
     x, y = r1.vector, r2.vector
     n = len(g.vertices)
-    out = _coarsest_automatic(g, zip(x[:n], y[:n]), zip(x[n:], y[n:]))
-    _require_automatic(g, out, "meet failed to be automatic")
-    return out
+    return _coarsest_automatic(g, zip(x[:n], y[:n]), zip(x[n:], y[n:]))
 
 
 def maximum(g: DiGraph) -> AutomaticRelation:
     """Top of the lattice: the coarsest bisimulation on vertices with the
     vertex-induced edge relation.  Quotienting by it is terminal among the
     emulators out of g."""
-    out = _coarsest_automatic(g, [0] * len(g.vertices), [0] * len(g.edges))
-    _require_automatic(g, out, "maximum relation failed to be automatic")
-    return out
+    return _coarsest_automatic(g, [0] * len(g.vertices), [0] * len(g.edges))
 
 
 def _partitions(items: list):
@@ -482,5 +474,5 @@ def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
                 for n, block in enumerate(chain.from_iterable(parts)):
                     for j in block:
                         eclass[j] = n
-                out.append(AutomaticRelation(view.domain, vclass + eclass))
+                out.append(_built(g, vclass + eclass))
     return out

@@ -68,7 +68,7 @@ from regulus.corpus import (
     z6_unrolled12,
     z7_123_automaton,
 )
-from regulus.emulation import excise_restrict, r_image_morphism
+from regulus.emulation import r_image_morphism
 
 from conftest import (
     canonical_multidigraphs,

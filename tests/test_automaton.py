@@ -26,6 +26,7 @@ from regulus import (
     sample_language,
     simplify,
 )
+from regulus import automaton
 from regulus.corpus import (
     abc_mod7_automaton,
     z6_automaton,
@@ -270,6 +271,22 @@ class TestAutomatonFromCover:
                             {e: e for e in bad_edges})
         with pytest.raises(DomainError):
             automaton_from_cover(a, bad)
+
+    def test_checks_the_language_against_the_input(self, monkeypatch):
+        # a minimize that complements the language builds a witness of the
+        # complement; compared with the minimal automaton it was built from it
+        # would pass, compared with the input it is refused
+        a = z7_123_automaton()
+        base = minimal_cover_base(a)
+
+        def complementing(b):
+            b_min, pi = minimize(b)
+            finals = set(b_min.graph.vertices) - b_min.finals
+            return Automaton(b_min.semi, b_min.initials, finals), pi
+
+        monkeypatch.setattr(automaton, "minimize", complementing)
+        with pytest.raises(DomainError, match="changed the language"):
+            automaton_from_cover(a, identity_morphism(base))
 
 
 class TestLanguagesEqual:

@@ -43,7 +43,6 @@ from regulus.corpus import (
     loop2_to_loop1,
     par2_swap,
     path_4_over_3,
-    vee_over_path,
 )
 from regulus import emulation, genus
 from regulus.digraph import weakly_connected

@@ -534,9 +534,10 @@ class TestCliVerbs:
 
         g = tmp_path / "k5.json"
         g.write_text(formats.dumps(formats.undirected_to_json(k_complete(5))))
-        monkeypatch.setenv("REGULUS_BUDGET", "inf")
-        assert main(["genus", "exact", str(g)]) == 3
-        assert capsys.readouterr().err.startswith("error: REGULUS_BUDGET")
+        for budget in ("inf", "-5"):
+            monkeypatch.setenv("REGULUS_BUDGET", budget)
+            assert main(["genus", "exact", str(g)]) == 3, budget
+            assert capsys.readouterr().err.startswith("error: REGULUS_BUDGET"), budget
 
     def test_nan_time_budget_is_input_error(self, tmp_path, capsys):
         # NaN compares false with every deadline, so it would never stop a search

@@ -12,12 +12,10 @@ from regulus import (
     bidirect,
     complete_with_trash,
     contract_cycle,
-    forget,
     genus_exact,
     is_directed_cover,
     language_base,
     language_genus_leq,
-    languages_equal,
     minimal_cover_base,
     minimize,
     pullback,

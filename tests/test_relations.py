@@ -33,15 +33,15 @@ from regulus import (
 from regulus import formats
 from regulus.cli import main
 from regulus.corpus import amalgamation_loop, loop2_to_loop1, par2_swap
+from regulus.digraph import ancestors
 from regulus.formats import relation_from_json, relation_to_json
-from regulus.relations import is_complete_final_system
+from regulus.relations import _coarsest_automatic
 
 from conftest import (
     c2,
     c4,
     canonical_multidigraphs,
     isomorphic,
-    loop1,
     loop2,
     p2,
     par2,
@@ -57,9 +57,10 @@ def wrap_c4_to_c2():
 
 class TestIsAutomatic:
     def test_identity_always_automatic(self, rng):
+        # checked on a copy: the identity itself carries its verdict
         for _ in range(20):
             g = random_digraph(rng)
-            assert is_automatic(g, AutomaticRelation.identity(g)).ok
+            assert is_automatic(g, _canonical(AutomaticRelation.identity(g))).ok
 
     def test_c2_full_merge_is_automatic(self):
         g = c2()
@@ -270,7 +271,7 @@ class TestMnRefine:
             taut = SemiAutomaton(g, set(g.edges), {e: e for e in g.edges})
             fam = FinalFamily.of({g.vertices[0]})
             r = mn_refine(taut, fam)
-            assert is_automatic(g, r).ok
+            assert is_automatic(g, _canonical(r)).ok
 
     def test_finer_family_refines(self, rng):
         for _ in range(20):
@@ -473,6 +474,12 @@ class TestLattice:
 
 
 # -- brute-force references: every candidate partition, checks on class dicts --
+
+
+def is_complete_final_system(g, vertices):
+    """Every vertex has a walk to one of the given vertices."""
+    covered = frozenset().union(*(ancestors(g, v) for v in vertices))
+    return len(covered) == len(g.vertices)
 
 
 def class_of(classes):
@@ -859,7 +866,47 @@ class TestAgainstReferences:
             want_report, got_report = is_automatic(g, fresh), is_automatic(g, r)
             assert (got_report.ok, got_report.clause, got_report.witness) == (
                 want_report.ok, want_report.clause, want_report.witness)
-            assert fresh.domain is r.domain  # checked, it takes the graph's over
+
+    @settings(max_examples=200, deadline=None)
+    @given(multidigraphs(), st.data())
+    def test_layer_relations_carry_their_verdict(self, g, data):
+        # what the layer builds is automatic on g by construction and is
+        # never checked there, so the reference checks it here
+        rels = enumerate_automatic_relations(g)
+        relation = st.sampled_from(rels)
+        r1, r2 = data.draw(relation), data.draw(relation)
+        q, can = quotient(g, r1)
+        labels = {e: data.draw(st.sampled_from("ab")) for e in g.edges}
+        a = SemiAutomaton(g, set(labels.values()), labels)
+        finals = data.draw(partitions([v for v in g.vertices if data.draw(st.booleans())]))
+        vertex_keys, edge_keys = (data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+                                  for n in (len(g.vertices), len(g.edges)))
+        built = rels + [
+            AutomaticRelation.identity(g), canonical_relation(can),
+            compose_relations(g, r1, data.draw(st.sampled_from(enumerate_automatic_relations(q)))),
+            _coarsest_automatic(g, vertex_keys, edge_keys),
+            mn_refine(a, FinalFamily.of(*finals)), maximum(g), meet(g, r1, r2), join(g, r1, r2),
+        ]
+        for r in built:
+            assert r.verified_on is g
+            assert r.domain is g.int_view().domain
+            assert _reference_is_automatic(g, r)[0]
+
+    def test_entry_checks_refuse_a_relation_that_is_not_automatic(self):
+        # p2's vertex merge partitions its ids but fails bisimilarity; no
+        # function reads it as automatic
+        g = p2()
+        bad = AutomaticRelation.from_classes([["x", "y"]], [["e"]])
+        ident = AutomaticRelation.identity(g)
+        calls = [lambda: quotient(g, bad), lambda: is_cover_relation(g, bad),
+                 lambda: automatic_to_mn_roundtrip(g, bad),
+                 lambda: compose_relations(g, bad, ident), lambda: compose_relations(g, ident, bad),
+                 lambda: join(g, bad, ident), lambda: join(g, ident, bad),
+                 lambda: meet(g, bad, ident), lambda: meet(g, ident, bad)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+        assert bad.verified_on is None
 
     @settings(max_examples=200, deadline=None)
     @given(multidigraphs(), st.data())
