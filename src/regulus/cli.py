@@ -398,7 +398,7 @@ def cmd_genus(args) -> int:
         )
         payload = {"status": answer.status, "n": args.n}
         if answer.status == "yes":
-            payload["witness_genus"] = answer.witness_genus
+            payload["witness_genus"] = answer.certificate.genus
             payload["witness"] = formats.automaton_to_json(answer.witness)
         _emit(args, payload)
         if answer.status == "yes":

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from regulus import (
     Automaton,
+    CoverSearchSpec,
     DiGraph,
     DomainError,
     PreconditionError,
@@ -15,6 +16,7 @@ from regulus import (
     automaton_from_cover,
     complete_with_trash,
     cover_of_minimization,
+    genus_exact,
     identity_morphism,
     is_complete,
     is_deterministic,
@@ -24,6 +26,7 @@ from regulus import (
     minimal_cover_base,
     minimize,
     sample_language,
+    search_covers,
     simplify,
 )
 from regulus import automaton
@@ -54,6 +57,20 @@ def single_letter_cycle(n, finals):
     labels = {f"e{i}": "a" for i in range(n)}
     semi = SemiAutomaton(DiGraph(states, edges), {"a"}, labels)
     return Automaton(semi, {"0"}, finals)
+
+
+def unrolled(a: Automaton) -> Automaton:
+    """The same language on two copies of each state, every transition
+    switching copies: minimizing it collapses fibres of size two."""
+    edges, labels = [], {}
+    for e, s, t in a.graph.edge_list():
+        for i in (0, 1):
+            edges.append((f"{e}/{i}", f"{s}/{i}", f"{t}/{1 - i}"))
+            labels[f"{e}/{i}"] = a.semi.label(e)
+    states = [f"{q}/{i}" for q in a.graph.vertices for i in (0, 1)]
+    semi = SemiAutomaton(DiGraph(states, edges), a.alphabet, labels)
+    finals = {f"{q}/{i}" for q in a.finals for i in (0, 1)}
+    return accessible_part(Automaton(semi, {f"{a.single_initial()}/0"}, finals))
 
 
 class TestAccepts:
@@ -186,6 +203,9 @@ class TestMinimize:
         semi2 = SemiAutomaton(g2, {"a"}, {"e1": "a"})
         with pytest.raises(PreconditionError, match="complete"):
             minimize(Automaton(semi2, {"q"}, {"r"}))
+        z7 = z7_123_automaton()
+        with pytest.raises(PreconditionError, match="single initial state, found 0"):
+            minimize(Automaton(z7.semi, set(), z7.finals))
 
     def test_projection_is_cover(self, rng):
         for _ in range(15):
@@ -287,6 +307,30 @@ class TestAutomatonFromCover:
         monkeypatch.setattr(automaton, "minimize", complementing)
         with pytest.raises(DomainError, match="changed the language"):
             automaton_from_cover(a, identity_morphism(base))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.integers(1, 2), st.integers(0, 1))
+    def test_witness_is_a_deterministic_cover_of_no_higher_genus(
+        self, rnd, twice, max_fiber, n
+    ):
+        # what automaton_from_cover builds without checking: on the
+        # minimization's cover and on a searched one, the witness is
+        # deterministic and covers the minimal automaton, and the searched
+        # certificate's genus bounds the witness's
+        a = random_complete_dfa(rnd)
+        if twice:
+            a = unrolled(a)
+        cover, a_min = cover_of_minimization(a)
+        witnesses = [automaton_from_cover(a, cover)]
+        out = search_covers(CoverSearchSpec(minimal_cover_base(a), max_fiber, n, time_budget=5.0))
+        if out.status == "found":
+            witnesses.append(automaton_from_cover(a, out.certificate.morphism))
+        for witness, strict in witnesses:
+            assert strict.base.target == a_min.graph
+            assert is_directed_cover(strict.base).ok
+            assert is_deterministic(witness.semi)
+        if out.status == "found":
+            assert genus_exact(witnesses[-1][0].graph).genus <= out.certificate.genus
 
 
 class TestLanguagesEqual:

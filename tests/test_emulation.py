@@ -184,15 +184,15 @@ class TestExtractCover:
         assert set(out.source.edges) == {"e1", "e2"}
         assert is_directed_cover(out).ok
 
-    def test_random_emulators_extract_to_covers(self, rng):
-        for _ in range(20):
-            base = random_digraph(rng, max_vertices=4, max_edges=5)
-            if not base.vertices:
-                continue
-            m = random_emulator(rng, base)
-            out = extract_cover(m)
-            assert set(out.source.vertices) == set(m.source.vertices)
-            assert is_directed_cover(out).ok
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_emulators_extract_to_covers(self, rnd):
+        # extract_cover checks its input only; its output is a cover
+        base = random_digraph(rnd, max_vertices=4, max_edges=5)
+        m = random_emulator(rnd, base)
+        out = extract_cover(m)
+        assert set(out.source.vertices) == set(m.source.vertices)
+        assert is_directed_cover(out).ok
 
 
 class TestExciseExtension:
@@ -464,6 +464,17 @@ class TestLiftDirection:
         ident = UndirectedMorphism(g, g, {"v": "v"}, {"g": "g"})
         with pytest.raises(DomainError):
             lift_direction(ident, loop1())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_emulators_lift_to_directed_emulators(self, rnd):
+        # lift_direction checks its input only; its output is a directed
+        # emulator onto the direction, on the same vertices and edges
+        direction = excise(random_digraph(rnd, max_vertices=4, max_edges=6))
+        m = random_undirected_emulator(rnd, forget(direction))
+        out = lift_direction(m, direction)
+        assert forget(out.source) == m.source
+        assert is_directed_emulator(out).ok
 
 
 class TestFunctorTransport:

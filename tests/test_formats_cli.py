@@ -244,6 +244,42 @@ class TestCliVerbs:
         assert main(["genus", "language", "--n", "0", f, "--certificate", cert, "-o", out]) == 0
         assert json.loads(Path(out).read_text())["status"] == "yes"
 
+    def test_witness_genus_is_the_certificate_genus(self, tmp_path, capsys):
+        # a rotation of genus 1 on a planar cover proves genus <= 1: the
+        # answer reports that proven bound, which bounds the witness's genus
+        from itertools import permutations, product
+
+        from regulus import (
+            Automaton, DiGraph, RotationSystem, SemiAutomaton, forget, genus_exact, trace_faces,
+        )
+
+        # letter a adds 1 and b adds 2 mod 3: the base is a doubled triangle
+        edges = [(f"{x}{i}", str(i), str((i + k) % 3))
+                 for i in range(3) for x, k in (("a", 1), ("b", 2))]
+        labels = {e: e[0] for e, _, _ in edges}
+        semi = SemiAutomaton(DiGraph(["0", "1", "2"], edges), {"a", "b"}, labels)
+        f, base, cert, out = (str(tmp_path / n) for n in ("f.json", "b.json", "c.json", "r.json"))
+        Path(f).write_text(formats.dumps(formats.automaton_to_json(Automaton(semi, {"0"}, {"0"}))))
+        args = ["genus", "language", "--n", "1", "--max-fiber", "1", f]
+        assert main([*args, "--emit-base", base, "-o", out]) == 0
+        assert main(["emu", "search", base, "--max-fiber", "1", "-o", cert]) == 0
+        data = json.loads(Path(cert).read_text())
+        assert data["genus"] == 0
+        total = forget(formats.digraph_from_json(data["total"]))
+        cyclic_orders = [[(ts[0], *rest) for rest in permutations(ts[1:])]
+                         for ts in data["rotation"].values()]
+        rotations = (dict(zip(data["rotation"], c)) for c in product(*cyclic_orders))
+        data["rotation"] = next(
+            r for r in rotations if trace_faces(total, RotationSystem(r))[1] == 1
+        )
+        data["genus"] = 1
+        Path(cert).write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([*args, "--certificate", cert]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["witness_genus"]) == ("yes", 1)
+        assert genus_exact(formats.automaton_from_json(payload["witness"]).graph).genus == 0
+
     def test_invariance_of_an_undirected_graph_is_input_error(self, tmp_path, capsys):
         from regulus import forget
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from regulus import (
@@ -21,6 +23,7 @@ from regulus import (
     pullback,
     search_covers,
 )
+from regulus import genus, relations
 from regulus.corpus import abc_mod7_automaton, z6_automaton, z7_123_automaton
 from regulus.formats import (
     certificate_from_json,
@@ -35,6 +38,32 @@ def mod3_single_letter():
     edges = [("e0", "0", "1"), ("e1", "1", "2"), ("e2", "2", "0")]
     semi = SemiAutomaton(DiGraph(states, edges), {"a"}, {e: "a" for e, _, _ in edges})
     return Automaton(semi, {"0"}, {"0"})
+
+
+def modk(k, letters):
+    """L(k, letters): the words whose letter sum is 0 mod k."""
+    states = [str(i) for i in range(k)]
+    edges = [(f"t{i}_{j}", str(i), str((i + j) % k)) for i in range(k) for j in letters]
+    labels = {e: e.split("_")[1] for e, _, _ in edges}
+    semi = SemiAutomaton(DiGraph(states, edges), {str(j) for j in letters}, labels)
+    return Automaton(semi, {"0"}, {"0"})
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace fn at every regulus module that binds it by a wrapper that
+    records each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "regulus" or name.startswith("regulus."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def three_state_two_letter():
@@ -54,7 +83,7 @@ class TestLanguageGenus:
         a = mod3_single_letter()
         answer = language_genus_leq(a, 0, max_fiber=1)
         assert answer.status == "yes"
-        assert answer.witness_genus == 0
+        assert answer.certificate.genus == 0
         amin, _ = minimize(complete_with_trash(a))
         assert len(answer.witness.graph.vertices) == len(amin.graph.vertices)
 
@@ -64,10 +93,28 @@ class TestLanguageGenus:
 
     def test_z7_genus_one_within_default_budget(self):
         # the fibre-1 candidate is the base itself, with support K7, whose
-        # genus is 1 (Ringel and Youngs); the witness is re-verified
+        # genus is 1 (Ringel and Youngs), the genus its certificate traces to
         answer = language_genus_leq(z7_123_automaton(), 1, max_fiber=1)
         assert answer.status == "yes"
-        assert answer.witness_genus == 1
+        assert answer.certificate.genus == 1
+
+    @pytest.mark.parametrize(
+        "automaton, n, max_fiber, genus_searches",
+        [(lambda: modk(7, (1, 2)), 0, 2, 0), (z7_123_automaton, 1, 1, 1)],
+        ids=["L7-12-planar", "z7-123-genus-1"],
+    )
+    def test_yes_path_refines_once_and_searches_genus_only_in_the_search(
+        self, monkeypatch, automaton, n, max_fiber, genus_searches
+    ):
+        # the base and the witness share one Myhill-Nerode refinement, and the
+        # certificate's genus bounds the witness's, so no genus search follows
+        # the cover search's own
+        refinements = count_calls(monkeypatch, relations.mn_refine)
+        searches = count_calls(monkeypatch, genus.genus_exact)
+        answer = language_genus_leq(automaton(), n, max_fiber=max_fiber)
+        assert answer.status == "yes"
+        assert len(refinements) == 1
+        assert len(searches) == genus_searches
 
     def test_z7_genus_one_over_a_small_node_budget(self, monkeypatch):
         # a candidate whose genus search runs out of nodes is undecided: the
