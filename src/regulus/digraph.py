@@ -46,11 +46,13 @@ class DiGraph:
     __slots__ = ("_vertices", "_edges", "_out", "_in", "_view")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
-        vs = tuple(sorted({_freeze_str(v) for v in vertices}))
+        vs = list(vertices)
+        vs = tuple(sorted(set(vs if all(type(v) is str for v in vs) else map(_freeze_str, vs))))
         vset = set(vs)
         emap: dict[str, tuple[str, str]] = {}
         for eid, src, dst in edges:
-            eid, src, dst = _freeze_str(eid), _freeze_str(src), _freeze_str(dst)
+            if type(eid) is not str or type(src) is not str or type(dst) is not str:
+                eid, src, dst = _freeze_str(eid), _freeze_str(src), _freeze_str(dst)
             if eid in emap:
                 raise DomainError(f"duplicate edge id {eid!r}")
             if src not in vset or dst not in vset:
@@ -58,14 +60,7 @@ class DiGraph:
             emap[eid] = (src, dst)
         self._vertices = vs
         self._edges = dict(sorted(emap.items()))
-        out: dict[str, list[str]] = {v: [] for v in vs}
-        inn: dict[str, list[str]] = {v: [] for v in vs}
-        for eid, (s, t) in self._edges.items():
-            out[s].append(eid)
-            inn[t].append(eid)
-        self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in inn.items()}
-        self._view = None
+        self._out = self._in = self._view = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -91,13 +86,26 @@ class DiGraph:
     def ends(self, eid: str) -> tuple[str, str]:
         return self._edges[eid]
 
+    def _star(self, end: int) -> dict[str, tuple[str, ...]]:
+        """Each vertex's edges in id order that have it at one end (0 or 1)."""
+        star: dict[str, list[str]] = {v: [] for v in self._vertices}
+        for eid, ends in self._edges.items():
+            star[ends[end]].append(eid)
+        return {v: tuple(es) for v, es in star.items()}
+
     def out_edges(self, v: str) -> tuple[str, ...]:
+        """The edges out of v in id order.  This and `in_edges` build their
+        stars on first use and keep them: graphs are immutable."""
+        if self._out is None:
+            self._out = self._star(0)
         try:
             return self._out[v]
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
 
     def in_edges(self, v: str) -> tuple[str, ...]:
+        if self._in is None:
+            self._in = self._star(1)
         try:
             return self._in[v]
         except KeyError:
@@ -211,7 +219,16 @@ class _Maps:
 
 @dataclass(frozen=True)
 class GraphMorphism(_Maps):
-    """A pair of total maps (p on vertices, q on edges) between digraphs."""
+    """A pair of total maps (p on vertices, q on edges) between digraphs.
+    `verdicts` keeps what each predicate's check returned on this object, as
+    graphs and maps are immutable; an invalid morphism, which raises, gets none."""
+
+    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _verdict(self, predicate: str, check: Callable[[], Any]):
+        if predicate not in self.verdicts:
+            self.verdicts[predicate] = check()
+        return self.verdicts[predicate]
 
     def is_injective(self) -> bool:
         return len(set(self.p.values())) == len(self.p) and len(set(self.q.values())) == len(
@@ -219,11 +236,9 @@ class GraphMorphism(_Maps):
         )
 
     def is_isomorphism(self) -> bool:
-        return (
-            validate_morphism(self).ok
-            and self.is_surjective()
-            and self.is_injective()
-        )
+        return self._verdict("isomorphism", lambda: (
+            validate_morphism(self).ok and self.is_surjective() and self.is_injective()
+        ))
 
 
 @dataclass(frozen=True)
@@ -261,9 +276,9 @@ def _vertex_images(m: _Maps, kind: str) -> ValidationReport:
         extra_e = sorted(m.q.keys() - m.source.edges.keys())
         raise DomainError(f"{kind} maps name unknown vertices {extra_v[:3]} edges {extra_e[:3]}")
     tv = set(m.target.vertices)
-    for v, w in m.p.items():
-        if w not in tv:
-            return ValidationReport(False, "vertex image outside target", (v, w))
+    if not tv.issuperset(m.p.values()):
+        return next(ValidationReport(False, "vertex image outside target", (v, w))
+                    for v, w in m.p.items() if w not in tv)
     return ValidationReport(True)
 
 
@@ -272,14 +287,15 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
     rep = _vertex_images(m, "morphism")
     if not rep.ok:
         return rep
+    p, source, target = m.p, m.source.edges, m.target.edges
     for e, f in m.q.items():
-        if f not in m.target.edges:
+        if f not in target:
             return ValidationReport(False, "edge image outside target", (e, f))
-        s, t = m.source.ends(e)
-        fs, ft = m.target.ends(f)
-        if m.p[s] != fs:
+        s, t = source[e]
+        fs, ft = target[f]
+        if p[s] != fs:
             return ValidationReport(False, "source endpoint mismatch", (e,))
-        if m.p[t] != ft:
+        if p[t] != ft:
             return ValidationReport(False, "target endpoint mismatch", (e,))
     return ValidationReport(True)
 

@@ -58,8 +58,8 @@ def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport
     lifted = set(lifts)
     # the morphism is valid, so every lifted pair is a needed one, and none is
     # missing when there are as many lifted pairs as needed ones
-    images = list(phi.p.values())
-    needed = sum(images.count(y) for f_ends in phi.target.edges.values() for y in f_ends[ends])
+    images = Counter(phi.p.values())
+    needed = sum(images[y] for f_ends in phi.target.edges.values() for y in f_ends[ends])
     if len(lifted) < needed:
         unlifted = (
             (f, x) for f, f_ends in phi.target.edges.items() for x, y in phi.p.items()
@@ -86,13 +86,15 @@ def _directed_lifts(phi: GraphMorphism, ends: slice, cover: bool, missing: str) 
 def is_directed_emulator(phi: GraphMorphism) -> ValidationReport:
     """Surjective on vertices, with every outgoing edge of the target lifting
     through every preimage of its source vertex."""
-    return _directed_lifts(phi, slice(0, 1), False, "missing outgoing lift")
+    return phi._verdict("emulator", lambda: _directed_lifts(
+        phi, slice(0, 1), False, "missing outgoing lift"))
 
 
 def is_directed_cover(phi: GraphMorphism) -> ValidationReport:
     """A directed emulator whose lifts are unique: outgoing stars map
     bijectively."""
-    return _directed_lifts(phi, slice(0, 1), True, "missing outgoing lift")
+    return phi._verdict("cover", lambda: _directed_lifts(
+        phi, slice(0, 1), True, "missing outgoing lift"))
 
 
 def is_incoming_emulator(phi: GraphMorphism) -> ValidationReport:

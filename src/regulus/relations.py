@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, count, product
+from itertools import count, product
 from typing import Iterable
 
 from .digraph import (
@@ -53,9 +53,10 @@ class AutomaticRelation:
     `verified_on` is the graph object the relation is known to be automatic
     on; graphs and relations are immutable, so that verdict stands.  A
     relation the layer builds on a graph (`_built`) is automatic there by
-    construction: it is born with that verdict and shares the graph's domain
-    object (`DiGraph.int_view`).  One from a file or a caller gets its
-    verdict from `is_automatic`."""
+    construction, and its builder numbers it canonically: it is born with
+    that verdict and that vector, and shares the graph's domain object
+    (`DiGraph.int_view`).  One from a file or a caller is renumbered here and
+    gets its verdict from `is_automatic`."""
 
     def __init__(self, domain: tuple, vector: Iterable):
         keys = tuple(vector)
@@ -134,10 +135,13 @@ class AutomaticRelation:
         return int.from_bytes(b"".join(map(rows.__getitem__, self.vector)), "little")
 
 
-def _built(g: DiGraph, keys: Iterable) -> AutomaticRelation:
-    """A relation that a layer construction made on g, keyed per id of g's
-    domain; the construction makes it automatic on g, so it is not checked."""
-    r = AutomaticRelation(g.int_view().domain, keys)
+def _built(g: DiGraph, vector: Iterable[int]) -> AutomaticRelation:
+    """A relation that a layer construction made on g, given by its canonical
+    class vector over g's domain.  The construction makes it automatic on g
+    and numbers it canonically, so it is neither checked nor renumbered."""
+    r = object.__new__(AutomaticRelation)
+    r.domain = g.int_view().domain
+    r.vector = tuple(vector)
     r.verified_on = g
     return r
 
@@ -238,7 +242,8 @@ def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")
     g = phi.source
-    return _built(g, [*map(phi.p.__getitem__, g.vertices), *map(phi.q.__getitem__, g.edges)])
+    keys = [*map(phi.p.__getitem__, g.vertices), *map(phi.q.__getitem__, g.edges)]
+    return _built(g, AutomaticRelation(g.int_view().domain, keys).vector)
 
 
 def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
@@ -263,7 +268,8 @@ def compose_relations(
     """Compose r1 on g with r2 on the quotient g/r1 into a relation on g.
     The quotient's ids are r1's least members, so its sorted vertices and
     edges come in r1's class order: position k of r2's vector is r1's class
-    k, and each id's class under the composite is r2's class of its r1 class."""
+    k, and each id's class under the composite is r2's class of its r1 class,
+    which numbers the composite canonically, as r1 and r2 are."""
     q, _ = quotient(g, r1)
     report = is_automatic(q, r2)
     if not report.ok:
@@ -302,7 +308,7 @@ def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation
     block leaves the next one nothing to split, so the first such step ends
     the refinement, except the first edge step, which no vertex step has seen.
     The steps run on the graph's integer view (`DiGraph.int_view`), and the
-    result is the block numbers over its domain."""
+    result is the block numbers over its domain: first-seen, so canonical."""
     view = g.int_view()
     sources, targets, outs = view.sources, view.targets, view.outs
     vb, nv = _blocks(vertex_keys)
@@ -313,11 +319,12 @@ def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation
         vb, nv_next = _blocks([(b, frozenset(map(eb.__getitem__, o))) for b, o in zip(vb, outs)])
         if nv_next == nv:
             break
+        nv = nv_next
         eb, ne_next = _blocks([(b, vb[s], vb[t]) for b, s, t in zip(eb, sources, targets)])
         if ne_next == ne:
             break
-        nv, ne = nv_next, ne_next
-    return _built(g, vb + eb)
+        ne = ne_next
+    return _built(g, vb + [nv + b for b in eb])
 
 
 def mn_refine(a: SemiAutomaton, family: FinalFamily) -> AutomaticRelation:
@@ -394,7 +401,8 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
     """Least upper bound: transitive closure of the unions, which stays
     automatic.  r1's classes are merged whenever r2 relates two of their
     members; vertex and edge classes never meet, so one pass over the class
-    vectors joins both."""
+    vectors joins both, and one first-seen numbering of the roots over the
+    whole vector is canonical."""
     for r in (r1, r2):
         _require_automatic(g, r, "join input is not automatic")
     x, y = r1.vector, r2.vector
@@ -410,7 +418,7 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
         a, b = root(i), root(first.setdefault(j, i))
         if a != b:
             parent[max(a, b)] = min(a, b)
-    return _built(g, map(root, x))
+    return _built(g, _blocks(map(root, x))[0])
 
 
 def meet(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticRelation:
@@ -442,37 +450,51 @@ def _partitions(items: list):
         yield [[first]] + part
 
 
+def _numbered_partitions(k: int, keep: bool = True):
+    """The Bell(k) set partitions of range(k) in `_partitions` order, each as
+    its first-seen block numbers and its block sizes; kept while k <= 6 (203)."""
+    if keep and k <= 6:
+        yield from _partition_table(k)
+        return
+    for part in map(sorted, _partitions(list(range(k)))):
+        block_of = {x: b for b, block in enumerate(part) for x in block}
+        yield tuple(map(block_of.get, range(k))), tuple(map(len, part))
+
+
+@lru_cache(maxsize=None)
+def _partition_table(k: int) -> tuple:
+    return tuple(_numbered_partitions(k, keep=False))
+
+
 def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
     """All automatic relations on a small graph, built directly on the
     graph's integer view.  Per vertex partition, each group of edges with the
     same end classes is partitioned on its own, keeping the partitions whose
-    every block's sources cover the source class (bisimilarity; compatibility
-    holds by construction).  A group with nothing kept rules out the vertex
-    partition."""
+    every block's sources cover the source class (bisimilarity, which a
+    one-vertex class always meets; compatibility holds by construction).  A
+    group with nothing kept rules out the vertex partition.  Each relation
+    is built canonical, from first-seen vertex numbers."""
     view = g.int_view()
     sources, targets = view.sources, view.targets
     out = []
-    for vpart in _partitions(list(range(len(g.vertices)))):
-        vclass = [0] * len(g.vertices)
-        for i, c in enumerate(vpart):
-            for v in c:
-                vclass[v] = i
+    for vclass, sizes in _numbered_partitions(len(g.vertices)):
         groups: dict[tuple[int, int], list[int]] = {}
         for j, (s, t) in enumerate(zip(sources, targets)):
             groups.setdefault((vclass[s], vclass[t]), []).append(j)
         kept_per_group = []
         for (s, _), group in groups.items():
-            need = len(vpart[s])
-            kept = [p for p in _partitions(group)
-                    if all(len(set(map(sources.__getitem__, block))) == need for block in p)]
+            need = sizes[s]
+            group_sources = [sources[j] for j in group]
+            kept = [labels for labels, blocks in _numbered_partitions(len(group))
+                    if need == 1 or len(set(zip(labels, group_sources))) == need * len(blocks)]
             if not kept:
                 break
             kept_per_group.append(kept)
         else:
+            keys = [None] * len(sources)  # each edge's (group, block)
             for parts in product(*kept_per_group):
-                eclass = [0] * len(sources)
-                for n, block in enumerate(chain.from_iterable(parts)):
-                    for j in block:
-                        eclass[j] = n
-                out.append(_built(g, vclass + eclass))
+                for key, group, labels in zip(groups, groups.values(), parts):
+                    for j, b in zip(group, labels):
+                        keys[j] = key, b
+                out.append(_built(g, vclass + tuple([len(sizes) + b for b in _blocks(keys)[0]])))
     return out

@@ -46,6 +46,38 @@ from conftest import (
 )
 
 
+class TestDiGraph:
+    @pytest.mark.parametrize(
+        "vertices, edges, bad",
+        [
+            ([1], [], "1"),
+            (["u", ["v"]], [], "['v']"),
+            (["u"], [(2, "u", "u")], "2"),
+            (["u"], [("e", b"u", "u")], "b'u'"),
+            (["u"], [("e", "u", None)], "None"),
+        ],
+        ids=["vertex", "unhashable-vertex", "edge", "source", "target"],
+    )
+    def test_non_string_ids_are_refused(self, vertices, edges, bad):
+        with pytest.raises(DomainError) as err:
+            DiGraph(vertices, edges)
+        assert str(err.value) == f"ids must be strings, got {bad}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(multidigraphs())
+    def test_stars_match_the_edge_list(self, g):
+        # an unknown vertex is refused before and after the stars are built
+        for star in (g.out_edges, g.in_edges):
+            with pytest.raises(DomainError):
+                star("nowhere")
+        for v in g.vertices:
+            assert g.out_edges(v) == tuple(e for e, s, _ in g.edge_list() if s == v)
+            assert g.in_edges(v) == tuple(e for e, _, t in g.edge_list() if t == v)
+        for star in (g.out_edges, g.in_edges):
+            with pytest.raises(DomainError):
+                star("nowhere")
+
+
 class TestValidateMorphism:
     def test_identity_on_c2(self):
         assert validate_morphism(identity_morphism(c2())).ok

@@ -117,6 +117,43 @@ class TestDirectedPredicates:
             assert is_directed_cover(compc).ok
 
 
+class TestKeptVerdicts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["emulator", "morphism", "identity"]))
+    def test_kept_verdicts_match_a_fresh_copy(self, rnd, kind):
+        # each predicate answers as on a fresh copy of the maps, whether it
+        # is asked first or reads the verdict kept on the object
+        base = random_digraph(rnd, max_vertices=4, max_edges=5)
+        if kind == "identity":
+            m = identity_morphism(base)
+        else:
+            m = (random_emulator if kind == "emulator" else random_morphism_into)(rnd, base)
+        checks = [is_directed_emulator, is_directed_cover, GraphMorphism.is_isomorphism]
+        for _ in range(2):
+            for check in checks:
+                fresh = GraphMorphism(m.source, m.target, dict(m.p), dict(m.q))
+                assert check(m) == check(fresh)
+        assert set(m.verdicts) == {"emulator", "cover", "isomorphism"}
+
+    def test_each_predicate_keeps_its_own_verdict(self):
+        # an emulator that is no cover: its kept emulator verdict does not
+        # answer the cover query, nor the other way round
+        m = loop2_to_loop1()
+        assert is_directed_emulator(m).ok
+        assert not is_directed_cover(m).ok and not m.is_isomorphism()
+        m = loop2_to_loop1()
+        assert not is_directed_cover(m).ok
+        assert is_directed_emulator(m).ok
+
+    def test_an_invalid_morphism_raises_on_every_call(self):
+        m = GraphMorphism(c2(), c2(), {"a": "a", "b": "b"}, {"e1": "e2", "e2": "e1"})
+        assert not m.is_isomorphism()
+        for check in (is_directed_emulator, is_directed_cover) * 2:
+            with pytest.raises(DomainError):
+                check(m)
+        assert set(m.verdicts) == {"isomorphism"}
+
+
 class StarReport(NamedTuple):
     out_map: dict[str, str]
     in_map: dict[str, str]

@@ -23,7 +23,7 @@ from regulus import (
     pullback,
     search_covers,
 )
-from regulus import genus, relations
+from regulus import emulation, genus, relations
 from regulus.corpus import abc_mod7_automaton, z6_automaton, z7_123_automaton
 from regulus.formats import (
     certificate_from_json,
@@ -115,6 +115,14 @@ class TestLanguageGenus:
         assert answer.status == "yes"
         assert len(refinements) == 1
         assert len(searches) == genus_searches
+
+    def test_yes_path_checks_the_search_cover_once(self, monkeypatch):
+        # the certificate's verify records the cover verdict on its morphism,
+        # and the witness's reconstruction reads it there
+        lift_checks = count_calls(monkeypatch, emulation._star_lifts)
+        answer = language_genus_leq(modk(7, (1, 2)), 0, max_fiber=2)
+        assert answer.status == "yes"
+        assert len(lift_checks) == 1
 
     def test_z7_genus_one_over_a_small_node_budget(self, monkeypatch):
         # a candidate whose genus search runs out of nodes is undecided: the

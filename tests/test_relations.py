@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -543,6 +543,40 @@ def _reference_enumeration(g):
     return out
 
 
+def _reference_enumerate(g):
+    """The direct enumerator on recursive, untabulated partitions: per vertex
+    partition, the partitions of each end-class edge group whose blocks'
+    sources cover the source class, each relation renumbered by the
+    constructor."""
+    view = g.int_view()
+    sources, targets = view.sources, view.targets
+    out = []
+    for vpart in _reference_partitions(list(range(len(g.vertices)))):
+        vclass = [0] * len(g.vertices)
+        for i, c in enumerate(vpart):
+            for v in c:
+                vclass[v] = i
+        groups = {}
+        for j, (s, t) in enumerate(zip(sources, targets)):
+            groups.setdefault((vclass[s], vclass[t]), []).append(j)
+        kept_per_group = []
+        for (s, _), group in groups.items():
+            need = len(vpart[s])
+            kept = [p for p in _reference_partitions(group)
+                    if all(len(set(map(sources.__getitem__, block))) == need for block in p)]
+            if not kept:
+                break
+            kept_per_group.append(kept)
+        else:
+            for parts in product(*kept_per_group):
+                eclass = [0] * len(sources)
+                for n, block in enumerate(chain.from_iterable(parts)):
+                    for j in block:
+                        eclass[j] = n
+                out.append(AutomaticRelation(view.domain, vclass + eclass))
+    return out
+
+
 def _reference_leq(r1, r2):
     for mine, theirs in (
         (r1.vertex_classes, class_of(r2.vertex_classes)),
@@ -677,6 +711,16 @@ class TestAgainstReferences:
     def test_enumeration_matches_filtered_brute_force(self, g):
         # built directly, the relations are the brute-force ones in its order
         assert enumerate_automatic_relations(g) == _reference_enumeration(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multidigraphs())
+    @example(DiGraph([f"v{i}" for i in range(7)], []))
+    @example(DiGraph(["u", "w"], [(f"e{i}", "u", "u") for i in range(7)] + [("f", "w", "u")]))
+    def test_enumeration_matches_the_direct_reference_in_order(self, g):
+        # tabulated partitions give the relations, canonical, in the order
+        # of the recursive enumerator; the examples stream partitions of 7
+        assert [(r.domain, r.vector) for r in enumerate_automatic_relations(g)] == [
+            (r.domain, r.vector) for r in _reference_enumerate(g)]
 
     @settings(max_examples=200, deadline=None)
     @given(multidigraphs(), st.data())
@@ -890,6 +934,7 @@ class TestAgainstReferences:
         for r in built:
             assert r.verified_on is g
             assert r.domain is g.int_view().domain
+            assert r.vector == AutomaticRelation(r.domain, r.vector).vector  # born canonical
             assert _reference_is_automatic(g, r)[0]
 
     def test_entry_checks_refuse_a_relation_that_is_not_automatic(self):
