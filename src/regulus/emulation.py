@@ -307,12 +307,13 @@ class CoverCertificate:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """What one cover search did.  Each candidate enumerated (an assignment
-    met before the deadline) is counted in exactly one of noncanonical,
-    disconnected, edge_cut and planarity_tests."""
+    """What one cover search did.  Each candidate tried before the deadline,
+    enumerated (candidates) or a double cover (double_covers), is counted in
+    exactly one of noncanonical, disconnected, edge_cut and planarity_tests."""
 
     fibre_vectors: int = 0
     candidates: int = 0
+    double_covers: int = 0
     noncanonical: int = 0
     disconnected: int = 0
     edge_cut: int = 0
@@ -429,12 +430,15 @@ class _OutOfTime(Exception):
     """The search's deadline passed."""
 
 
-def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter):
-    """Each fibre vector within the bound as (sizes, slots, assignments): the
-    fibre size of each base vertex, the (base edge, source fibre vertex)
-    slots in base order, and an iterator over the canonical assignments of
-    one target fibre vertex per slot, in product order.  The iterator checks
-    the deadline before each assignment and raises _OutOfTime past it."""
+def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter, early=()):
+    """Each fibre vector within the bound as (sizes, slots, assignments,
+    genus bound): the fibre size of each base vertex, the (base edge, source
+    fibre vertex) slots in base order, an iterator over the canonical
+    assignments of one target fibre vertex per slot, in product order, and
+    spec.genus_bound.  The iterator checks the deadline before each
+    assignment and raises _OutOfTime past it.  The tuples of `early` come
+    before the first vector with a fibre above 1: right after the all-ones
+    vector, the base itself, or first when the bound cuts that one."""
     base = spec.base
     vectors = _fiber_vectors_within_bound(
         [len(base.out_edges(v)) for v in base.vertices],
@@ -456,12 +460,58 @@ def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter):
                 tally["noncanonical"] += 1
 
     for vec in vectors:
+        if max(vec) > 1:
+            yield from early
+            early = ()
         tally["fibre_vectors"] += 1
         sizes = dict(zip(base.vertices, vec))
         slots = [
             (eid, i) for v in base.vertices for eid in base.out_edges(v) for i in range(sizes[v])
         ]
-        yield sizes, slots, canonical(sizes, slots)
+        yield sizes, slots, canonical(sizes, slots), spec.genus_bound
+
+
+def _double_covers(base: DiGraph, bipartite: bool, deadline: float, tally: Counter):
+    """The base's Z2-voltage double covers as one tuple of the enumeration's
+    shape, every fibre 2 and genus bound 0.  An arc u -> v at copy i goes to
+    copy i ^ s{u, v}, one voltage per support pair (loops keep 0).  A
+    breadth-first spanning forest keeps 0, and the co-tree voltages run in
+    Gray-code order past all zeros (two copies of the base): one lift per
+    switching class.  None is planar when its 2|support| edges are over the
+    cap, as whenever the Euler bound cuts the all-2 vector."""
+    view = base.int_view()
+    slots, flips = [], {}  # flips: the slots whose copy each pair's voltage moves
+    for e in (e for outs in view.outs for e in outs):
+        a, b = sorted((view.sources[e], view.targets[e]))
+        for i in (0, 1):
+            if a != b:
+                flips.setdefault((a, b), []).append(len(slots))
+            slots.append((view.domain[1][e], i))
+    nv = len(view.outs)
+    if 2 * len(flips) > _edge_cap(2 * nv, 0, bipartite):
+        return
+    adjacent, seen, tree = _adjacency(nv, flips), set(), set()
+    for root in range(nv):
+        frontier = [] if root in seen else [root]
+        seen.add(root)
+        for x in frontier:
+            for y in set(adjacent[x]) - seen:
+                seen.add(y)
+                tree.add((x, y) if x < y else (y, x))
+                frontier.append(y)
+    cotree = [moved for pair, moved in flips.items() if pair not in tree]
+
+    def lifts():
+        combo = [i for _, i in slots]
+        for t in range(1, 1 << len(cotree)):
+            if _time.monotonic() > deadline:
+                raise _OutOfTime
+            tally["double_covers"] += 1
+            for k in cotree[(t & -t).bit_length() - 1]:
+                combo[k] ^= 1
+            yield tuple(combo)
+
+    yield dict.fromkeys(base.vertices, 2), slots, lifts(), 0
 
 
 def _connected(n: int, pairs) -> bool:
@@ -503,9 +553,12 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
 
     Every assignment of one target fibre vertex per (base edge, source fibre
     vertex) yields a cover; conversely every cover with fibres within the
-    bound arises this way.  Each assignment, in product order, goes through
-    these steps, the last three on the integer vertex pairs of its loopless
-    simple support:
+    bound arises this way.  Right after the all-ones vector (the base
+    itself) come the _double_covers lifts, all-2 covers that product order
+    reaches last; they skip step 1 and answer only "found", from a planar
+    lift, with no genus_exact call.  Each assignment goes through these
+    steps, the last three on the integer vertex pairs of its loopless simple
+    support:
     1. canonical: one that a fibre permutation maps to a smaller one (in
        sorted slot order) is skipped, so "exhausted" refutes existence
        within the bounds up to fibre relabelling;
@@ -523,13 +576,14 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     deadline = _time.monotonic() + spec.time_budget
     tally: Counter = Counter()
     bipartite = _bipartite_covers(base)
+    phase = _double_covers(base, bipartite, deadline, tally)
     try:
-        for sizes, slots, assignments in _candidates(spec, deadline, tally):
+        for sizes, slots, assignments, bound in _candidates(spec, deadline, tally, phase):
             start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
             sources = [start[base.src(eid)] + i for eid, i in slots]
             offsets = [start[base.dst(eid)] for eid, _ in slots]
             nverts = sum(sizes.values())
-            max_edges = _edge_cap(nverts, spec.genus_bound, bipartite)
+            max_edges = _edge_cap(nverts, bound, bipartite)
             for combo in assignments:
                 pairs = {
                     (a, b) if a < b else (b, a)
@@ -544,7 +598,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                     continue
                 tally["planarity_tests"] += 1
                 planar = _lr_planar(nverts, pairs) is not None
-                if not planar and not spec.genus_bound:
+                if not planar and not bound:
                     continue
                 total, morphism = _build_total(base, sizes, zip(slots, combo))
                 if planar:
@@ -556,7 +610,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                     except BudgetError:
                         tally["undecided"] += 1
                         continue
-                    if genus_res.genus > spec.genus_bound:
+                    if genus_res.genus > bound:
                         continue
                 cert = CoverCertificate(
                     base, total, morphism, genus_res.witness, genus_res.genus

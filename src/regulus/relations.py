@@ -410,7 +410,7 @@ def join(g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation) -> AutomaticR
 
     def root(k: int) -> int:
         while parent[k] != k:
-            k = parent[k]
+            parent[k] = k = parent[parent[k]]  # path halving
         return k
 
     first: dict[int, int] = {}

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regulus import (
@@ -761,9 +761,17 @@ def _canonical_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
     each built as the DiGraph its certificate would carry."""
     return [
         _build_total(spec.base, sizes, zip(slots, combo))[0]
-        for sizes, slots, assignments in emulation._candidates(spec, math.inf, Counter())
+        for sizes, slots, assignments, _ in emulation._candidates(spec, math.inf, Counter())
         for combo in assignments
     ]
+
+
+def _enumeration_alone(spec: CoverSearchSpec) -> SearchOutcome:
+    """search_covers without its double-cover phase: the fibre enumeration
+    that the reference search makes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emulation, "_double_covers", lambda *args: ())
+        return search_covers(spec)
 
 
 def _k33() -> DiGraph:
@@ -786,10 +794,12 @@ class TestSearchAgainstReference:
         spec = CoverSearchSpec(
             base, max_fiber=max_fiber, genus_bound=genus_bound, connected_only=connected_only
         )
-        got, want = search_covers(spec), _reference_search_covers(spec)
+        got, want = _enumeration_alone(spec), _reference_search_covers(spec)
         assert got.status == want.status
         if want.certificate is not None:
             assert certificate_to_json(got.certificate) == certificate_to_json(want.certificate)
+        # a planar double cover the phase finds is one the enumeration reaches
+        assert search_covers(spec).status == want.status
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -820,7 +830,8 @@ class TestSearchStats:
             base, max_fiber=max_fiber, genus_bound=genus_bound, connected_only=connected_only
         )
         s = search_covers(spec).stats
-        assert s.candidates == s.noncanonical + s.disconnected + s.edge_cut + s.planarity_tests
+        tried = s.candidates + s.double_covers
+        assert tried == s.noncanonical + s.disconnected + s.edge_cut + s.planarity_tests
         assert s.undecided <= s.genus_exact_calls <= s.planarity_tests
         assert s.fibre_vectors >= (s.candidates > 0)
         if not connected_only:
@@ -829,8 +840,9 @@ class TestSearchStats:
     def test_edge_cut_fires_on_a_bipartite_base(self):
         # _circulant(6, (1, 3)) is K3,3 with its three long chords doubled:
         # its covers are bipartite, so more than 2(V - 2) support edges refute
-        # planarity before the LR test
-        out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), max_fiber=2))
+        # planarity before the LR test; the double-cover phase would find a
+        # planar cover first
+        out = _enumeration_alone(CoverSearchSpec(_circulant(6, (1, 3)), max_fiber=2))
         assert out.status == "found"
         s = out.stats
         assert s.edge_cut > 0 and s.planarity_tests < s.edge_cut
@@ -838,7 +850,8 @@ class TestSearchStats:
 
     @pytest.mark.parametrize(
         "base, max_fiber, genus_bound, tests",
-        [(_circulant(7, (1, 2)), 2, 0, 86), (_k33(), 1, 1, 1)],
+        # L7-12: the base, then 40 of the double-cover phase's lifts
+        [(_circulant(7, (1, 2)), 2, 0, 41), (_k33(), 1, 1, 1)],
         ids=["L7-12", "K3,3"],
     )
     def test_each_planarity_test_is_one_lr_call(
@@ -864,6 +877,64 @@ class TestSearchStats:
         out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), time_budget=1e-9))
         assert out.status == "budget_exceeded" and out.certificate is None
         assert (out.stats.fibre_vectors, out.stats.candidates) == (1, 0)
+
+
+@st.composite
+def nonplanar_loopless_bases(draw):
+    """Connected, non-planar, loopless digraphs on 5 or 6 vertices (fewer
+    are planar): each pair joined one way, the other, both or not at all,
+    plus up to 2 parallel arcs."""
+    vs = [f"v{i}" for i in range(draw(st.integers(5, 6)))]
+    edges = []
+    for a, b in combinations(vs, 2):
+        way = draw(st.sampled_from(["forward", "back", "both", "none"]))
+        edges += [(a, b)] * (way in ("forward", "both")) + [(b, a)] * (way in ("back", "both"))
+    edges += draw(st.lists(st.sampled_from(edges or [("v0", "v1")]), max_size=2))
+    base = DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(edges)])
+    assume(weakly_connected(base) and not is_planar(base).planar)
+    return base
+
+
+class TestDoubleCoverPhase:
+    # every loopless graph on at most 6 vertices is a subgraph of K6, whose
+    # antipodal double cover is the icosahedron, so its lift along the same
+    # voltages is planar and connected when the graph is not planar
+    @settings(max_examples=60, deadline=None)
+    @given(nonplanar_loopless_bases())
+    @example(_circulant(5, (1, 2)))  # K5
+    @example(_circulant(6, (1, 2, 3)))  # K6, its step-3 pairs both ways: 30 lift edges, at the cap
+    @example(_k33())
+    def test_every_small_nonplanar_base_has_a_planar_double_cover(self, base):
+        # the phase takes well under a second; the enumeration can take hours
+        out = search_covers(CoverSearchSpec(base, max_fiber=2, time_budget=20))
+        assert out.status == "found" and out.stats.double_covers > 0
+        cert = out.certificate
+        cert.verify()
+        assert cert.genus == 0
+        assert set(Counter(cert.morphism.p.values()).values()) == {2}
+
+    def test_the_cap_skips_the_phase(self):
+        # K7: every lift has 42 support edges, above 3(14 - 2) = 36
+        tally = Counter()
+        k7 = _circulant(7, (1, 2, 3))
+        assert list(emulation._double_covers(k7, False, math.inf, tally)) == []
+        assert tally["double_covers"] == 0
+
+    def test_no_genus_exact_call_at_genus_one(self, monkeypatch):
+        # genus_exact refuses the base K3,3, so the search goes on to the
+        # phase, whose non-planar lifts must not reach genus_exact
+        calls = []
+
+        def refuse(g):
+            calls.append(g)
+            raise BudgetError("refused")
+
+        monkeypatch.setattr(emulation, "genus_exact", refuse)
+        out = search_covers(CoverSearchSpec(_k33(), max_fiber=2, genus_bound=1))
+        assert out.status == "found" and out.certificate.genus == 0
+        s = out.stats
+        assert len(calls) == s.genus_exact_calls == s.undecided == 1
+        assert s.planarity_tests == 1 + s.double_covers > 2
 
 
 @st.composite

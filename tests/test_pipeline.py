@@ -140,9 +140,9 @@ class TestLanguageGenus:
         assert answer.status == "no_within_bounds"
 
     def test_time_budget_exceeded(self):
-        answer = language_genus_leq(
-            z6_automaton(), 0, max_fiber=2, time_budget=0.2
-        )
+        # L(8,{1,2,4}) has no planar double cover of the voltage phase, and
+        # its fibre enumeration runs far past the budget
+        answer = language_genus_leq(modk(8, (1, 2, 4)), 0, max_fiber=2, time_budget=0.2)
         assert answer.status == "budget_exceeded"
 
     def test_certificate_mode_round_trip(self):
