@@ -30,11 +30,9 @@ from .digraph import (
     UndirectedGraph,
     UndirectedMorphism,
     bidirect,
-    compose_morphisms,
     contract_cycle,
     excise,
     forget,
-    identity_morphism,
     opposite,
     pullback,
     reachability,
@@ -52,7 +50,6 @@ from .emulation import (
     extract_cover,
     is_directed_cover,
     is_directed_emulator,
-    is_incoming_emulator,
     is_undirected_cover,
     is_undirected_emulator,
     lift_direction,
@@ -81,7 +78,6 @@ from .relations import (
     automatic_to_mn_roundtrip,
     canonical_relation,
     complete_final_systems,
-    compose_relations,
     enumerate_automatic_relations,
     factorize,
     is_automatic,
@@ -96,12 +92,10 @@ from .relations import (
 from .semiauto import (
     SemiAutomaton,
     SemiMorphism,
-    factor_morphism,
     is_complete,
     is_deterministic,
     relabel,
     tautological,
-    tautological_morphism,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -412,7 +412,7 @@ def cmd_genus(args) -> int:
             args,
             {
                 "genus": res.genus,
-                "rotation": formats.rotation_to_json(res.witness)["rotations"],
+                "rotation": formats.rotation_to_json(res.witness),
             },
         )
         return OK
@@ -420,7 +420,7 @@ def cmd_genus(args) -> int:
         rep = is_planar(g)
         payload = {"planar": rep.planar}
         if rep.planar:
-            payload["rotation"] = formats.rotation_to_json(rep.witness)["rotations"]
+            payload["rotation"] = formats.rotation_to_json(rep.witness)
         else:
             payload["obstruction"] = list(rep.obstruction)
         _emit(args, payload)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DomainError
@@ -59,7 +60,7 @@ class DiGraph:
                 raise DomainError(f"edge {eid!r} touches unknown vertex {src!r} or {dst!r}")
             emap[eid] = (src, dst)
         self._vertices = vs
-        self._edges = dict(sorted(emap.items()))
+        self._edges = MappingProxyType(dict(sorted(emap.items())))
         self._out = self._in = self._view = None
 
     @property
@@ -152,7 +153,7 @@ class UndirectedGraph:
                 raise DomainError(f"edge {eid!r} touches an unknown vertex")
             emap[eid] = ends
         self._vertices = vs
-        self._edges = dict(sorted(emap.items()))
+        self._edges = MappingProxyType(dict(sorted(emap.items())))
         star: dict[str, list[str]] = {v: [] for v in vs}
         for eid, ends in self._edges.items():
             for x in set(ends):
@@ -180,10 +181,6 @@ class UndirectedGraph:
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
 
-    def degree(self, v: str) -> int:
-        """Topological degree: loops count twice."""
-        return sum(2 if self.is_loop(e) else 1 for e in self.star(v))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UndirectedGraph)
@@ -200,7 +197,8 @@ class UndirectedGraph:
 
 @dataclass(frozen=True)
 class _Maps:
-    """A pair of maps, p on vertices and q on edges, between two graphs."""
+    """A pair of maps, p on vertices and q on edges, between two graphs; both
+    are read-only copies of the maps given."""
 
     source: DiGraph | UndirectedGraph
     target: DiGraph | UndirectedGraph
@@ -208,8 +206,8 @@ class _Maps:
     q: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", dict(self.p))
-        object.__setattr__(self, "q", dict(self.q))
+        object.__setattr__(self, "p", MappingProxyType(dict(self.p)))
+        object.__setattr__(self, "q", MappingProxyType(dict(self.q)))
 
     def is_surjective(self) -> bool:
         return set(self.p.values()) == set(self.target.vertices) and set(
@@ -312,22 +310,6 @@ def validate_undirected_morphism(m: UndirectedMorphism) -> ValidationReport:
         if image_ends != m.target.ends(f):
             return ValidationReport(False, "endpoint mismatch", (e,))
     return ValidationReport(True)
-
-
-def identity_morphism(g: DiGraph) -> GraphMorphism:
-    return GraphMorphism(g, g, {v: v for v in g.vertices}, {e: e for e in g.edges})
-
-
-def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
-    """outer after inner; their middle graphs must agree."""
-    if inner.target != outer.source:
-        raise DomainError("morphisms do not compose: middle graphs differ")
-    return GraphMorphism(
-        inner.source,
-        outer.target,
-        {v: outer.p[w] for v, w in inner.p.items()},
-        {e: outer.q[f] for e, f in inner.q.items()},
-    )
 
 
 def simplify(g: DiGraph) -> tuple[DiGraph, GraphMorphism]:
@@ -597,7 +579,3 @@ def subgraph(g: DiGraph, vertices: Iterable[str], edges: Iterable[str]) -> DiGra
     ]
     return DiGraph(vs, kept)
 
-
-def image_subgraph(m: GraphMorphism) -> DiGraph:
-    """The image of a morphism, as a subgraph of its target."""
-    return subgraph(m.target, set(m.p.values()), set(m.q.values()))

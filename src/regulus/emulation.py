@@ -47,12 +47,12 @@ from .genus import (
 def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport:
     """The lifting condition of every emulator and cover predicate, on a valid
     morphism onto the target's vertices.  An edge lies in the star of each of
-    its `ends`: its source for out-stars, its target for in-stars, every end
-    for undirected stars.  Each pair of a target edge f and a source vertex x
-    whose image has f in its star needs a lift, a source edge over f with x
-    in its star; a cover needs exactly one.  The witness is the first failing
-    pair, missing lifts before repeated ones, taking target edges and then
-    source vertices in id order."""
+    its `ends`: its source for out-stars, every end for undirected stars.
+    Each pair of a target edge f and a source vertex x whose image has f in
+    its star needs a lift, a source edge over f with x in its star; a cover
+    needs exactly one.  The witness is the first failing pair, missing lifts
+    before repeated ones, taking target edges and then source vertices in id
+    order."""
     source = phi.source.edges
     lifts = [(f, x) for e, f in phi.q.items() for x in source[e][ends]]
     lifted = set(lifts)
@@ -73,34 +73,26 @@ def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport
     return ValidationReport(True)
 
 
-def _directed_lifts(phi: GraphMorphism, ends: slice, cover: bool, missing: str) -> ValidationReport:
+def _directed_lifts(phi: GraphMorphism, cover: bool) -> ValidationReport:
     base = validate_morphism(phi)
     if not base.ok:
         raise DomainError(f"invalid morphism: {base.reason} at {base.witness}")
     unhit = set(phi.target.vertices).difference(phi.p.values())
     if unhit:
         return ValidationReport(False, "vertex map not surjective", tuple(sorted(unhit)[:2]))
-    return _star_lifts(phi, ends, cover, missing)
+    return _star_lifts(phi, slice(0, 1), cover, "missing outgoing lift")
 
 
 def is_directed_emulator(phi: GraphMorphism) -> ValidationReport:
     """Surjective on vertices, with every outgoing edge of the target lifting
     through every preimage of its source vertex."""
-    return phi._verdict("emulator", lambda: _directed_lifts(
-        phi, slice(0, 1), False, "missing outgoing lift"))
+    return phi._verdict("emulator", lambda: _directed_lifts(phi, False))
 
 
 def is_directed_cover(phi: GraphMorphism) -> ValidationReport:
     """A directed emulator whose lifts are unique: outgoing stars map
     bijectively."""
-    return phi._verdict("cover", lambda: _directed_lifts(
-        phi, slice(0, 1), True, "missing outgoing lift"))
-
-
-def is_incoming_emulator(phi: GraphMorphism) -> ValidationReport:
-    """The dual notion: every incoming edge of the target lifts through every
-    preimage of its target vertex."""
-    return _directed_lifts(phi, slice(1, 2), False, "missing incoming lift")
+    return phi._verdict("cover", lambda: _directed_lifts(phi, True))
 
 
 def extract_cover(phi: GraphMorphism) -> GraphMorphism:

@@ -247,11 +247,7 @@ def relation_from_json(data: dict) -> AutomaticRelation:
 
 
 def rotation_to_json(r: RotationSystem) -> dict:
-    return {"rotations": {v: list(ts) for v, ts in sorted(r.rotations.items())}}
-
-
-def rotation_from_json(data: dict) -> RotationSystem:
-    return _rotations(data, "rotations")
+    return {v: list(ts) for v, ts in sorted(r.rotations.items())}
 
 
 def certificate_to_json(c: CoverCertificate) -> dict:
@@ -260,7 +256,7 @@ def certificate_to_json(c: CoverCertificate) -> dict:
         "total": digraph_to_json(c.total),
         "p": dict(c.morphism.p),
         "q": dict(c.morphism.q),
-        "rotation": rotation_to_json(c.genus_witness)["rotations"],
+        "rotation": rotation_to_json(c.genus_witness),
         "genus": c.genus,
     }
 

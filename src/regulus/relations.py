@@ -262,21 +262,6 @@ def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
     return r, iota
 
 
-def compose_relations(
-    g: DiGraph, r1: AutomaticRelation, r2: AutomaticRelation
-) -> AutomaticRelation:
-    """Compose r1 on g with r2 on the quotient g/r1 into a relation on g.
-    The quotient's ids are r1's least members, so its sorted vertices and
-    edges come in r1's class order: position k of r2's vector is r1's class
-    k, and each id's class under the composite is r2's class of its r1 class,
-    which numbers the composite canonically, as r1 and r2 are."""
-    q, _ = quotient(g, r1)
-    report = is_automatic(q, r2)
-    if not report.ok:
-        raise DomainError("second relation is not automatic on the quotient")
-    return _built(g, map(r2.vector.__getitem__, r1.vector))
-
-
 @dataclass(frozen=True)
 class FinalFamily:
     """Pairwise-disjoint non-empty vertex subsets."""

@@ -80,6 +80,21 @@ def fork():
     return DiGraph(["w0", "w1", "w2"], [("a", "w0", "w1"), ("b", "w0", "w2")])
 
 
+def identity_morphism(g: DiGraph) -> GraphMorphism:
+    return GraphMorphism(g, g, {v: v for v in g.vertices}, {e: e for e in g.edges})
+
+
+def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
+    """outer after inner; their middle graphs must agree."""
+    assert inner.target == outer.source
+    return GraphMorphism(
+        inner.source,
+        outer.target,
+        {v: outer.p[w] for v, w in inner.p.items()},
+        {e: outer.q[f] for e, f in inner.q.items()},
+    )
+
+
 def k_complete(n):
     vs = [f"v{i}" for i in range(n)]
     return UndirectedGraph(

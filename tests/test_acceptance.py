@@ -17,6 +17,7 @@ from regulus import (
     BudgetError,
     DiGraph,
     GraphMorphism,
+    RotationSystem,
     SemiAutomaton,
     UndirectedGraph,
     UndirectedMorphism,
@@ -27,7 +28,6 @@ from regulus import (
     automaton_from_cover,
     bidirect,
     complete_with_trash,
-    compose_morphisms,
     cover_of_minimization,
     enumerate_automatic_relations,
     euler_lower_bound,
@@ -72,6 +72,7 @@ from regulus.emulation import r_image_morphism
 
 from conftest import (
     canonical_multidigraphs,
+    compose_morphisms,
     k_bipartite,
     k_complete,
     random_digraph,
@@ -116,7 +117,7 @@ def test_criterion_2_genus_numerics():
         res = genus_exact(graph)
         assert res.genus == 1, name
         data = formats.loads(formats.dumps(formats.rotation_to_json(res.witness)))
-        witness = formats.rotation_from_json(data)
+        witness = RotationSystem(data)
         _, traced = trace_faces(graph, witness)
         assert traced == 1, name
         assert euler_lower_bound(graph, girth) == 1, name

@@ -17,7 +17,6 @@ from regulus import (
     complete_with_trash,
     cover_of_minimization,
     genus_exact,
-    identity_morphism,
     is_complete,
     is_deterministic,
     is_directed_cover,
@@ -37,7 +36,7 @@ from regulus.corpus import (
     z7_123_automaton,
 )
 
-from conftest import random_complete_dfa, semi_automata
+from conftest import identity_morphism, random_complete_dfa, semi_automata
 
 
 def reference_accepts(a: Automaton, word) -> bool:

@@ -14,7 +14,6 @@ from regulus import (
     contract_cycle,
     excise,
     forget,
-    identity_morphism,
     opposite,
     pullback,
     reachability,
@@ -35,6 +34,7 @@ from regulus.digraph import (
 
 from conftest import (
     c2,
+    identity_morphism,
     isomorphic,
     loop1,
     loop2,

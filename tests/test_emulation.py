@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 from itertools import combinations, permutations, product
+from operator import delitem, setitem
 from typing import NamedTuple
 
 import networkx as nx
@@ -19,21 +20,21 @@ from regulus import (
     adjunction_inverse,
     adjunction_transfer,
     bidirect,
-    compose_morphisms,
     excise,
     extend_over_excision,
     extract_cover,
     forget,
-    identity_morphism,
     is_directed_cover,
     is_directed_emulator,
-    is_incoming_emulator,
     is_undirected_cover,
     is_undirected_emulator,
     lift_direction,
+    opposite,
     pullback,
+    relabel,
     search_covers,
     simplify,
+    tautological,
 )
 from regulus.corpus import (
     amalgamation_loop,
@@ -64,6 +65,8 @@ from regulus.genus import GenusResult, genus_exact, is_planar, undirected_girth
 
 from conftest import (
     c2,
+    compose_morphisms,
+    identity_morphism,
     loop1,
     multidigraphs,
     random_digraph,
@@ -154,6 +157,54 @@ class TestKeptVerdicts:
         assert set(m.verdicts) == {"isomorphism"}
 
 
+def exposed_maps() -> dict:
+    """Each map a graph, morphism or semi-automaton hands out, by holder."""
+    g = c2()
+    u = forget(g)
+    m = par2_swap()
+    um = UndirectedMorphism(u, u, {v: v for v in u.vertices}, {e: e for e in u.edges})
+    a = tautological(g)
+    _, lam = relabel(a, {x: "x" for x in a.alphabet})
+    return {
+        "DiGraph.edges": g.edges, "UndirectedGraph.edges": u.edges,
+        "GraphMorphism.p": m.p, "GraphMorphism.q": m.q,
+        "UndirectedMorphism.p": um.p, "UndirectedMorphism.q": um.q,
+        "SemiMorphism.alpha": lam.alpha,
+        "SemiAutomaton.table": a.table(), "SemiAutomaton.table-row": a.table()["a"],
+    }
+
+
+class TestReadOnlyMaps:
+    # kept verdicts, stars and tables stay sound only while the maps they
+    # were computed from cannot change
+    @pytest.mark.parametrize("holder", sorted(exposed_maps()))
+    def test_every_mutation_raises(self, holder):
+        maps = exposed_maps()[holder]
+        key = next(iter(maps))
+        before = dict(maps)
+        for mutate in (lambda: setitem(maps, key, maps[key]),
+                       lambda: setitem(maps, "new", maps[key]),
+                       lambda: delitem(maps, key)):
+            with pytest.raises(TypeError):
+                mutate()
+        assert dict(maps) == before
+
+    def test_par2_swap_keeps_a_sound_verdict(self):
+        # writing q[a] = q[b] once left the kept cover and isomorphism
+        # verdicts at True, where a fresh copy of the maps misses a lift
+        m = par2_swap()
+        assert is_directed_cover(m).ok and m.is_isomorphism()
+        e0, e1 = sorted(m.q)
+        with pytest.raises(TypeError):
+            m.q[e0] = m.q[e1]
+        fresh = GraphMorphism(m.source, m.target, dict(m.p), dict(m.q))
+        assert is_directed_cover(fresh).ok and fresh.is_isomorphism()
+        g = m.source
+        with pytest.raises(TypeError):
+            g.edges["zz"] = ("v", "w")
+        assert g.out_edges("v") == ("a", "b")
+
+
 class StarReport(NamedTuple):
     out_map: dict[str, str]
     in_map: dict[str, str]
@@ -180,6 +231,14 @@ def star_maps(phi: GraphMorphism, x: str) -> StarReport:
     )
 
 
+def incoming_emulator(phi: GraphMorphism):
+    """The dual notion, every incoming edge of the target lifting through
+    every preimage of its target vertex: a directed emulator between the
+    opposite graphs."""
+    return is_directed_emulator(
+        GraphMorphism(opposite(phi.source), opposite(phi.target), phi.p, phi.q))
+
+
 class TestStarMaps:
     def test_loop2_star_two_to_one(self):
         rep = star_maps(loop2_to_loop1(), "u")
@@ -195,11 +254,11 @@ class TestStarMaps:
 
     def test_incoming_via_opposite(self):
         # the amalgamation map is an incoming emulator too, by symmetry
-        assert is_incoming_emulator(amalgamation_loop()).ok
+        assert incoming_emulator(amalgamation_loop()).ok
         # the fork map fails outgoing lifting but every incoming star lifts:
         # incoming and outgoing emulation are genuinely different notions
         assert not is_directed_emulator(fork_nonemulator()).ok
-        assert is_incoming_emulator(fork_nonemulator()).ok
+        assert incoming_emulator(fork_nonemulator()).ok
 
 
 class TestExtractCover:
@@ -382,7 +441,7 @@ class TestStarPredicatesAgainstDefinition:
         [
             (is_directed_emulator, True, DiGraph.out_edges, False, "missing outgoing lift"),
             (is_directed_cover, True, DiGraph.out_edges, True, "missing outgoing lift"),
-            (is_incoming_emulator, True, DiGraph.in_edges, False, "missing incoming lift"),
+            (incoming_emulator, True, DiGraph.in_edges, False, "missing outgoing lift"),
             (is_undirected_emulator, False, UndirectedGraph.star, False, "missing lift"),
             (is_undirected_cover, False, UndirectedGraph.star, True, "missing lift"),
         ],

@@ -14,7 +14,6 @@ from regulus import (
     automatic_to_mn_roundtrip,
     canonical_relation,
     complete_final_systems,
-    compose_relations,
     enumerate_automatic_relations,
     factorize,
     is_automatic,
@@ -212,41 +211,6 @@ class TestFactorize:
                     well_defined = False
             injective = len(set(forced.values())) == len(forced)
             assert not (well_defined and injective and len(forced) == 2)
-
-
-class TestComposeRelations:
-    def test_identity_right_unit(self):
-        g = c4()
-        r = wrap_c4_to_c2()
-        q, _ = quotient(g, r)
-        assert compose_relations(g, r, AutomaticRelation.identity(q)) == r
-
-    def test_identity_left_unit(self):
-        g = c4()
-        r = wrap_c4_to_c2()
-        out = compose_relations(g, AutomaticRelation.identity(g), r)
-        assert out == r
-
-    def test_c4_wrap_then_wrap_gives_full_merge(self):
-        g = c4()
-        r1 = wrap_c4_to_c2()
-        q, _ = quotient(g, r1)
-        r2 = AutomaticRelation.from_classes([list(q.vertices)], [list(q.edges)])
-        assert is_automatic(q, r2).ok
-        out = compose_relations(g, r1, r2)
-        assert out.vertex_classes == (("a", "b", "c", "d"),)
-        assert out.edge_classes == (("e1", "e2", "e3", "e4"),)
-
-    def test_canonical_map_composes(self):
-        g = c4()
-        r1 = wrap_c4_to_c2()
-        q, can1 = quotient(g, r1)
-        r2 = AutomaticRelation.from_classes([list(q.vertices)], [list(q.edges)])
-        _, can2 = quotient(q, r2)
-        composed = compose_relations(g, r1, r2)
-        _, can = quotient(g, composed)
-        for v in g.vertices:
-            assert can.p[v] == can2.p[can1.p[v]]
 
 
 class TestMnRefine:
@@ -894,10 +858,9 @@ class TestAgainstReferences:
         a = SemiAutomaton(g, set(labels.values()), labels)
         finals = data.draw(partitions([v for v in g.vertices if data.draw(st.booleans())]))
         r1, r2 = data.draw(relation), data.draw(relation)
-        q, can = quotient(g, r1)
+        _, can = quotient(g, r1)
         built = [mn_refine(a, FinalFamily.of(*finals)), maximum(g), meet(g, r1, r2),
-                 join(g, r1, r2), AutomaticRelation.identity(g), canonical_relation(can),
-                 compose_relations(g, r1, maximum(q))]
+                 join(g, r1, r2), AutomaticRelation.identity(g), canonical_relation(can)]
         assert all(r.domain is g.int_view().domain for r in built)
         for r in built:
             fresh, unchecked = _canonical(r), _canonical(r)
@@ -919,7 +882,7 @@ class TestAgainstReferences:
         rels = enumerate_automatic_relations(g)
         relation = st.sampled_from(rels)
         r1, r2 = data.draw(relation), data.draw(relation)
-        q, can = quotient(g, r1)
+        _, can = quotient(g, r1)
         labels = {e: data.draw(st.sampled_from("ab")) for e in g.edges}
         a = SemiAutomaton(g, set(labels.values()), labels)
         finals = data.draw(partitions([v for v in g.vertices if data.draw(st.booleans())]))
@@ -927,7 +890,6 @@ class TestAgainstReferences:
                                   for n in (len(g.vertices), len(g.edges)))
         built = rels + [
             AutomaticRelation.identity(g), canonical_relation(can),
-            compose_relations(g, r1, data.draw(st.sampled_from(enumerate_automatic_relations(q)))),
             _coarsest_automatic(g, vertex_keys, edge_keys),
             mn_refine(a, FinalFamily.of(*finals)), maximum(g), meet(g, r1, r2), join(g, r1, r2),
         ]
@@ -945,7 +907,6 @@ class TestAgainstReferences:
         ident = AutomaticRelation.identity(g)
         calls = [lambda: quotient(g, bad), lambda: is_cover_relation(g, bad),
                  lambda: automatic_to_mn_roundtrip(g, bad),
-                 lambda: compose_relations(g, bad, ident), lambda: compose_relations(g, ident, bad),
                  lambda: join(g, bad, ident), lambda: join(g, ident, bad),
                  lambda: meet(g, bad, ident), lambda: meet(g, ident, bad)]
         for call in calls:

@@ -11,9 +11,8 @@ from regulus import (
     is_deterministic,
     relabel,
     tautological,
-    tautological_morphism,
+    validate_morphism,
 )
-from regulus.semiauto import factor_morphism, validate_semi_morphism
 
 from conftest import c2, loop2, random_digraph, semi_automata
 
@@ -37,17 +36,21 @@ def reference_is_deterministic(a: SemiAutomaton) -> bool:
     return True
 
 
-def compose_semi(outer: SemiMorphism, inner: SemiMorphism) -> SemiMorphism:
-    if inner.target != outer.source:
-        raise DomainError("semi-automaton morphisms do not compose")
-    base = GraphMorphism(
-        inner.source.graph,
-        outer.target.graph,
-        {v: outer.base.p[w] for v, w in inner.base.p.items()},
-        {e: outer.base.q[f] for e, f in inner.base.q.items()},
-    )
-    alpha = {a: outer.alpha[b] for a, b in inner.alpha.items()}
-    return SemiMorphism(inner.source, outer.target, base, alpha)
+def validate_semi_morphism(m: SemiMorphism) -> None:
+    """Raise unless the base is a graph morphism and labels commute with alpha."""
+    base_report = validate_morphism(m.base)
+    if not base_report.ok:
+        raise DomainError(f"base graph morphism invalid: {base_report.reason}")
+    missing = m.source.alphabet - set(m.alpha)
+    if missing:
+        raise DomainError(f"alpha is not total on the alphabet, missing {sorted(missing)[:3]}")
+    for e in m.source.graph.edges:
+        want = m.target.label(m.base.q[e])
+        got = m.alpha[m.source.label(e)]
+        if want != got:
+            raise DomainError(
+                f"label square does not commute at edge {e!r}: {got!r} != {want!r}"
+            )
 
 
 def counit(a: SemiAutomaton) -> SemiMorphism:
@@ -103,9 +106,8 @@ class TestTautological:
         g = loop2()
         h = DiGraph(["v"], [("g", "v", "v")])
         m = GraphMorphism(g, h, {"u": "v"}, {"e": "g", "f": "g"})
-        tm = tautological_morphism(m)
-        validate_semi_morphism(tm)
-        assert tm.alpha == {"e": "g", "f": "g"}
+        # a graph morphism lifts to the tautological semi-automata with alpha = q
+        validate_semi_morphism(SemiMorphism(tautological(g), tautological(h), m, m.q))
 
 
 class TestCompletenessDeterminism:
@@ -149,7 +151,9 @@ class TestRelabel:
         a = z6_semi()
         out, m = relabel(a, {x: x for x in a.alphabet})
         assert out == a
-        assert m.is_strict and m.is_relabelling
+        assert m.alpha == {x: x for x in a.alphabet}
+        assert m.base.p == {v: v for v in a.states()}
+        assert m.base.q == {e: e for e in a.graph.edges}
 
     def test_merge_letters(self):
         a = tautological(c2())
@@ -179,57 +183,3 @@ class TestFaithfulness:
             for letter in [tautological(a.graph).label(e)]
         }
         assert forced == dict(eps.alpha)
-
-
-class TestFactorization:
-    def test_strict_morphism_has_identity_relabel_part(self):
-        a = z6_semi()
-        m = compose_semi(counit(a), semi_from_taut_identity(a))
-        fac = factor_morphism(counit(a))
-        lam, strict = fac.relabel_then_strict
-        assert strict.base.p == {v: v for v in a.states()}
-        recomposed = compose_semi(strict, lam)
-        assert recomposed.alpha == counit(a).alpha
-        assert recomposed.base == counit(a).base
-
-    def test_pure_relabelling_gives_identity_strict_part(self):
-        a = tautological(c2())
-        _, m = relabel(a, {"e1": "x", "e2": "x"})
-        fac = factor_morphism(m)
-        lam, strict = fac.relabel_then_strict
-        assert lam.is_relabelling
-        assert strict.is_strict
-        strict_first, relabel_second = fac.strict_then_relabel
-        assert strict_first.is_strict
-        assert relabel_second.is_relabelling
-
-    def test_counit_decomposition(self):
-        a = z6_semi()
-        eps = counit(a)
-        fac = factor_morphism(eps)
-        lam, strict = fac.relabel_then_strict
-        assert lam.is_relabelling
-        assert dict(lam.alpha) == dict(a.labelling)
-        assert strict.is_strict
-
-    def test_both_decompositions_compose_back(self, rng):
-        for _ in range(10):
-            g = random_digraph(rng, max_vertices=4, max_edges=5)
-            a = tautological(g)
-            target, m = relabel(a, {e: f"L{hash(e) % 2}" for e in a.alphabet})
-            fac = factor_morphism(m)
-            for pair in (fac.relabel_then_strict, fac.strict_then_relabel):
-                if pair is None:
-                    continue
-                first, second = pair
-                back = compose_semi(second, first)
-                assert back.base == m.base
-                assert back.alpha == m.alpha
-
-
-def semi_from_taut_identity(a: SemiAutomaton) -> SemiMorphism:
-    taut = tautological(a.graph)
-    base = GraphMorphism(
-        a.graph, a.graph, {v: v for v in a.states()}, {e: e for e in a.graph.edges}
-    )
-    return SemiMorphism(taut, taut, base, {e: e for e in taut.alphabet})
