@@ -6,6 +6,7 @@ minimal automaton's excised simple graph."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .digraph import (
@@ -38,10 +39,15 @@ def parse_word(text: str) -> Word:
     return tuple(text.split())
 
 
+@dataclass(frozen=True, init=False)
 class Automaton:
-    """A semi-automaton with initial and final state sets."""
+    """A semi-automaton with initial and final state sets.  Its minimization
+    (`minimize`) and, on a minimal automaton, the cover base are built on
+    first use and kept."""
 
-    __slots__ = ("_semi", "_initials", "_finals", "_minimal")
+    semi: SemiAutomaton
+    initials: frozenset[str]
+    finals: frozenset[str]
 
     def __init__(self, semi: SemiAutomaton, initials: Iterable[str], finals: Iterable[str]):
         ini = frozenset(initials)
@@ -49,48 +55,50 @@ class Automaton:
         states = set(semi.states())
         if not ini <= states or not fin <= states:
             raise DomainError("initial/final states must be states of the semi-automaton")
-        self._semi = semi
-        self._initials = ini
-        self._finals = fin
-        self._minimal = None
-
-    @property
-    def semi(self) -> SemiAutomaton:
-        return self._semi
+        object.__setattr__(self, "semi", semi)
+        object.__setattr__(self, "initials", ini)
+        object.__setattr__(self, "finals", fin)
 
     @property
     def graph(self) -> DiGraph:
-        return self._semi.graph
-
-    @property
-    def initials(self) -> frozenset[str]:
-        return self._initials
-
-    @property
-    def finals(self) -> frozenset[str]:
-        return self._finals
+        return self.semi.graph
 
     @property
     def alphabet(self) -> frozenset[str]:
-        return self._semi.alphabet
+        return self.semi.alphabet
 
     def is_accessible(self) -> bool:
         return len(_reached(self)) == len(self.graph.vertices)
 
     def single_initial(self) -> str:
-        if len(self._initials) != 1:
+        if len(self.initials) != 1:
             raise PreconditionError(
-                f"operation requires a single initial state, found {len(self._initials)}"
+                f"operation requires a single initial state, found {len(self.initials)}"
             )
-        return next(iter(self._initials))
+        return next(iter(self.initials))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automaton)
-            and self._semi == other._semi
-            and self._initials == other._initials
-            and self._finals == other._finals
+    @cached_property
+    def _minimal(self) -> tuple[Automaton, SemiMorphism]:
+        _require_minimizable(self)
+        family = FinalFamily.of(self.finals) if self.finals else FinalFamily(())
+        relation = mn_refine(self.semi, family)
+        q_graph, can = quotient(self.graph, relation)
+        labels = {ce: self.semi.label(ce) for ce in q_graph.edges}
+        semi_min = SemiAutomaton(q_graph, self.alphabet, labels)
+        a_min = Automaton(
+            semi_min,
+            {can.p[next(iter(self.initials))]},
+            {can.p[f] for f in self.finals},
         )
+        return a_min, SemiMorphism(self.semi, semi_min, can, {x: x for x in self.alphabet})
+
+    @cached_property
+    def _cover_base(self) -> tuple[DiGraph, GraphMorphism, DiGraph]:
+        """The simplification of the graph, its projection and the simple
+        graph's excision: on a minimal automaton, the base whose directed
+        covers bound the language genus."""
+        simple, rho = simplify(self.graph)
+        return simple, rho, excise(simple)
 
     def __repr__(self):
         return (
@@ -110,7 +118,7 @@ class LanguageSample:
 
 def _step(semi: SemiAutomaton, states: Iterable[str], letter: str) -> frozenset[str]:
     """The subset step: every state one letter leads to from the given ones."""
-    table = semi.table()
+    table = semi.table
     return frozenset(t for q in states for t in table[q].get(letter, ()))
 
 
@@ -180,7 +188,7 @@ def complete_with_trash(a: Automaton) -> Automaton:
         trash += "'"
     edges = a.graph.edge_list()
     labels = dict(a.semi.labelling)
-    missing = [(q, x) for q, row in a.semi.table().items()
+    missing = [(q, x) for q, row in a.semi.table.items()
                for x in sorted(a.alphabet - row.keys())]
     # each missing transition, then each trash loop, takes a fresh edge id
     for q, letter in missing + [(trash, x) for x in sorted(a.alphabet)]:
@@ -209,24 +217,9 @@ def minimize(a: Automaton) -> tuple[Automaton, SemiMorphism]:
     projection, whose underlying graph morphism is a directed cover.
 
     States are refined from the finals/non-finals split; the quotient is the
-    automatic relation built from the fixpoint.  The result is built on first
-    use and kept on a, so one automaton is refined once.
+    automatic relation built from the fixpoint.  The result is kept on a, so
+    one automaton is refined once.
     """
-    if a._minimal is not None:
-        return a._minimal
-    _require_minimizable(a)
-    family = FinalFamily.of(a.finals) if a.finals else FinalFamily(())
-    relation = mn_refine(a.semi, family)
-    q_graph, can = quotient(a.graph, relation)
-    labels = {ce: a.semi.label(ce) for ce in q_graph.edges}
-    semi_min = SemiAutomaton(q_graph, a.alphabet, labels)
-    a_min = Automaton(
-        semi_min,
-        {can.p[next(iter(a.initials))]},
-        {can.p[f] for f in a.finals},
-    )
-    pi = SemiMorphism(a.semi, semi_min, can, {x: x for x in a.alphabet})
-    a._minimal = a_min, pi
     return a._minimal
 
 
@@ -238,7 +231,7 @@ def language_graph(a: Automaton) -> DiGraph:
 def minimal_cover_base(a: Automaton) -> DiGraph:
     """The excised simplification of the minimal automaton's graph: the base
     graph whose directed covers bound the language genus."""
-    return excise(simplify(language_graph(a))[0])
+    return minimize(a)[0]._cover_base[2]
 
 
 def languages_equal(a: Automaton, b: Automaton) -> bool:
@@ -247,7 +240,7 @@ def languages_equal(a: Automaton, b: Automaton) -> bool:
     start = (a.single_initial(), b.single_initial())
     if not is_deterministic(a.semi) or not is_deterministic(b.semi):
         raise PreconditionError("exact equality requires deterministic automata")
-    ta, tb = a.semi.table(), b.semi.table()
+    ta, tb = a.semi.table, b.semi.table
     letters = sorted(a.alphabet | b.alphabet)
 
     def step(pair: tuple) -> list[tuple]:
@@ -275,8 +268,7 @@ def automaton_from_cover(a: Automaton, cover: GraphMorphism) -> tuple[Automaton,
     """
     a_min, _ = minimize(a)
     g_min = a_min.graph
-    simple, rho = simplify(g_min)
-    base = excise(simple)
+    simple, rho, base = a_min._cover_base
     if cover.target != base:
         raise DomainError(
             "cover target is not the excised simplification of the minimal graph"

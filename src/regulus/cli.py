@@ -22,6 +22,7 @@ from .automaton import (
     accepts,
     automaton_from_cover,
     complete_with_trash,
+    language_graph,
     languages_equal,
     minimal_cover_base,
     minimize,
@@ -216,7 +217,7 @@ def cmd_auto(args) -> int:
         _emit(args, formats.automaton_to_json(out), formats.automaton_to_dot(out))
         return OK
     if args.verb == "graph":
-        g = minimal_cover_base(a) if args.cover_base else minimize(a)[0].graph
+        g = minimal_cover_base(a) if args.cover_base else language_graph(a)
         _emit(args, formats.digraph_to_json(g), formats.digraph_to_dot(g))
         return OK
     if args.verb == "from-cover":

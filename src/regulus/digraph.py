@@ -1,13 +1,15 @@
 """Finite directed and undirected multigraphs and their structural operations.
 
 Vertices and edges carry opaque string ids.  Parallel edges and loops are
-permitted everywhere.  All values are immutable after construction and every
+permitted everywhere.  All values are frozen after construction and every
 operation is a pure function, so everything here is safe to share freely.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
@@ -41,10 +43,13 @@ class IntView:
         self.domain = (g.vertices, tuple(g.edges))
 
 
+@dataclass(frozen=True, init=False)
 class DiGraph:
-    """A finite multidigraph: vertex ids plus edge records (id, src, dst)."""
+    """A finite multidigraph: vertex ids plus edge records (id, src, dst);
+    `int_view` and the stars are built on first use and kept."""
 
-    __slots__ = ("_vertices", "_edges", "_out", "_in", "_view")
+    vertices: tuple[str, ...]
+    edges: Mapping[str, tuple[str, str]]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         vs = list(vertices)
@@ -59,84 +64,65 @@ class DiGraph:
             if src not in vset or dst not in vset:
                 raise DomainError(f"edge {eid!r} touches unknown vertex {src!r} or {dst!r}")
             emap[eid] = (src, dst)
-        self._vertices = vs
-        self._edges = MappingProxyType(dict(sorted(emap.items())))
-        self._out = self._in = self._view = None
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", MappingProxyType(dict(sorted(emap.items()))))
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._vertices
-
-    @property
-    def edges(self) -> Mapping[str, tuple[str, str]]:
-        return self._edges
-
+    @cached_property
     def int_view(self) -> IntView:
-        """The graph on integers, built on first use and kept: graphs are
-        immutable."""
-        if self._view is None:
-            self._view = IntView(self)
-        return self._view
+        """The graph on integers."""
+        return IntView(self)
 
     def src(self, eid: str) -> str:
-        return self._edges[eid][0]
+        return self.edges[eid][0]
 
     def dst(self, eid: str) -> str:
-        return self._edges[eid][1]
+        return self.edges[eid][1]
 
     def ends(self, eid: str) -> tuple[str, str]:
-        return self._edges[eid]
+        return self.edges[eid]
 
-    def _star(self, end: int) -> dict[str, tuple[str, ...]]:
-        """Each vertex's edges in id order that have it at one end (0 or 1)."""
-        star: dict[str, list[str]] = {v: [] for v in self._vertices}
-        for eid, ends in self._edges.items():
-            star[ends[end]].append(eid)
-        return {v: tuple(es) for v, es in star.items()}
+    @cached_property
+    def _stars(self) -> tuple[dict[str, tuple[str, ...]], ...]:
+        """Each vertex's edges in id order, out of it and into it."""
+        stars: list[dict[str, list[str]]] = [{v: [] for v in self.vertices} for _ in range(2)]
+        for eid, ends in self.edges.items():
+            for star, v in zip(stars, ends):
+                star[v].append(eid)
+        return tuple({v: tuple(es) for v, es in star.items()} for star in stars)
 
     def out_edges(self, v: str) -> tuple[str, ...]:
-        """The edges out of v in id order.  This and `in_edges` build their
-        stars on first use and keep them: graphs are immutable."""
-        if self._out is None:
-            self._out = self._star(0)
+        """The edges out of v in id order."""
         try:
-            return self._out[v]
+            return self._stars[0][v]
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
 
     def in_edges(self, v: str) -> tuple[str, ...]:
-        if self._in is None:
-            self._in = self._star(1)
         try:
-            return self._in[v]
+            return self._stars[1][v]
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
 
     def is_loop(self, eid: str) -> bool:
-        s, t = self._edges[eid]
+        s, t = self.edges[eid]
         return s == t
 
     def edge_list(self) -> list[tuple[str, str, str]]:
-        return [(e, s, t) for e, (s, t) in self._edges.items()]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiGraph)
-            and self._vertices == other._vertices
-            and self._edges == other._edges
-        )
+        return [(e, s, t) for e, (s, t) in self.edges.items()]
 
     def __hash__(self):
-        return hash((self._vertices, tuple(self._edges.items())))
+        return hash((self.vertices, tuple(self.edges.items())))
 
     def __repr__(self):
-        return f"DiGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"DiGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+@dataclass(frozen=True, init=False)
 class UndirectedGraph:
     """A finite undirected multigraph; loops are edges with a single end."""
 
-    __slots__ = ("_vertices", "_edges", "_star")
+    vertices: tuple[str, ...]
+    edges: Mapping[str, tuple[str, ...]]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, tuple]]):
         vs = tuple(sorted({_freeze_str(v) for v in vertices}))
@@ -152,27 +138,22 @@ class UndirectedGraph:
             if any(x not in vset for x in ends):
                 raise DomainError(f"edge {eid!r} touches an unknown vertex")
             emap[eid] = ends
-        self._vertices = vs
-        self._edges = MappingProxyType(dict(sorted(emap.items())))
-        star: dict[str, list[str]] = {v: [] for v in vs}
-        for eid, ends in self._edges.items():
-            for x in set(ends):
-                star[x].append(eid)
-        self._star = {v: tuple(es) for v, es in star.items()}
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._vertices
-
-    @property
-    def edges(self) -> Mapping[str, tuple[str, ...]]:
-        return self._edges
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", MappingProxyType(dict(sorted(emap.items()))))
 
     def ends(self, eid: str) -> tuple[str, ...]:
-        return self._edges[eid]
+        return self.edges[eid]
 
     def is_loop(self, eid: str) -> bool:
-        return len(self._edges[eid]) == 1
+        return len(self.edges[eid]) == 1
+
+    @cached_property
+    def _star(self) -> dict[str, tuple[str, ...]]:
+        star: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for eid, ends in self.edges.items():
+            for x in ends:
+                star[x].append(eid)
+        return {v: tuple(es) for v, es in star.items()}
 
     def star(self, v: str) -> tuple[str, ...]:
         """Edges incident to v (loops listed once)."""
@@ -181,18 +162,11 @@ class UndirectedGraph:
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UndirectedGraph)
-            and self._vertices == other._vertices
-            and self._edges == other._edges
-        )
-
     def __hash__(self):
-        return hash((self._vertices, tuple(self._edges.items())))
+        return hash((self.vertices, tuple(self.edges.items())))
 
     def __repr__(self):
-        return f"UndirectedGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"UndirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
 @dataclass(frozen=True)
@@ -218,15 +192,8 @@ class _Maps:
 @dataclass(frozen=True)
 class GraphMorphism(_Maps):
     """A pair of total maps (p on vertices, q on edges) between digraphs.
-    `verdicts` keeps what each predicate's check returned on this object, as
-    graphs and maps are immutable; an invalid morphism, which raises, gets none."""
-
-    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _verdict(self, predicate: str, check: Callable[[], Any]):
-        if predicate not in self.verdicts:
-            self.verdicts[predicate] = check()
-        return self.verdicts[predicate]
+    What its emulator, cover and isomorphism checks return is kept on first
+    use; an invalid morphism, which raises, keeps nothing."""
 
     def is_injective(self) -> bool:
         return len(set(self.p.values())) == len(self.p) and len(set(self.q.values())) == len(
@@ -234,9 +201,19 @@ class GraphMorphism(_Maps):
         )
 
     def is_isomorphism(self) -> bool:
-        return self._verdict("isomorphism", lambda: (
-            validate_morphism(self).ok and self.is_surjective() and self.is_injective()
-        ))
+        return self._isomorphism
+
+    @cached_property
+    def _isomorphism(self) -> bool:
+        return validate_morphism(self).ok and self.is_surjective() and self.is_injective()
+
+    @cached_property
+    def _emulator(self) -> ValidationReport:
+        return _directed_lifts(self, False)
+
+    @cached_property
+    def _cover(self) -> ValidationReport:
+        return _directed_lifts(self, True)
 
 
 @dataclass(frozen=True)
@@ -296,6 +273,45 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
         if p[t] != ft:
             return ValidationReport(False, "target endpoint mismatch", (e,))
     return ValidationReport(True)
+
+
+def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport:
+    """The lifting condition of every emulator and cover predicate, on a valid
+    morphism onto the target's vertices.  An edge lies in the star of each of
+    its `ends`: its source for out-stars, every end for undirected stars.
+    Each pair of a target edge f and a source vertex x whose image has f in
+    its star needs a lift, a source edge over f with x in its star; a cover
+    needs exactly one.  The witness is the first failing pair, missing lifts
+    before repeated ones, taking target edges and then source vertices in id
+    order."""
+    source = phi.source.edges
+    lifts = [(f, x) for e, f in phi.q.items() for x in source[e][ends]]
+    lifted = set(lifts)
+    # the morphism is valid, so every lifted pair is a needed one, and none is
+    # missing when there are as many lifted pairs as needed ones
+    images = Counter(phi.p.values())
+    needed = sum(images[y] for f_ends in phi.target.edges.values() for y in f_ends[ends])
+    if len(lifted) < needed:
+        unlifted = (
+            (f, x) for f, f_ends in phi.target.edges.items() for x, y in phi.p.items()
+            if y in f_ends[ends] and (f, x) not in lifted
+        )
+        return ValidationReport(False, missing, min(unlifted))
+    if cover and len(lifts) > len(lifted):
+        lifts.sort()
+        repeated = next(a for a, b in zip(lifts, lifts[1:]) if a == b)
+        return ValidationReport(False, "lift not unique", repeated)
+    return ValidationReport(True)
+
+
+def _directed_lifts(phi: GraphMorphism, cover: bool) -> ValidationReport:
+    base = validate_morphism(phi)
+    if not base.ok:
+        raise DomainError(f"invalid morphism: {base.reason} at {base.witness}")
+    unhit = set(phi.target.vertices).difference(phi.p.values())
+    if unhit:
+        return ValidationReport(False, "vertex map not surjective", tuple(sorted(unhit)[:2]))
+    return _star_lifts(phi, slice(0, 1), cover, "missing outgoing lift")
 
 
 def validate_undirected_morphism(m: UndirectedMorphism) -> ValidationReport:
@@ -490,7 +506,7 @@ def strongly_connected_components(g: DiGraph) -> list[frozenset[str]]:
     """Tarjan's algorithm over the integer view with an explicit stack; the
     components come in reverse topological order.  A vertex whose component
     is done takes index n, so that it lowers no other vertex's low link."""
-    view = g.int_view()
+    view = g.int_view
     n = len(g.vertices)
     index, low = [-1] * n, [0] * n
     stack, work, comps = [], [], []  # work: (vertex, iterator over its out-edges)

@@ -23,6 +23,7 @@ from .digraph import (
     ValidationReport,
     _adjacency,
     _closure,
+    _star_lifts,
     bidirect,
     bidirect_edge_id,
     excise,
@@ -44,55 +45,16 @@ from .genus import (
 )
 
 
-def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport:
-    """The lifting condition of every emulator and cover predicate, on a valid
-    morphism onto the target's vertices.  An edge lies in the star of each of
-    its `ends`: its source for out-stars, every end for undirected stars.
-    Each pair of a target edge f and a source vertex x whose image has f in
-    its star needs a lift, a source edge over f with x in its star; a cover
-    needs exactly one.  The witness is the first failing pair, missing lifts
-    before repeated ones, taking target edges and then source vertices in id
-    order."""
-    source = phi.source.edges
-    lifts = [(f, x) for e, f in phi.q.items() for x in source[e][ends]]
-    lifted = set(lifts)
-    # the morphism is valid, so every lifted pair is a needed one, and none is
-    # missing when there are as many lifted pairs as needed ones
-    images = Counter(phi.p.values())
-    needed = sum(images[y] for f_ends in phi.target.edges.values() for y in f_ends[ends])
-    if len(lifted) < needed:
-        unlifted = (
-            (f, x) for f, f_ends in phi.target.edges.items() for x, y in phi.p.items()
-            if y in f_ends[ends] and (f, x) not in lifted
-        )
-        return ValidationReport(False, missing, min(unlifted))
-    if cover and len(lifts) > len(lifted):
-        lifts.sort()
-        repeated = next(a for a, b in zip(lifts, lifts[1:]) if a == b)
-        return ValidationReport(False, "lift not unique", repeated)
-    return ValidationReport(True)
-
-
-def _directed_lifts(phi: GraphMorphism, cover: bool) -> ValidationReport:
-    base = validate_morphism(phi)
-    if not base.ok:
-        raise DomainError(f"invalid morphism: {base.reason} at {base.witness}")
-    unhit = set(phi.target.vertices).difference(phi.p.values())
-    if unhit:
-        return ValidationReport(False, "vertex map not surjective", tuple(sorted(unhit)[:2]))
-    return _star_lifts(phi, slice(0, 1), cover, "missing outgoing lift")
-
-
 def is_directed_emulator(phi: GraphMorphism) -> ValidationReport:
     """Surjective on vertices, with every outgoing edge of the target lifting
     through every preimage of its source vertex."""
-    return phi._verdict("emulator", lambda: _directed_lifts(phi, False))
+    return phi._emulator
 
 
 def is_directed_cover(phi: GraphMorphism) -> ValidationReport:
     """A directed emulator whose lifts are unique: outgoing stars map
     bijectively."""
-    return phi._verdict("cover", lambda: _directed_lifts(phi, True))
+    return phi._cover
 
 
 def extract_cover(phi: GraphMorphism) -> GraphMorphism:
@@ -471,7 +433,7 @@ def _double_covers(base: DiGraph, bipartite: bool, deadline: float, tally: Count
     Gray-code order past all zeros (two copies of the base): one lift per
     switching class.  None is planar when its 2|support| edges are over the
     cap, as whenever the Euler bound cuts the all-2 vector."""
-    view = base.int_view()
+    view = base.int_view
     slots, flips = [], {}  # flips: the slots whose copy each pair's voltage moves
     for e in (e for outs in view.outs for e in outs):
         a, b = sorted((view.sources[e], view.targets[e]))
@@ -516,7 +478,7 @@ def _bipartite_covers(base: DiGraph) -> bool:
     lifts through the cover map.  A loop may lift to an edge inside one fibre,
     so it counts as the odd cycle it is.  Each vertex takes the parity of a
     walk to it; a graph with an odd cycle keeps an edge within one colour."""
-    view = base.int_view()
+    view = base.int_view
     adjacent = _adjacency(len(view.outs), zip(view.sources, view.targets))
     colour: dict[int, int] = {}
     for v in range(len(adjacent)):

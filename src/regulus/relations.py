@@ -41,6 +41,7 @@ def _blocks(keys) -> tuple[list[int], int]:
     return blocks, len(number)
 
 
+@dataclass(frozen=True, init=False)
 class AutomaticRelation:
     """Paired vertex/edge equivalences held as one class-number vector over
     their domain, the pair (sorted vertex ids, sorted edge ids).  `vector`
@@ -58,15 +59,19 @@ class AutomaticRelation:
     (`DiGraph.int_view`).  One from a file or a caller is renumbered here and
     gets its verdict from `is_automatic`."""
 
+    domain: tuple
+    vector: tuple[int, ...]
+    verified_on: DiGraph | None = None
+
     def __init__(self, domain: tuple, vector: Iterable):
         keys = tuple(vector)
         n = len(domain[0])
         if len(keys) != n + len(domain[1]):
             raise DomainError("class vector and domain differ in length")
         vertex_blocks, nv = _blocks(keys[:n])
-        self.domain = domain
-        self.vector = tuple(vertex_blocks + [nv + b for b in _blocks(keys[n:])[0]])
-        self.verified_on = None
+        vector = tuple(vertex_blocks + [nv + b for b in _blocks(keys[n:])[0]])
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "vector", vector)
 
     @staticmethod
     def from_classes(vertex_classes, edge_classes) -> "AutomaticRelation":
@@ -140,9 +145,7 @@ def _built(g: DiGraph, vector: Iterable[int]) -> AutomaticRelation:
     class vector over g's domain.  The construction makes it automatic on g
     and numbers it canonically, so it is neither checked nor renumbered."""
     r = object.__new__(AutomaticRelation)
-    r.domain = g.int_view().domain
-    r.vector = tuple(vector)
-    r.verified_on = g
+    vars(r).update(domain=g.int_view.domain, vector=tuple(vector), verified_on=g)
     return r
 
 
@@ -177,7 +180,7 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
     the check's only effect on r."""
     if r.verified_on is g:
         return _AUTOMATIC
-    view = g.int_view()
+    view = g.int_view
     if r.domain is not view.domain and r.domain != view.domain:
         raise DomainError("relation and graph have different vertex or edge ids")
     vertices, edges = view.domain
@@ -204,7 +207,7 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
             for k, j0 in first.items() for x, c in enumerate(vclass)
             if c == vclass[sources[j0]] and (k, x) not in fanout
         )
-    r.verified_on = g
+    object.__setattr__(r, "verified_on", g)
     return _AUTOMATIC
 
 
@@ -233,7 +236,7 @@ def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
     """True when distinct related edges always have distinct sources."""
     _require_automatic(g, r, "relation is not automatic")
     eclass = r.vector[len(g.vertices):]
-    return len(set(zip(eclass, g.int_view().sources))) == len(eclass)
+    return len(set(zip(eclass, g.int_view.sources))) == len(eclass)
 
 
 def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
@@ -243,12 +246,13 @@ def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
         raise DomainError(f"not a directed emulator: {report.reason}")
     g = phi.source
     keys = [*map(phi.p.__getitem__, g.vertices), *map(phi.q.__getitem__, g.edges)]
-    return _built(g, AutomaticRelation(g.int_view().domain, keys).vector)
+    return _built(g, AutomaticRelation(g.int_view.domain, keys).vector)
 
 
 def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
     """Split a directed emulator uniquely as an isomorphism after the
-    canonical quotient projection."""
+    canonical quotient projection; the classes are phi's fibres, so iota is
+    an isomorphism by construction."""
     r = canonical_relation(phi)
     q, can = quotient(phi.source, r)
     iota = GraphMorphism(
@@ -257,8 +261,6 @@ def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
         {c[0]: phi.p[c[0]] for c in r.vertex_classes},
         {c[0]: phi.q[c[0]] for c in r.edge_classes},
     )
-    if not iota.is_isomorphism():
-        raise DomainError("factorization produced a non-isomorphism")
     return r, iota
 
 
@@ -294,7 +296,7 @@ def _coarsest_automatic(g: DiGraph, vertex_keys, edge_keys) -> AutomaticRelation
     the refinement, except the first edge step, which no vertex step has seen.
     The steps run on the graph's integer view (`DiGraph.int_view`), and the
     result is the block numbers over its domain: first-seen, so canonical."""
-    view = g.int_view()
+    view = g.int_view
     sources, targets, outs = view.sources, view.targets, view.outs
     vb, nv = _blocks(vertex_keys)
     eb, ne = _blocks([(key, vb[s], vb[t]) for key, s, t in zip(edge_keys, sources, targets)])
@@ -435,20 +437,21 @@ def _partitions(items: list):
         yield [[first]] + part
 
 
-def _numbered_partitions(k: int, keep: bool = True):
+def _numbered_partitions(k: int):
     """The Bell(k) set partitions of range(k) in `_partitions` order, each as
     its first-seen block numbers and its block sizes; kept while k <= 6 (203)."""
-    if keep and k <= 6:
-        yield from _partition_table(k)
-        return
-    for part in map(sorted, _partitions(list(range(k)))):
-        block_of = {x: b for b, block in enumerate(part) for x in block}
-        yield tuple(map(block_of.get, range(k))), tuple(map(len, part))
+    return _partition_table(k) if k <= 6 else map(_numbered, _partitions(list(range(k))))
 
 
 @lru_cache(maxsize=None)
 def _partition_table(k: int) -> tuple:
-    return tuple(_numbered_partitions(k, keep=False))
+    return tuple(map(_numbered, _partitions(list(range(k)))))
+
+
+def _numbered(part: list) -> tuple:
+    part = sorted(part)
+    block_of = {x: b for b, block in enumerate(part) for x in block}
+    return tuple(map(block_of.get, range(len(block_of)))), tuple(map(len, part))
 
 
 def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
@@ -459,7 +462,7 @@ def enumerate_automatic_relations(g: DiGraph) -> list[AutomaticRelation]:
     one-vertex class always meets; compatibility holds by construction).  A
     group with nothing kept rules out the vertex partition.  Each relation
     is built canonical, from first-seen vertex numbers."""
-    view = g.int_view()
+    view = g.int_view
     sources, targets = view.sources, view.targets
     out = []
     for vclass, sizes in _numbered_partitions(len(g.vertices)):

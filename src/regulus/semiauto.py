@@ -4,6 +4,7 @@ semi-automata and relabelling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -11,16 +12,18 @@ from .digraph import DiGraph, GraphMorphism
 from .errors import DomainError
 
 
+@dataclass(frozen=True, init=False)
 class SemiAutomaton:
     """A digraph with a surjective edge labelling onto a finite alphabet.
 
     Underused alphabets are rejected: every letter must label some edge.
-    `table()` gives each state's targets per letter, in edge-id order, as
-    read-only maps; it is built on first use and kept, as the graph and
-    labelling are immutable.
+    `table` gives each state's targets per letter, in edge-id order, as
+    read-only maps; it is built on first use and kept.
     """
 
-    __slots__ = ("_graph", "_alphabet", "_labels", "_table")
+    graph: DiGraph
+    alphabet: frozenset[str]
+    _labels: Mapping[str, str]
 
     def __init__(self, graph: DiGraph, alphabet: Iterable[str], labelling: Mapping[str, str]):
         letters = frozenset(alphabet)
@@ -38,18 +41,9 @@ class SemiAutomaton:
             raise DomainError(
                 f"underused alphabet: letters {sorted(letters - used)[:3]} label no edge"
             )
-        self._graph = graph
-        self._alphabet = letters
-        self._labels = labels
-        self._table = None
-
-    @property
-    def graph(self) -> DiGraph:
-        return self._graph
-
-    @property
-    def alphabet(self) -> frozenset[str]:
-        return self._alphabet
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "alphabet", letters)
+        object.__setattr__(self, "_labels", MappingProxyType(labels))
 
     def label(self, eid: str) -> str:
         return self._labels[eid]
@@ -59,31 +53,22 @@ class SemiAutomaton:
         return dict(self._labels)
 
     def states(self) -> tuple[str, ...]:
-        return self._graph.vertices
+        return self.graph.vertices
 
+    @cached_property
     def table(self) -> Mapping[str, Mapping[str, tuple[str, ...]]]:
-        if self._table is None:
-            rows: dict[str, dict[str, list[str]]] = {q: {} for q in self._graph.vertices}
-            for e, (s, t) in self._graph.edges.items():
-                rows[s].setdefault(self._labels[e], []).append(t)
-            self._table = MappingProxyType({
-                q: MappingProxyType({x: tuple(ts) for x, ts in row.items()})
-                for q, row in rows.items()
-            })
-        return self._table
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SemiAutomaton)
-            and self._graph == other._graph
-            and self._alphabet == other._alphabet
-            and self._labels == other._labels
-        )
+        rows: dict[str, dict[str, list[str]]] = {q: {} for q in self.graph.vertices}
+        for e, (s, t) in self.graph.edges.items():
+            rows[s].setdefault(self._labels[e], []).append(t)
+        return MappingProxyType({
+            q: MappingProxyType({x: tuple(ts) for x, ts in row.items()})
+            for q, row in rows.items()
+        })
 
     def __repr__(self):
         return (
             f"SemiAutomaton({len(self.states())} states, "
-            f"{len(self._graph.edges)} transitions, {len(self._alphabet)} letters)"
+            f"{len(self.graph.edges)} transitions, {len(self.alphabet)} letters)"
         )
 
 
@@ -110,7 +95,7 @@ def tautological(g: DiGraph) -> SemiAutomaton:
 
 def is_complete(a: SemiAutomaton) -> bool:
     """Every letter labels an outgoing edge at every state."""
-    return all(len(row) == len(a.alphabet) for row in a.table().values())
+    return all(len(row) == len(a.alphabet) for row in a.table.values())
 
 
 def is_deterministic(a: SemiAutomaton) -> bool:
@@ -119,7 +104,7 @@ def is_deterministic(a: SemiAutomaton) -> bool:
     Parallel equal-labelled edges count as violations even when they share
     source and target.
     """
-    return all(len(ts) == 1 for row in a.table().values() for ts in row.values())
+    return all(len(ts) == 1 for row in a.table.values() for ts in row.values())
 
 
 def relabel(a: SemiAutomaton, alpha: Mapping[str, str]) -> tuple[SemiAutomaton, SemiMorphism]:

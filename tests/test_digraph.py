@@ -471,7 +471,7 @@ class TestIntView:
     def test_positions_follow_the_sorted_ids(self, rng):
         for _ in range(25):
             g = random_digraph(rng)
-            view = g.int_view()
+            view = g.int_view
             vertices, edges = view.domain
             assert (vertices, edges) == (g.vertices, tuple(sorted(g.edges)))
             assert [(vertices[s], vertices[t]) for s, t in zip(view.sources, view.targets)] == [
@@ -483,6 +483,6 @@ class TestIntView:
 
     def test_built_once_per_graph_object(self):
         g = c2()
-        assert g.int_view() is g.int_view()
+        assert g.int_view is g.int_view
         h = DiGraph(g.vertices, g.edge_list())
-        assert h == g and h.int_view() is not g.int_view()
+        assert h == g and h.int_view is not g.int_view

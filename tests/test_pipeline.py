@@ -23,7 +23,7 @@ from regulus import (
     pullback,
     search_covers,
 )
-from regulus import emulation, genus, relations
+from regulus import digraph, genus, relations
 from regulus.corpus import abc_mod7_automaton, z6_automaton, z7_123_automaton
 from regulus.formats import (
     certificate_from_json,
@@ -116,10 +116,20 @@ class TestLanguageGenus:
         assert len(refinements) == 1
         assert len(searches) == genus_searches
 
+    def test_yes_path_simplifies_the_minimal_graph_once(self, monkeypatch):
+        # the base and the witness's reconstruction read one simplification
+        # kept on the minimal automaton; the second excision is
+        # extend_over_excision's check of its input
+        simplifications = count_calls(monkeypatch, digraph.simplify)
+        excisions = count_calls(monkeypatch, digraph.excise)
+        answer = language_genus_leq(modk(6, (1, 3)), 0, max_fiber=2)
+        assert answer.status == "yes"
+        assert (len(simplifications), len(excisions)) == (1, 2)
+
     def test_yes_path_checks_the_search_cover_once(self, monkeypatch):
         # the certificate's verify records the cover verdict on its morphism,
         # and the witness's reconstruction reads it there
-        lift_checks = count_calls(monkeypatch, emulation._star_lifts)
+        lift_checks = count_calls(monkeypatch, digraph._star_lifts)
         answer = language_genus_leq(modk(7, (1, 2)), 0, max_fiber=2)
         assert answer.status == "yes"
         assert len(lift_checks) == 1

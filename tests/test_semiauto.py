@@ -140,9 +140,9 @@ class TestCompletenessDeterminism:
 
     def test_table_is_built_once(self):
         a = z6_semi()
-        table = a.table()
+        table = a.table
         assert is_complete(a) and is_deterministic(a)
-        assert a.table() is table
+        assert a.table is table
         assert table["0"]["2"] == ("2",)
 
 
