@@ -31,6 +31,7 @@ from .automaton import (
 from .digraph import (
     DiGraph,
     DirectedCycle,
+    GraphMorphism,
     bidirect,
     contract_cycle,
     excise,
@@ -96,21 +97,6 @@ def _write(path, text: str, parents: bool = False) -> None:
         raise RegulusError(f"cannot write {path}: {exc}") from None
 
 
-def _emit(args, payload: dict, dot: str | None = None) -> None:
-    text = formats.dumps(payload)
-    if getattr(args, "out", None):
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
-    if getattr(args, "dot", None):
-        _write(args.dot, dot)
-
-
-def _write_morphism(args, payload: dict) -> None:
-    if getattr(args, "morphism_out", None):
-        _write(args.morphism_out, formats.dumps(payload))
-
-
 def _parse_map(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -121,342 +107,167 @@ def _parse_map(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-# -- graph -------------------------------------------------------------------
-
-def cmd_graph(args) -> int:
-    if args.verb == "pullback":
-        m1 = formats.morphism_from_json(_read(args.inputs[0]))
-        m2 = formats.morphism_from_json(_read(args.inputs[1]))
-        g, pi1, pi2 = pullback(m1, m2)
-        _emit(
-            args,
-            {
-                "graph": formats.digraph_to_json(g),
-                "pi1": formats.morphism_to_json(pi1),
-                "pi2": formats.morphism_to_json(pi2),
-            },
-        )
-        return OK
-    data = _read(args.inputs[0])
-    if args.verb == "bidirect":
-        g = formats.undirected_from_json(data)
-        out = bidirect(g)
-        _emit(args, formats.digraph_to_json(out), formats.digraph_to_dot(out))
-        return OK
-    g = formats.digraph_from_json(data)
-    if args.verb == "simplify":
-        out, rho = simplify(g)
-        _emit(args, formats.digraph_to_json(out), formats.digraph_to_dot(out))
-        _write_morphism(args, formats.morphism_to_json(rho))
-    elif args.verb == "excise":
-        out = excise(g)
-        _emit(args, formats.digraph_to_json(out), formats.digraph_to_dot(out))
-    elif args.verb == "op":
-        out = opposite(g)
-        _emit(args, formats.digraph_to_json(out), formats.digraph_to_dot(out))
-    elif args.verb == "forget":
-        und = forget(g)
-        _emit(args, formats.undirected_to_json(und), formats.undirected_to_dot(und))
-    elif args.verb == "contract":
-        cycle = DirectedCycle(tuple(args.cycle.split(",")))
-        out = contract_cycle(g, cycle)
-        _emit(args, formats.digraph_to_json(out), formats.digraph_to_dot(out))
-    elif args.verb == "reach":
-        rep = reachability(g)
-        _emit(
-            args,
-            {
-                "pr": {v: sorted(s) for v, s in rep.pr.items()},
-                "reachable": sorted(rep.reachable_vertices),
-                "co_reachable": sorted(rep.co_reachable_vertices),
-            },
-        )
-    return OK
+def _verdict(payload: dict, key: str) -> tuple[dict, int]:
+    """The payload, with exit code 0 when payload[key] holds and 1 if not."""
+    return payload, OK if payload[key] else NEGATIVE
 
 
-# -- sa ----------------------------------------------------------------------
+# -- readers: each parses one input file.  It names its parser in its body, so
+# the parser is looked up when the call runs and a wrapped binding (such as
+# the benchmark tracer's) is the one called.
 
-def cmd_sa(args) -> int:
-    data = _read(args.inputs[0])
-    if args.verb == "tautological":
-        g = formats.digraph_from_json(data)
-        out = tautological(g)
-        _emit(args, formats.semi_to_json(out), formats.semi_to_dot(out))
-        return OK
-    a = formats.semi_from_json(data)
-    if args.verb == "relabel":
-        out, m = relabel(a, _parse_map(args.map))
-        _emit(args, formats.semi_to_json(out), formats.semi_to_dot(out))
-        _write_morphism(args, formats.semi_morphism_to_json(m))
-        return OK
-    if args.verb == "check":
-        _emit(args, {"complete": is_complete(a), "deterministic": is_deterministic(a)})
-        return OK
-    return INPUT
+def _digraph(data: dict):
+    return formats.digraph_from_json(data)
 
 
-# -- auto ----------------------------------------------------------------------
-
-def cmd_auto(args) -> int:
-    a = formats.automaton_from_json(_read(args.inputs[0]))
-    if args.verb == "accept":
-        verdict = accepts(a, args.word)
-        _emit(args, {"word": args.word, "accepted": verdict})
-        return OK if verdict else NEGATIVE
-    if args.verb == "sample":
-        sample = sample_language(a, args.max_length)
-        _emit(args, formats.sample_to_json(sample))
-        return OK
-    if args.verb == "minimize":
-        amin, pi = minimize(a)
-        _emit(args, formats.automaton_to_json(amin), formats.automaton_to_dot(amin))
-        _write_morphism(args, formats.semi_morphism_to_json(pi))
-        return OK
-    if args.verb == "complete":
-        out = complete_with_trash(a)
-        _emit(args, formats.automaton_to_json(out), formats.automaton_to_dot(out))
-        return OK
-    if args.verb == "graph":
-        g = minimal_cover_base(a) if args.cover_base else language_graph(a)
-        _emit(args, formats.digraph_to_json(g), formats.digraph_to_dot(g))
-        return OK
-    if args.verb == "from-cover":
-        cover = formats.morphism_from_json(_read(args.inputs[1]))
-        witness, strict = automaton_from_cover(a, cover)
-        _emit(args, formats.automaton_to_json(witness), formats.automaton_to_dot(witness))
-        _write_morphism(args, formats.semi_morphism_to_json(strict))
-        return OK
-    if args.verb == "equal":
-        b = formats.automaton_from_json(_read(args.inputs[1]))
-        same = languages_equal(a, b)
-        _emit(args, {"equal": same})
-        return OK if same else NEGATIVE
-    return INPUT
+def _undirected(data: dict):
+    return formats.undirected_from_json(data)
 
 
-# -- rel ----------------------------------------------------------------------
-
-def cmd_rel(args) -> int:
-    if args.verb == "canonical":
-        m = formats.morphism_from_json(_read(args.inputs[0]))
-        _emit(args, formats.relation_to_json(canonical_relation(m)))
-        return OK
-    if args.verb == "factorize":
-        m = formats.morphism_from_json(_read(args.inputs[0]))
-        r, iota = factorize(m)
-        _emit(
-            args,
-            {
-                "relation": formats.relation_to_json(r),
-                "iota": formats.morphism_to_json(iota),
-            },
-        )
-        return OK
-    if args.verb == "mn":
-        a = formats.semi_from_json(_read(args.inputs[0]))
-        family = FinalFamily.of(*[set(f.split(",")) for f in args.final])
-        _emit(args, formats.relation_to_json(mn_refine(a, family)))
-        return OK
-    g = formats.digraph_from_json(_read(args.inputs[0]))
-    if args.verb == "final-systems":
-        rep = complete_final_systems(g)
-        _emit(args, {"minimal_system": list(rep.minimal_system), "cardinality": rep.cardinality})
-        return OK
-    if args.verb == "max":
-        _emit(args, formats.relation_to_json(maximum(g)))
-        return OK
-    r1 = formats.relation_from_json(_read(args.inputs[1]))
-    if args.verb == "check":
-        rep = is_automatic(g, r1)
-        cover = is_cover_relation(g, r1) if rep.ok else False
-        roundtrip = None
-        if rep.ok and args.roundtrip:
-            roundtrip = automatic_to_mn_roundtrip(g, r1).ok
-        payload = {"automatic": rep.ok, "cover": cover}
-        if not rep.ok:
-            payload["clause"] = rep.clause
-            payload["witness"] = list(rep.witness)
-        if roundtrip is not None:
-            payload["mn_roundtrip"] = roundtrip
-        _emit(args, payload)
-        return OK if rep.ok else NEGATIVE
-    if args.verb == "quotient":
-        q, can = quotient(g, r1)
-        _emit(args, formats.digraph_to_json(q), formats.digraph_to_dot(q))
-        _write_morphism(args, formats.morphism_to_json(can))
-        return OK
-    r2 = formats.relation_from_json(_read(args.inputs[2]))
-    if args.verb == "join":
-        _emit(args, formats.relation_to_json(join(g, r1, r2)))
-        return OK
-    if args.verb == "meet":
-        _emit(args, formats.relation_to_json(meet(g, r1, r2)))
-        return OK
-    return INPUT
+def _semi(data: dict):
+    return formats.semi_from_json(data)
 
 
-# -- emu ----------------------------------------------------------------------
-
-def _load_any_morphism(data: dict):
-    if formats.is_undirected_morphism_payload(data):
-        return formats.undirected_morphism_from_json(data), False
-    return formats.morphism_from_json(data), True
+def _automaton(data: dict):
+    return formats.automaton_from_json(data)
 
 
-def cmd_emu(args) -> int:
-    if args.verb in ("check", "check-cover"):
-        m, directed = _load_any_morphism(_read(args.inputs[0]))
-        if args.verb == "check":
-            rep = is_directed_emulator(m) if directed else is_undirected_emulator(m)
-        else:
-            rep = is_directed_cover(m) if directed else is_undirected_cover(m)
-        payload = {"ok": rep.ok, "directed": directed}
-        if not rep.ok:
-            payload["reason"] = rep.reason
-            payload["witness"] = list(rep.witness)
-        _emit(args, payload)
-        return OK if rep.ok else NEGATIVE
-    if args.verb == "extract":
-        m = formats.morphism_from_json(_read(args.inputs[0]))
-        _emit(args, formats.morphism_to_json(extract_cover(m)))
-        return OK
-    if args.verb == "extend":
-        m = formats.morphism_from_json(_read(args.inputs[0]))
-        h = formats.digraph_from_json(_read(args.inputs[1]))
-        _emit(args, formats.morphism_to_json(extend_over_excision(m, h)))
-        return OK
-    if args.verb == "lift":
-        m = formats.undirected_morphism_from_json(_read(args.inputs[0]))
-        direction = formats.digraph_from_json(_read(args.inputs[1]))
-        _emit(args, formats.morphism_to_json(lift_direction(m, direction)))
-        return OK
-    if args.verb == "search":
-        base = formats.digraph_from_json(_read(args.inputs[0]))
-        spec = CoverSearchSpec(
-            base,
-            max_fiber=args.max_fiber,
-            genus_bound=args.genus,
-            connected_only=not args.disconnected_ok,
-            time_budget=args.time_budget,
-        )
-        outcome = search_covers(spec)
-        if outcome.status == "found":
-            payload = formats.certificate_to_json(outcome.certificate)
-        else:
-            payload = {"status": outcome.status}
-        if args.stats:
-            payload["stats"] = dataclasses.asdict(outcome.stats)
-        _emit(args, payload)
-        return {"found": OK, "budget_exceeded": BUDGET}.get(outcome.status, NEGATIVE)
-    if args.verb == "verify-cert":
-        cert = formats.certificate_from_json(_read(args.inputs[0]))
-        if args.base:
-            base = formats.digraph_from_json(_read(args.base))
-            if cert.base != base:
-                _emit(args, {"ok": False, "reason": "certificate base mismatch"})
-                return NEGATIVE
-        try:
-            cert.verify()
-        except RegulusError as exc:
-            _emit(args, {"ok": False, "reason": str(exc)})
-            return NEGATIVE
-        _emit(args, {"ok": True, "genus": cert.genus})
-        return OK
-    return INPUT
+def _morphism(data: dict):
+    return formats.morphism_from_json(data)
 
 
-# -- genus ----------------------------------------------------------------------
+def _undirected_morphism(data: dict):
+    return formats.undirected_morphism_from_json(data)
 
-def _load_any_graph(data: dict):
+
+def _relation(data: dict):
+    return formats.relation_from_json(data)
+
+
+def _certificate(data: dict):
+    return formats.certificate_from_json(data)
+
+
+def _any_graph(data: dict):
     if formats.is_undirected_payload(data):
         return formats.undirected_from_json(data)
     return formats.digraph_from_json(data)
 
 
-def cmd_genus(args) -> int:
-    if args.verb == "formula":
-        try:
-            faces = {int(k): int(v) for k, v in _parse_map(args.face).items()}
-        except ValueError:
-            raise RegulusError(f"--face takes LENGTH=COUNT integers, got {args.face}") from None
-        value = genus_formula(args.m, FaceVector(faces))
-        _emit(args, {"value": str(value), "integral": value.denominator == 1})
-        return OK
-    if args.verb == "language":
-        a = formats.automaton_from_json(_read(args.inputs[0]))
-        if args.emit_base:
-            base = language_base(a)
-            _write(args.emit_base, formats.dumps(formats.digraph_to_json(base)))
-        cert = None
-        if args.certificate:
-            cert = formats.certificate_from_json(_read(args.certificate))
-        answer = language_genus_leq(
-            a,
-            args.n,
-            max_fiber=args.max_fiber,
-            time_budget=args.time_budget,
-            certificate=cert,
-        )
-        payload = {"status": answer.status, "n": args.n}
-        if answer.status == "yes":
-            payload["witness_genus"] = answer.certificate.genus
-            payload["witness"] = formats.automaton_to_json(answer.witness)
-        _emit(args, payload)
-        if answer.status == "yes":
-            return OK
-        return BUDGET if answer.status == "budget_exceeded" else NEGATIVE
-    g = _load_any_graph(_read(args.inputs[0]))
-    if args.verb == "exact":
-        budget = math.inf if args.force else None
-        res = genus_exact(g, budget=budget)
-        _emit(
-            args,
-            {
-                "genus": res.genus,
-                "rotation": formats.rotation_to_json(res.witness),
-            },
-        )
-        return OK
-    if args.verb == "planar":
-        rep = is_planar(g)
-        payload = {"planar": rep.planar}
-        if rep.planar:
-            payload["rotation"] = formats.rotation_to_json(rep.witness)
-        else:
-            payload["obstruction"] = list(rep.obstruction)
-        _emit(args, payload)
-        return OK if rep.planar else NEGATIVE
-    if args.verb == "lower-bound":
-        und = forget(g) if isinstance(g, DiGraph) else g
-        _emit(args, {"lower_bound": euler_lower_bound(und, args.girth_floor)})
-        return OK
-    if args.verb == "invariance":
-        if not isinstance(g, DiGraph):
-            raise RegulusError("genus invariance needs a directed graph")
-        rep = genus_invariance_suite(g)
-        _emit(
-            args,
-            {
-                "ok": rep.ok,
-                "genus": rep.base,
-                "opposite": rep.oppo,
-                "simplified": rep.simplified,
-                "excised": rep.excised,
-                "undirected": rep.undirected,
-            },
-        )
-        return OK if rep.ok else NEGATIVE
-    return INPUT
+def _any_morphism(data: dict):
+    if formats.is_undirected_morphism_payload(data):
+        return formats.undirected_morphism_from_json(data)
+    return formats.morphism_from_json(data)
 
 
-# -- corpus ----------------------------------------------------------------------
+# -- verbs whose result takes more than one expression -------------------------
 
-def cmd_corpus(args) -> int:
-    if args.verb == "list":
-        for name in corpus_mod.names():
-            entry = corpus_mod.ENTRIES[name]
-            sys.stdout.write(f"{name}\t{entry.kind}\t{entry.description}\n")
-        return OK
+def _reach(args, g) -> dict:
+    rep = reachability(g)
+    return {"pr": {v: sorted(s) for v, s in rep.pr.items()},
+            "reachable": sorted(rep.reachable_vertices),
+            "co_reachable": sorted(rep.co_reachable_vertices)}
+
+
+def _relation_check(args, g, r):
+    rep = is_automatic(g, r)
+    payload = {"automatic": rep.ok, "cover": is_cover_relation(g, r) if rep.ok else False}
+    if not rep.ok:
+        payload["clause"] = rep.clause
+        payload["witness"] = list(rep.witness)
+    elif args.roundtrip:
+        payload["mn_roundtrip"] = automatic_to_mn_roundtrip(g, r).ok
+    return _verdict(payload, "automatic")
+
+
+def _final_systems(args, g) -> dict:
+    rep = complete_final_systems(g)
+    return {"minimal_system": list(rep.minimal_system), "cardinality": rep.cardinality}
+
+
+def _emulation_check(m, rep):
+    payload = {"ok": rep.ok, "directed": isinstance(m, GraphMorphism)}
+    if not rep.ok:
+        payload["reason"] = rep.reason
+        payload["witness"] = list(rep.witness)
+    return _verdict(payload, "ok")
+
+
+def _search(args, base):
+    outcome = search_covers(CoverSearchSpec(
+        base, max_fiber=args.max_fiber, genus_bound=args.genus,
+        connected_only=not args.disconnected_ok, time_budget=args.time_budget))
+    if outcome.status == "found":
+        payload = formats.to_json(outcome.certificate)
+    else:
+        payload = {"status": outcome.status}
+    if args.stats:
+        payload["stats"] = dataclasses.asdict(outcome.stats)
+    return payload, {"found": OK, "budget_exceeded": BUDGET}.get(outcome.status, NEGATIVE)
+
+
+def _verify_certificate(args, cert):
+    if args.base and cert.base != _digraph(_read(args.base)):
+        return {"ok": False, "reason": "certificate base mismatch"}, NEGATIVE
+    try:
+        cert.verify()
+    except RegulusError as exc:
+        return {"ok": False, "reason": str(exc)}, NEGATIVE
+    return {"ok": True, "genus": cert.genus}
+
+
+def _genus_exact(args, g) -> dict:
+    res = genus_exact(g, budget=math.inf if args.force else None)
+    return {"genus": res.genus, "rotation": formats.to_json(res.witness)}
+
+
+def _planar(args, g):
+    rep = is_planar(g)
+    if rep.planar:
+        return {"planar": True, "rotation": formats.to_json(rep.witness)}
+    return {"planar": False, "obstruction": list(rep.obstruction)}, NEGATIVE
+
+
+def _formula(args) -> dict:
+    try:
+        faces = {int(k): int(v) for k, v in _parse_map(args.face).items()}
+    except ValueError:
+        raise RegulusError(f"--face takes LENGTH=COUNT integers, got {args.face}") from None
+    value = genus_formula(args.m, FaceVector(faces))
+    return {"value": str(value), "integral": value.denominator == 1}
+
+
+def _invariance(args, g):
+    if not isinstance(g, DiGraph):
+        raise RegulusError("genus invariance needs a directed graph")
+    rep = genus_invariance_suite(g)
+    return _verdict({"ok": rep.ok, "genus": rep.base, "opposite": rep.oppo,
+                     "simplified": rep.simplified, "excised": rep.excised,
+                     "undirected": rep.undirected}, "ok")
+
+
+def _language(args, a):
+    if args.emit_base:
+        _write(args.emit_base, formats.dumps(formats.to_json(language_base(a))))
+    cert = _certificate(_read(args.certificate)) if args.certificate else None
+    answer = language_genus_leq(
+        a, args.n, max_fiber=args.max_fiber, time_budget=args.time_budget, certificate=cert
+    )
+    payload = {"status": answer.status, "n": args.n}
+    if answer.status == "yes":
+        payload["witness_genus"] = answer.certificate.genus
+        payload["witness"] = formats.to_json(answer.witness)
+    return payload, {"yes": OK, "budget_exceeded": BUDGET}.get(answer.status, NEGATIVE)
+
+
+def _corpus_list(args) -> int:
+    for name in corpus_mod.names():
+        entry = corpus_mod.ENTRIES[name]
+        sys.stdout.write(f"{name}\t{entry.kind}\t{entry.description}\n")
+    return OK
+
+
+def _corpus_emit(args) -> int:
     entry = corpus_mod.get(args.name)
     path = Path(args.out_dir) / entry.filename
     _write(path, formats.dumps(entry.payload()), parents=True)
@@ -465,6 +276,27 @@ def cmd_corpus(args) -> int:
 
 
 # -- parser ----------------------------------------------------------------------
+
+def _run(readers, run, morphism, args) -> int:
+    """Parse the input files, run the verb and write what it gives: the JSON
+    to stdout or -o, then the DOT rendering, then the morphism."""
+    out = run(args, *[read(_read(path)) for read, path in zip(readers, args.inputs)])
+    code, extra = OK, None
+    if morphism:
+        out, extra = out
+    elif isinstance(out, tuple):
+        out, code = out
+    text = formats.dumps(formats.to_json(out))
+    if args.out:
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
+    if getattr(args, "dot", None):
+        _write(args.dot, formats.to_dot(out))
+    if getattr(args, "morphism_out", None):
+        _write(args.morphism_out, formats.dumps(formats.to_json(extra)))
+    return code
+
 
 def _int_at_least(low: int):
     """An argparse type for integers >= low; argparse names the option in its error."""
@@ -483,97 +315,121 @@ def build_parser() -> argparse.ArgumentParser:
         description="Genus bounds for regular languages via directed covers and emulators",
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    groups = {}
 
-    # the verbs whose result is a graph or an automaton, which render DOT
-    dot_verbs = {"simplify", "excise", "op", "forget", "bidirect", "contract", "tautological",
-                 "relabel", "minimize", "complete", "graph", "from-cover", "quotient"}
-
-    def add(group, verb, inputs, func, **extra):
-        p = group.add_parser(verb)
-        if inputs:
-            p.add_argument("inputs", nargs=inputs, metavar="FILE")
+    def verb(group, name, readers, run, dot=False, morphism=None, **options):
+        """Declare a verb once: `readers` parse its input files in order, and
+        `run(args, *inputs)` gives its result, `(result, exit code)` for a
+        verdict, or `(result, morphism)` when `morphism` names what
+        --morphism-out writes.  `dot` offers --dot, for a graph or an
+        automaton result; `formats` renders each by its type."""
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="verb", required=True)
+        p = groups[group].add_parser(name)
+        if readers:
+            p.add_argument("inputs", nargs=len(readers), metavar="FILE")
         p.add_argument("-o", "--out", help="write JSON output to this file")
-        if verb in dot_verbs:
+        if dot:
             p.add_argument("--dot", help="also write a DOT rendering to this file")
-        p.set_defaults(func=func, verb=verb, inputs=[])
-        for name, kwargs in extra.items():
-            p.add_argument(f"--{name.replace('_', '-')}", **kwargs)
+        for option, kwargs in options.items():
+            p.add_argument(f"--{option.replace('_', '-')}", **kwargs)
+        if morphism:
+            p.add_argument("--morphism-out", help=f"write the {morphism} here")
+        p.set_defaults(func=functools.partial(_run, readers, run, morphism), inputs=[])
         return p
 
-    g = sub.add_parser("graph").add_subparsers(dest="verb", required=True)
-    add(g, "simplify", 1, cmd_graph, morphism_out={"help": "write the projection morphism here"})
-    for verb in ("excise", "op", "forget", "reach", "bidirect"):
-        add(g, verb, 1, cmd_graph)
-    add(g, "contract", 1, cmd_graph, cycle={"required": True, "help": "comma-separated edge ids"})
-    add(g, "pullback", 2, cmd_graph)
+    verb("graph", "simplify", [_digraph], lambda args, g: simplify(g), dot=True,
+         morphism="projection morphism")
+    verb("graph", "excise", [_digraph], lambda args, g: excise(g), dot=True)
+    verb("graph", "op", [_digraph], lambda args, g: opposite(g), dot=True)
+    verb("graph", "forget", [_digraph], lambda args, g: forget(g), dot=True)
+    verb("graph", "reach", [_digraph], _reach)
+    verb("graph", "bidirect", [_undirected], lambda args, g: bidirect(g), dot=True)
+    verb("graph", "contract", [_digraph],
+         lambda args, g: contract_cycle(g, DirectedCycle(tuple(args.cycle.split(",")))),
+         dot=True, cycle={"required": True, "help": "comma-separated edge ids"})
+    verb("graph", "pullback", [_morphism, _morphism], lambda args, m1, m2: dict(
+        zip(("graph", "pi1", "pi2"), map(formats.to_json, pullback(m1, m2)))))
 
-    s = sub.add_parser("sa").add_subparsers(dest="verb", required=True)
-    add(s, "tautological", 1, cmd_sa)
-    add(s, "relabel", 1, cmd_sa, map={"action": "append", "default": [], "help": "letter=letter"},
-        morphism_out={"help": "write the relabelling morphism here"})
-    add(s, "check", 1, cmd_sa)
+    verb("sa", "tautological", [_digraph], lambda args, g: tautological(g), dot=True)
+    verb("sa", "relabel", [_semi], lambda args, a: relabel(a, _parse_map(args.map)), dot=True,
+         morphism="relabelling morphism",
+         map={"action": "append", "default": [], "help": "letter=letter"})
+    verb("sa", "check", [_semi], lambda args, a: {
+        "complete": is_complete(a), "deterministic": is_deterministic(a)})
 
-    a = sub.add_parser("auto").add_subparsers(dest="verb", required=True)
-    p = add(a, "accept", 1, cmd_auto)
-    p.add_argument("word", help="space-separated labels")
-    add(a, "sample", 1, cmd_auto, max_length={"type": int, "required": True})
-    add(a, "minimize", 1, cmd_auto, morphism_out={"help": "write the projection here"})
-    add(a, "complete", 1, cmd_auto)
-    add(a, "graph", 1, cmd_auto, cover_base={"action": "store_true",
-        "help": "emit the excised simplified minimal graph instead"})
-    add(a, "from-cover", 2, cmd_auto, morphism_out={"help": "write the strict morphism here"})
-    add(a, "equal", 2, cmd_auto)
+    accept = verb("auto", "accept", [_automaton], lambda args, a: _verdict(
+        {"word": args.word, "accepted": accepts(a, args.word)}, "accepted"))
+    accept.add_argument("word", help="space-separated labels")
+    verb("auto", "sample", [_automaton], lambda args, a: sample_language(a, args.max_length),
+         max_length={"type": int, "required": True})
+    verb("auto", "minimize", [_automaton], lambda args, a: minimize(a), dot=True,
+         morphism="projection")
+    verb("auto", "complete", [_automaton], lambda args, a: complete_with_trash(a), dot=True)
+    verb("auto", "graph", [_automaton],
+         lambda args, a: minimal_cover_base(a) if args.cover_base else language_graph(a),
+         dot=True, cover_base={"action": "store_true",
+                               "help": "emit the excised simplified minimal graph instead"})
+    verb("auto", "from-cover", [_automaton, _morphism],
+         lambda args, a, cover: automaton_from_cover(a, cover), dot=True,
+         morphism="strict morphism")
+    verb("auto", "equal", [_automaton, _automaton],
+         lambda args, a, b: _verdict({"equal": languages_equal(a, b)}, "equal"))
 
-    r = sub.add_parser("rel").add_subparsers(dest="verb", required=True)
-    add(r, "check", 2, cmd_rel, roundtrip={"action": "store_true",
-        "help": "also verify the Myhill-Nerode round trip"})
-    add(r, "quotient", 2, cmd_rel, morphism_out={"help": "write the canonical morphism here"})
-    add(r, "canonical", 1, cmd_rel)
-    add(r, "factorize", 1, cmd_rel)
-    add(r, "mn", 1, cmd_rel, final={"action": "append", "default": [], "required": True,
-        "help": "comma-separated vertex subset; repeatable"})
-    add(r, "final-systems", 1, cmd_rel)
-    add(r, "join", 3, cmd_rel)
-    add(r, "meet", 3, cmd_rel)
-    add(r, "max", 1, cmd_rel)
+    verb("rel", "check", [_digraph, _relation], _relation_check,
+         roundtrip={"action": "store_true", "help": "also verify the Myhill-Nerode round trip"})
+    verb("rel", "quotient", [_digraph, _relation], lambda args, g, r: quotient(g, r), dot=True,
+         morphism="canonical morphism")
+    verb("rel", "canonical", [_morphism], lambda args, m: canonical_relation(m))
+    verb("rel", "factorize", [_morphism], lambda args, m: dict(
+        zip(("relation", "iota"), map(formats.to_json, factorize(m)))))
+    verb("rel", "mn", [_semi],
+         lambda args, a: mn_refine(a, FinalFamily.of(*[set(f.split(",")) for f in args.final])),
+         final={"action": "append", "default": [], "required": True,
+                "help": "comma-separated vertex subset; repeatable"})
+    verb("rel", "final-systems", [_digraph], _final_systems)
+    verb("rel", "join", [_digraph, _relation, _relation], lambda args, g, r1, r2: join(g, r1, r2))
+    verb("rel", "meet", [_digraph, _relation, _relation], lambda args, g, r1, r2: meet(g, r1, r2))
+    verb("rel", "max", [_digraph], lambda args, g: maximum(g))
 
-    e = sub.add_parser("emu").add_subparsers(dest="verb", required=True)
-    add(e, "check", 1, cmd_emu)
-    add(e, "check-cover", 1, cmd_emu)
-    add(e, "extract", 1, cmd_emu)
-    add(e, "extend", 2, cmd_emu)
-    add(e, "lift", 2, cmd_emu)
-    add(e, "search", 1, cmd_emu,
-        max_fiber={"type": _int_at_least(1), "default": 2},
-        genus={"type": _int_at_least(0), "default": 0},
-        time_budget={"type": float, "default": 300.0},
-        disconnected_ok={"action": "store_true"},
-        stats={"action": "store_true", "help": "add what the search did to the JSON"})
-    add(e, "verify-cert", 1, cmd_emu, base={"help": "cross-check the certificate base graph"})
+    verb("emu", "check", [_any_morphism], lambda args, m: _emulation_check(
+        m, is_directed_emulator(m) if isinstance(m, GraphMorphism) else is_undirected_emulator(m)))
+    verb("emu", "check-cover", [_any_morphism], lambda args, m: _emulation_check(
+        m, is_directed_cover(m) if isinstance(m, GraphMorphism) else is_undirected_cover(m)))
+    verb("emu", "extract", [_morphism], lambda args, m: extract_cover(m))
+    verb("emu", "extend", [_morphism, _digraph], lambda args, m, h: extend_over_excision(m, h))
+    verb("emu", "lift", [_undirected_morphism, _digraph], lambda args, m, d: lift_direction(m, d))
+    verb("emu", "search", [_digraph], _search,
+         max_fiber={"type": _int_at_least(1), "default": 2},
+         genus={"type": _int_at_least(0), "default": 0},
+         time_budget={"type": float, "default": 300.0},
+         disconnected_ok={"action": "store_true"},
+         stats={"action": "store_true", "help": "add what the search did to the JSON"})
+    verb("emu", "verify-cert", [_certificate], _verify_certificate,
+         base={"help": "cross-check the certificate base graph"})
 
-    n = sub.add_parser("genus").add_subparsers(dest="verb", required=True)
-    add(n, "exact", 1, cmd_genus,
-        force={"action": "store_true", "help": "search without a node budget"})
-    add(n, "planar", 1, cmd_genus)
-    add(n, "lower-bound", 1, cmd_genus, girth_floor={"type": int, "default": 3})
-    p = add(n, "formula", 0, cmd_genus,
-            m={"type": int, "required": True},
-            face={"action": "append", "default": [], "help": "LENGTH=COUNT; repeatable"})
-    add(n, "invariance", 1, cmd_genus)
-    add(n, "language", 1, cmd_genus,
-        n={"type": _int_at_least(0), "required": True},
-        max_fiber={"type": _int_at_least(1), "default": 2},
-        time_budget={"type": float, "default": 300.0},
-        certificate={"help": "use this cover certificate instead of searching"},
-        emit_base={"help": "write the base graph certificates must cover"})
+    verb("genus", "exact", [_any_graph], _genus_exact,
+         force={"action": "store_true", "help": "search without a node budget"})
+    verb("genus", "planar", [_any_graph], _planar)
+    verb("genus", "lower-bound", [_any_graph], lambda args, g: {"lower_bound": euler_lower_bound(
+        forget(g) if isinstance(g, DiGraph) else g, args.girth_floor)},
+         girth_floor={"type": int, "default": 3})
+    verb("genus", "formula", [], _formula, m={"type": int, "required": True},
+         face={"action": "append", "default": [], "help": "LENGTH=COUNT; repeatable"})
+    verb("genus", "invariance", [_any_graph], _invariance)
+    verb("genus", "language", [_automaton], _language,
+         n={"type": _int_at_least(0), "required": True},
+         max_fiber={"type": _int_at_least(1), "default": 2},
+         time_budget={"type": float, "default": 300.0},
+         certificate={"help": "use this cover certificate instead of searching"},
+         emit_base={"help": "write the base graph certificates must cover"})
 
-    c = sub.add_parser("corpus").add_subparsers(dest="verb", required=True)
-    lst = c.add_parser("list")
-    lst.set_defaults(func=cmd_corpus, verb="list")
-    emit = c.add_parser("emit")
+    corpus = sub.add_parser("corpus").add_subparsers(dest="verb", required=True)
+    corpus.add_parser("list").set_defaults(func=_corpus_list)
+    emit = corpus.add_parser("emit")
     emit.add_argument("name")
     emit.add_argument("--out-dir", default=".")
-    emit.set_defaults(func=cmd_corpus, verb="emit")
+    emit.set_defaults(func=_corpus_emit)
 
     return parser
 

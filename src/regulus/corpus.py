@@ -193,19 +193,7 @@ class CorpusEntry:
         return f"{self.name.replace('-', '_')}.{self.kind}.json"
 
     def payload(self) -> dict:
-        obj = self.build()
-        if self.kind == "graph":
-            data = formats.digraph_to_json(obj)
-        elif self.kind == "auto":
-            data = formats.automaton_to_json(obj)
-        elif self.kind == "mor":
-            data = formats.morphism_to_json(obj)
-        elif self.kind == "umor":
-            data = formats.undirected_morphism_to_json(obj)
-        else:
-            raise DomainError(f"unknown corpus kind {self.kind!r}")
-        data["description"] = self.description
-        return data
+        return {**formats.to_json(self.build()), "description": self.description}
 
 
 ENTRIES: dict[str, CorpusEntry] = {

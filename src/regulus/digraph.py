@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DomainError
 
@@ -23,24 +23,17 @@ def _freeze_str(x) -> str:
     return x
 
 
-class IntView:
+class IntView(NamedTuple):
     """A digraph on integers: vertices and edges numbered by their positions
     in sorted id order.  `sources` and `targets` hold each edge's end
     positions, `outs` each vertex's out-edge positions, and `domain` the pair
     (vertex ids, edge ids) that every class-number vector over the graph
     follows."""
 
-    __slots__ = ("sources", "targets", "outs", "domain")
-
-    def __init__(self, g: "DiGraph"):
-        index = {v: i for i, v in enumerate(g.vertices)}
-        self.sources = tuple(index[s] for s, _ in g.edges.values())
-        self.targets = tuple(index[t] for _, t in g.edges.values())
-        outs: list[list[int]] = [[] for _ in index]
-        for j, s in enumerate(self.sources):
-            outs[s].append(j)
-        self.outs = tuple(map(tuple, outs))
-        self.domain = (g.vertices, tuple(g.edges))
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+    outs: tuple[tuple[int, ...], ...]
+    domain: tuple[tuple[str, ...], tuple[str, ...]]
 
 
 @dataclass(frozen=True, init=False)
@@ -70,7 +63,14 @@ class DiGraph:
     @cached_property
     def int_view(self) -> IntView:
         """The graph on integers."""
-        return IntView(self)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        sources = tuple(index[s] for s, _ in self.edges.values())
+        outs: list[list[int]] = [[] for _ in index]
+        for j, s in enumerate(sources):
+            outs[s].append(j)
+        targets = tuple(index[t] for _, t in self.edges.values())
+        domain = (self.vertices, tuple(self.edges))
+        return IntView(sources, targets, tuple(map(tuple, outs)), domain)
 
     def src(self, eid: str) -> str:
         return self.edges[eid][0]
@@ -82,13 +82,13 @@ class DiGraph:
         return self.edges[eid]
 
     @cached_property
-    def _stars(self) -> tuple[dict[str, tuple[str, ...]], ...]:
+    def _stars(self) -> tuple[Mapping[str, tuple[str, ...]], ...]:
         """Each vertex's edges in id order, out of it and into it."""
         stars: list[dict[str, list[str]]] = [{v: [] for v in self.vertices} for _ in range(2)]
         for eid, ends in self.edges.items():
             for star, v in zip(stars, ends):
                 star[v].append(eid)
-        return tuple({v: tuple(es) for v, es in star.items()} for star in stars)
+        return tuple(MappingProxyType({v: tuple(es) for v, es in star.items()}) for star in stars)
 
     def out_edges(self, v: str) -> tuple[str, ...]:
         """The edges out of v in id order."""
@@ -148,12 +148,12 @@ class UndirectedGraph:
         return len(self.edges[eid]) == 1
 
     @cached_property
-    def _star(self) -> dict[str, tuple[str, ...]]:
+    def _star(self) -> Mapping[str, tuple[str, ...]]:
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
         for eid, ends in self.edges.items():
             for x in ends:
                 star[x].append(eid)
-        return {v: tuple(es) for v, es in star.items()}
+        return MappingProxyType({v: tuple(es) for v, es in star.items()})
 
     def star(self, v: str) -> tuple[str, ...]:
         """Edges incident to v (loops listed once)."""

@@ -238,20 +238,24 @@ class CoverSearchSpec:
 @dataclass(frozen=True)
 class CoverCertificate:
     """A verified directed cover together with an embedding witnessing its
-    genus."""
+    genus; the cover runs from the total graph onto the base graph."""
 
-    base: DiGraph
-    total: DiGraph
     morphism: GraphMorphism
     genus_witness: RotationSystem
     genus: int
+
+    @property
+    def base(self) -> DiGraph:
+        return self.morphism.target
+
+    @property
+    def total(self) -> DiGraph:
+        return self.morphism.source
 
     def verify(self) -> None:
         rep = is_directed_cover(self.morphism)
         if not rep.ok:
             raise DomainError(f"certificate morphism is not a cover: {rep.reason}")
-        if self.morphism.target != self.base or self.morphism.source != self.total:
-            raise DomainError("certificate graphs do not match its morphism")
         _, traced = trace_faces(forget(self.total), self.genus_witness)
         if traced != self.genus:
             raise DomainError(
@@ -566,9 +570,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                         continue
                     if genus_res.genus > bound:
                         continue
-                cert = CoverCertificate(
-                    base, total, morphism, genus_res.witness, genus_res.genus
-                )
+                cert = CoverCertificate(morphism, genus_res.witness, genus_res.genus)
                 cert.verify()
                 return SearchOutcome("found", cert, SearchStats(**tally))
     except _OutOfTime:

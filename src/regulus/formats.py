@@ -269,7 +269,22 @@ def certificate_from_json(data: dict) -> CoverCertificate:
     genus = _need(data, "genus")
     if type(genus) is not int or genus < 0:  # JSON true and false are not genera
         raise DomainError("certificate genus must be a non-negative integer")
-    return CoverCertificate(base, total, morphism, rotation, genus)
+    return CoverCertificate(morphism, rotation, genus)
+
+
+def to_json(obj) -> dict:
+    """The JSON form of a graph, automaton, morphism, relation, sample, rotation
+    system or certificate, chosen by its type; a dict passes through."""
+    return obj if isinstance(obj, dict) else _TO_JSON[type(obj)](obj)
+
+
+_TO_JSON = {
+    DiGraph: digraph_to_json, UndirectedGraph: undirected_to_json,
+    SemiAutomaton: semi_to_json, Automaton: automaton_to_json, LanguageSample: sample_to_json,
+    GraphMorphism: morphism_to_json, UndirectedMorphism: undirected_morphism_to_json,
+    SemiMorphism: semi_morphism_to_json, AutomaticRelation: relation_to_json,
+    RotationSystem: rotation_to_json, CoverCertificate: certificate_to_json,
+}
 
 
 # -- DOT export ---------------------------------------------------------------
@@ -321,3 +336,12 @@ def automaton_to_dot(a: Automaton) -> str:
         lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [label={_dot_id(text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(obj) -> str:
+    """The DOT rendering of a graph or an automaton, chosen by its type."""
+    return _TO_DOT[type(obj)](obj)
+
+
+_TO_DOT = {DiGraph: digraph_to_dot, UndirectedGraph: undirected_to_dot,
+           SemiAutomaton: semi_to_dot, Automaton: automaton_to_dot}

@@ -789,9 +789,7 @@ def _reference_search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                         continue
                 if genus_res.genus > spec.genus_bound:
                     continue
-            cert = CoverCertificate(
-                base, total, morphism, genus_res.witness, genus_res.genus
-            )
+            cert = CoverCertificate(morphism, genus_res.witness, genus_res.genus)
             cert.verify()
             return SearchOutcome("found", cert)
     return SearchOutcome("budget_exceeded" if undecided else "exhausted")

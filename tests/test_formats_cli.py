@@ -861,3 +861,99 @@ class TestCliSubprocess:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("budget:"), proc.stderr
+
+
+# Each verb: how many FILE arguments it takes, and its options other than
+# -h/--help and -o/--out, in the order its --help lists them.
+CLI_SURFACE = {
+    "graph simplify": (1, ["--dot", "--morphism-out"]),
+    "graph excise": (1, ["--dot"]),
+    "graph op": (1, ["--dot"]),
+    "graph forget": (1, ["--dot"]),
+    "graph reach": (1, []),
+    "graph bidirect": (1, ["--dot"]),
+    "graph contract": (1, ["--dot", "--cycle"]),
+    "graph pullback": (2, []),
+    "sa tautological": (1, ["--dot"]),
+    "sa relabel": (1, ["--dot", "--map", "--morphism-out"]),
+    "sa check": (1, []),
+    "auto accept": (1, []),
+    "auto sample": (1, ["--max-length"]),
+    "auto minimize": (1, ["--dot", "--morphism-out"]),
+    "auto complete": (1, ["--dot"]),
+    "auto graph": (1, ["--dot", "--cover-base"]),
+    "auto from-cover": (2, ["--dot", "--morphism-out"]),
+    "auto equal": (2, []),
+    "rel check": (2, ["--roundtrip"]),
+    "rel quotient": (2, ["--dot", "--morphism-out"]),
+    "rel canonical": (1, []),
+    "rel factorize": (1, []),
+    "rel mn": (1, ["--final"]),
+    "rel final-systems": (1, []),
+    "rel join": (3, []),
+    "rel meet": (3, []),
+    "rel max": (1, []),
+    "emu check": (1, []),
+    "emu check-cover": (1, []),
+    "emu extract": (1, []),
+    "emu extend": (2, []),
+    "emu lift": (2, []),
+    "emu search": (1, ["--max-fiber", "--genus", "--time-budget", "--disconnected-ok", "--stats"]),
+    "emu verify-cert": (1, ["--base"]),
+    "genus exact": (1, ["--force"]),
+    "genus planar": (1, []),
+    "genus lower-bound": (1, ["--girth-floor"]),
+    "genus formula": (0, ["--m", "--face"]),
+    "genus invariance": (1, []),
+    "genus language": (1, ["--n", "--max-fiber", "--time-budget", "--certificate", "--emit-base"]),
+    "corpus list": (0, []),
+    "corpus emit": (0, ["--out-dir"]),
+}
+
+
+def cli_verbs() -> dict:
+    """Each verb's parser, by "group verb"."""
+    import argparse
+
+    from regulus.cli import build_parser
+
+    def choices(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    return {f"{group} {name}": p
+            for group, gp in choices(build_parser()).items() for name, p in choices(gp).items()}
+
+
+def readme_verbs(start: str, end: str) -> set[str]:
+    """The verbs the README's CLI section names between two markers."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = text[text.index(start):]
+    text = text[:text.index(end)]
+    return {f"{group} {name}" for group, names in re.findall(r"`(\w+)\s+\{?([\w|-]+)\}?`", text)
+            for name in names.split("|")}
+
+
+class TestCliSurface:
+    def test_every_verb_keeps_its_files_and_options(self):
+        surface = {}
+        for verb, p in cli_verbs().items():
+            files = sum(a.nargs for a in p._actions if a.metavar == "FILE")
+            options = [o for a in p._actions for o in a.option_strings
+                       if o not in ("-h", "--help", "-o", "--out")]
+            surface[verb] = (files, options)
+            outs = [a.option_strings for a in p._actions if a.dest == "out"]
+            assert outs == ([] if verb.startswith("corpus") else [["-o", "--out"]]), verb
+        assert surface == CLI_SURFACE
+
+    def test_dot_and_morphism_out_are_offered_where_the_readme_says(self):
+        verbs = cli_verbs()
+
+        def offering(option):
+            return {v for v, p in verbs.items()
+                    if any(option in a.option_strings for a in p._actions)}
+
+        dot = readme_verbs("`--dot FILE`", "`--morphism-out FILE`")
+        morphism = readme_verbs("`--morphism-out FILE`", "`--n`")
+        assert len(dot) == 13 and len(morphism) == 5
+        assert offering("--dot") == dot
+        assert offering("--morphism-out") == morphism
