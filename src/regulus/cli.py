@@ -97,12 +97,17 @@ def _write(path, text: str, parents: bool = False) -> None:
         raise RegulusError(f"cannot write {path}: {exc}") from None
 
 
-def _parse_map(pairs: list[str]) -> dict[str, str]:
+def _parse_map(flag: str, pairs: list[str], form: str = "KEY=VALUE", convert=str) -> dict:
+    """The pairs of a repeatable option, each side through convert; a pair
+    that does not parse, or repeats a key, is refused by name."""
     out = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise RegulusError(f"expected key=value, got {pair!r}")
-        k, v = pair.split("=", 1)
+        try:
+            k, v = map(convert, pair.split("=", 1))
+        except ValueError:
+            raise RegulusError(f"{flag} takes {form}, got {pair!r}") from None
+        if k in out:
+            raise RegulusError(f"{flag} repeats the key {k!r} in {pair!r}")
         out[k] = v
     return out
 
@@ -229,10 +234,7 @@ def _planar(args, g):
 
 
 def _formula(args) -> dict:
-    try:
-        faces = {int(k): int(v) for k, v in _parse_map(args.face).items()}
-    except ValueError:
-        raise RegulusError(f"--face takes LENGTH=COUNT integers, got {args.face}") from None
+    faces = _parse_map("--face", args.face, "LENGTH=COUNT integers", int)
     value = genus_formula(args.m, FaceVector(faces))
     return {"value": str(value), "integral": value.denominator == 1}
 
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         zip(("graph", "pi1", "pi2"), map(formats.to_json, pullback(m1, m2)))))
 
     verb("sa", "tautological", [_digraph], lambda args, g: tautological(g), dot=True)
-    verb("sa", "relabel", [_semi], lambda args, a: relabel(a, _parse_map(args.map)), dot=True,
+    verb("sa", "relabel", [_semi], lambda args, a: relabel(a, _parse_map("--map", args.map)), dot=True,
          morphism="relabelling morphism",
          map={"action": "append", "default": [], "help": "letter=letter"})
     verb("sa", "check", [_semi], lambda args, a: {

@@ -384,19 +384,15 @@ def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGr
     return total, GraphMorphism(total, base, p, q)
 
 
-class _OutOfTime(Exception):
-    """The search's deadline passed."""
-
-
-def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter, early=()):
-    """Each fibre vector within the bound as (sizes, slots, assignments,
-    genus bound): the fibre size of each base vertex, the (base edge, source
-    fibre vertex) slots in base order, an iterator over the canonical
-    assignments of one target fibre vertex per slot, in product order, and
-    spec.genus_bound.  The iterator checks the deadline before each
-    assignment and raises _OutOfTime past it.  The tuples of `early` come
-    before the first vector with a fibre above 1: right after the all-ones
-    vector, the base itself, or first when the bound cuts that one."""
+def _candidates(spec: CoverSearchSpec, tally: Counter, early=()):
+    """Each fibre vector within the bound as a block ("candidates", sizes,
+    slots, assignments, tables, genus bound): the fibre size of each base
+    vertex, the (base edge, source fibre vertex) slots in base order, every
+    assignment of one target fibre vertex per slot in product order, the
+    vector's _fibre_symmetries tables, and spec.genus_bound.  The blocks of
+    `early` come before the first vector with a fibre above 1: right after
+    the all-ones vector, the base itself, or first when the bound cuts that
+    one."""
     base = spec.base
     vectors = _fiber_vectors_within_bound(
         [len(base.out_edges(v)) for v in base.vertices],
@@ -404,19 +400,6 @@ def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter, early=()
         min(3, undirected_girth(base)),
         spec.genus_bound,
     )
-
-    def canonical(sizes: dict[str, int], slots: list):
-        order = sorted(range(len(slots)), key=slots.__getitem__)
-        tables = _fibre_symmetries(base, sizes, slots, base.vertices[0])
-        for combo in product(*(range(sizes[base.dst(eid)]) for eid, _ in slots)):
-            if _time.monotonic() > deadline:
-                raise _OutOfTime
-            tally["candidates"] += 1
-            if _is_canonical(combo, order, tables):
-                yield combo
-            else:
-                tally["noncanonical"] += 1
-
     for vec in vectors:
         if max(vec) > 1:
             yield from early
@@ -426,17 +409,20 @@ def _candidates(spec: CoverSearchSpec, deadline: float, tally: Counter, early=()
         slots = [
             (eid, i) for v in base.vertices for eid in base.out_edges(v) for i in range(sizes[v])
         ]
-        yield sizes, slots, canonical(sizes, slots), spec.genus_bound
+        assignments = product(*(range(sizes[base.dst(eid)]) for eid, _ in slots))
+        tables = _fibre_symmetries(base, sizes, slots, base.vertices[0])
+        yield "candidates", sizes, slots, assignments, tables, spec.genus_bound
 
 
-def _double_covers(base: DiGraph, bipartite: bool, deadline: float, tally: Counter):
-    """The base's Z2-voltage double covers as one tuple of the enumeration's
-    shape, every fibre 2 and genus bound 0.  An arc u -> v at copy i goes to
-    copy i ^ s{u, v}, one voltage per support pair (loops keep 0).  A
-    breadth-first spanning forest keeps 0, and the co-tree voltages run in
-    Gray-code order past all zeros (two copies of the base): one lift per
-    switching class.  None is planar when its 2|support| edges are over the
-    cap, as whenever the Euler bound cuts the all-2 vector."""
+def _double_covers(base: DiGraph, bipartite: bool):
+    """The base's Z2-voltage double covers as one "double_covers" block of the
+    enumeration's shape, every fibre 2, no symmetry tables and genus bound 0.
+    An arc u -> v at copy i goes to copy i ^ s{u, v}, one voltage per support
+    pair (loops keep 0).  A breadth-first spanning forest keeps 0, and the
+    co-tree voltages run in Gray-code order past all zeros (two copies of the
+    base): one lift per switching class.  None is planar when its 2|support|
+    edges are over the cap, as whenever the Euler bound cuts the all-2
+    vector."""
     view = base.int_view
     slots, flips = [], {}  # flips: the slots whose copy each pair's voltage moves
     for e in (e for outs in view.outs for e in outs):
@@ -462,14 +448,11 @@ def _double_covers(base: DiGraph, bipartite: bool, deadline: float, tally: Count
     def lifts():
         combo = [i for _, i in slots]
         for t in range(1, 1 << len(cotree)):
-            if _time.monotonic() > deadline:
-                raise _OutOfTime
-            tally["double_covers"] += 1
             for k in cotree[(t & -t).bit_length() - 1]:
                 combo[k] ^= 1
             yield tuple(combo)
 
-    yield dict.fromkeys(base.vertices, 2), slots, lifts(), 0
+    yield "double_covers", dict.fromkeys(base.vertices, 2), slots, lifts(), (), 0
 
 
 def _connected(n: int, pairs) -> bool:
@@ -511,15 +494,15 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
 
     Every assignment of one target fibre vertex per (base edge, source fibre
     vertex) yields a cover; conversely every cover with fibres within the
-    bound arises this way.  Right after the all-ones vector (the base
-    itself) come the _double_covers lifts, all-2 covers that product order
-    reaches last; they skip step 1 and answer only "found", from a planar
-    lift, with no genus_exact call.  Each assignment goes through these
-    steps, the last three on the integer vertex pairs of its loopless simple
-    support:
-    1. canonical: one that a fibre permutation maps to a smaller one (in
-       sorted slot order) is skipped, so "exhausted" refutes existence
-       within the bounds up to fibre relabelling;
+    bound arises this way.  The blocks of _candidates bring them, with the
+    _double_covers lifts right after the all-ones vector: all-2 covers that
+    product order reaches last, which answer only "found", with no
+    genus_exact call.  Only this loop reads the clock, once before each
+    candidate, and counts it under its block's kind; then come the steps,
+    the last three on the integer vertex pairs of its loopless simple support:
+    1. canonical: one that a table of its block (a lift's has none) maps to
+       a smaller one (in sorted slot order) is skipped, so "exhausted"
+       refutes existence within the bounds up to fibre relabelling;
     2. connected (when connected_only), by a closure walk over the pairs;
     3. the edge cut: a support with more edges than _edge_cap allows is
        skipped, under the bipartite cap when _bipartite_covers(base);
@@ -534,46 +517,50 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     deadline = _time.monotonic() + spec.time_budget
     tally: Counter = Counter()
     bipartite = _bipartite_covers(base)
-    phase = _double_covers(base, bipartite, deadline, tally)
-    try:
-        for sizes, slots, assignments, bound in _candidates(spec, deadline, tally, phase):
-            start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
-            sources = [start[base.src(eid)] + i for eid, i in slots]
-            offsets = [start[base.dst(eid)] for eid, _ in slots]
-            nverts = sum(sizes.values())
-            max_edges = _edge_cap(nverts, bound, bipartite)
-            for combo in assignments:
-                pairs = {
-                    (a, b) if a < b else (b, a)
-                    for a, b in zip(sources, map(add, offsets, combo))
-                    if a != b
-                }
-                if spec.connected_only and not _connected(nverts, pairs):
-                    tally["disconnected"] += 1
+    blocks = _candidates(spec, tally, _double_covers(base, bipartite))
+    for kind, sizes, slots, assignments, tables, bound in blocks:
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
+        sources = [start[base.src(eid)] + i for eid, i in slots]
+        offsets = [start[base.dst(eid)] for eid, _ in slots]
+        nverts = sum(sizes.values())
+        max_edges = _edge_cap(nverts, bound, bipartite)
+        for combo in assignments:
+            if _time.monotonic() > deadline:
+                return SearchOutcome("budget_exceeded", stats=SearchStats(**tally))
+            tally[kind] += 1
+            if not _is_canonical(combo, order, tables):
+                tally["noncanonical"] += 1
+                continue
+            pairs = {
+                (a, b) if a < b else (b, a)
+                for a, b in zip(sources, map(add, offsets, combo))
+                if a != b
+            }
+            if spec.connected_only and not _connected(nverts, pairs):
+                tally["disconnected"] += 1
+                continue
+            if len(pairs) > max_edges:
+                tally["edge_cut"] += 1
+                continue
+            tally["planarity_tests"] += 1
+            planar = _lr_planar(nverts, pairs) is not None
+            if not planar and not bound:
+                continue
+            total, morphism = _build_total(base, sizes, zip(slots, combo))
+            if planar:
+                genus_res = GenusResult(0, is_planar(total).witness)
+            else:
+                tally["genus_exact_calls"] += 1
+                try:
+                    genus_res = genus_exact(total)
+                except BudgetError:
+                    tally["undecided"] += 1
                     continue
-                if len(pairs) > max_edges:
-                    tally["edge_cut"] += 1
+                if genus_res.genus > bound:
                     continue
-                tally["planarity_tests"] += 1
-                planar = _lr_planar(nverts, pairs) is not None
-                if not planar and not bound:
-                    continue
-                total, morphism = _build_total(base, sizes, zip(slots, combo))
-                if planar:
-                    genus_res = GenusResult(0, is_planar(total).witness)
-                else:
-                    tally["genus_exact_calls"] += 1
-                    try:
-                        genus_res = genus_exact(total)
-                    except BudgetError:
-                        tally["undecided"] += 1
-                        continue
-                    if genus_res.genus > bound:
-                        continue
-                cert = CoverCertificate(morphism, genus_res.witness, genus_res.genus)
-                cert.verify()
-                return SearchOutcome("found", cert, SearchStats(**tally))
-    except _OutOfTime:
-        return SearchOutcome("budget_exceeded", stats=SearchStats(**tally))
+            cert = CoverCertificate(morphism, genus_res.witness, genus_res.genus)
+            cert.verify()
+            return SearchOutcome("found", cert, SearchStats(**tally))
     status = "budget_exceeded" if tally["undecided"] else "exhausted"
     return SearchOutcome(status, stats=SearchStats(**tally))

@@ -535,8 +535,10 @@ def genus_formula(m: int, faces: FaceVector | Mapping[int, int]) -> Fraction:
     counts = faces.counts if isinstance(faces, FaceVector) else faces
     total = Fraction(1)
     for i, f in counts.items():
-        if i < 1 or f < 0:
-            raise DomainError("face vector entries must have positive length")
+        if i < 1:
+            raise DomainError(f"face length {i} is below 1")
+        if f < 0:
+            raise DomainError(f"face count {f} for length {i} is negative")
         total += Fraction(f) * Fraction(i * (m - 1) - 2 * m, 4 * m)
     return total
 

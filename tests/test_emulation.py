@@ -2,8 +2,9 @@ import math
 import sys
 from collections import Counter
 from dataclasses import fields
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 from operator import delitem, setitem
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import networkx as nx
@@ -823,11 +824,15 @@ def _reference_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
 def _canonical_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
     """The candidates search_covers takes past its symmetry check, in order,
     each built as the DiGraph its certificate would carry."""
-    return [
-        _build_total(spec.base, sizes, zip(slots, combo))[0]
-        for sizes, slots, assignments, _ in emulation._candidates(spec, math.inf, Counter())
-        for combo in assignments
-    ]
+    tried = []
+    for _, sizes, slots, assignments, tables, _ in emulation._candidates(spec, Counter()):
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        tried += [
+            _build_total(spec.base, sizes, zip(slots, combo))[0]
+            for combo in assignments
+            if _is_canonical(combo, order, tables)
+        ]
+    return tried
 
 
 def _enumeration_alone(spec: CoverSearchSpec) -> SearchOutcome:
@@ -836,6 +841,14 @@ def _enumeration_alone(spec: CoverSearchSpec) -> SearchOutcome:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(emulation, "_double_covers", lambda *args: ())
         return search_covers(spec)
+
+
+def _clock(reads: int) -> SimpleNamespace:
+    """A stand-in for the time module whose monotonic clock stands still for
+    the search's deadline read and `reads` reads more, then passes any
+    deadline."""
+    ticks = chain(repeat(0.0, 1 + reads), repeat(math.inf))
+    return SimpleNamespace(monotonic=ticks.__next__)
 
 
 def _k33() -> DiGraph:
@@ -937,6 +950,21 @@ class TestSearchStats:
             # the planar hit's is_planar witness is the search's one further test
             assert len(witness_calls) == 1
 
+    @pytest.mark.parametrize("reads", [0, 1, 5, 30])
+    @pytest.mark.parametrize("phase", [True, False], ids=["phase", "enumeration"])
+    def test_the_clock_is_read_once_per_candidate(self, monkeypatch, reads, phase):
+        # L7-12 finds its planar lift at the 41st try, the enumeration later
+        monkeypatch.setattr(emulation, "_time", _clock(reads))
+        spec = CoverSearchSpec(_circulant(7, (1, 2)), max_fiber=2)
+        out = search_covers(spec) if phase else _enumeration_alone(spec)
+        assert out.status == "budget_exceeded"
+        s = out.stats
+        tried = s.candidates + s.double_covers
+        assert tried == reads
+        assert tried == s.noncanonical + s.disconnected + s.edge_cut + s.planarity_tests
+        # the base comes first, then the phase's lifts
+        assert s.candidates == (min(reads, 1) if phase else reads)
+
     def test_budget_exceeded_keeps_its_counts(self):
         out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), time_budget=1e-9))
         assert out.status == "budget_exceeded" and out.certificate is None
@@ -977,12 +1005,21 @@ class TestDoubleCoverPhase:
         assert cert.genus == 0
         assert set(Counter(cert.morphism.p.values()).values()) == {2}
 
-    def test_the_cap_skips_the_phase(self):
-        # K7: every lift has 42 support edges, above 3(14 - 2) = 36
-        tally = Counter()
+    def test_the_cap_skips_the_phase(self, monkeypatch):
+        # K7: every lift has 42 support edges, above 3(14 - 2) = 36; at genus 1
+        # the bound keeps every fibre vector, so the tries after the base come
+        # from the all-2 vector the phase would precede
         k7 = _circulant(7, (1, 2, 3))
-        assert list(emulation._double_covers(k7, False, math.inf, tally)) == []
-        assert tally["double_covers"] == 0
+        assert list(emulation._double_covers(k7, False)) == []
+        monkeypatch.setattr(emulation, "_time", _clock(5))
+
+        def refuse(g):  # K7 has genus 1, and the search would stop at the base
+            raise BudgetError("refused")
+
+        monkeypatch.setattr(emulation, "genus_exact", refuse)
+        out = search_covers(CoverSearchSpec(k7, max_fiber=2, genus_bound=1))
+        assert out.status == "budget_exceeded"
+        assert (out.stats.candidates, out.stats.double_covers) == (5, 0)
 
     def test_no_genus_exact_call_at_genus_one(self, monkeypatch):
         # genus_exact refuses the base K3,3, so the search goes on to the

@@ -679,8 +679,26 @@ class TestCliVerbs:
         assert err.startswith("usage: ") and "error: " in err, err
         assert main(["genus", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: ")
-        assert main(["genus", "formula", "--m", "3", "--face", "3=x"]) == 3
-        assert capsys.readouterr().err.startswith("error: --face")
+        assert main(["genus", "formula", "--m", "3", "--face", "3=2", "--face", "3=x"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --face") and err.endswith("got '3=x'\n"), err
+
+    def test_a_repeated_face_length_exits_3(self, capsys):
+        # a later pair used to replace an earlier one: the value for 4 triangles
+        assert main(["genus", "formula", "--m", "3", "--face", "3=2", "--face", "3=4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --face repeats the key 3 in '3=4'\n"
+        assert captured.out == ""
+
+    def test_a_repeated_map_key_exits_3(self, tmp_path, capsys):
+        a = tmp_path / "z7.json"
+        a.write_text(formats.dumps(formats.automaton_to_json(z7_123_automaton())))
+        maps = ["--map", "1=x", "--map", "2=y", "--map", "3=z"]
+        assert main(["sa", "relabel", str(a), *maps, "-o", str(tmp_path / "r.json")]) == 0
+        assert main(["sa", "relabel", str(a), *maps, "--map", "1=y"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --map repeats the key '1' in '1=y'\n"
+        assert captured.out == ""
 
     def test_bound_option_errors_name_the_option(self, tmp_path, capsys):
         a = tmp_path / "z6.json"

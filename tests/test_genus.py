@@ -871,6 +871,14 @@ class TestGenusFormula:
         with pytest.raises(DomainError):
             genus_formula(0, FaceVector({}))
 
+    def test_face_length_below_one_rejected(self):
+        with pytest.raises(DomainError, match="face length 0 is below 1"):
+            genus_formula(3, FaceVector({3: 2, 0: 1}))
+
+    def test_negative_face_count_rejected(self):
+        with pytest.raises(DomainError, match="face count -1 for length 3 is negative"):
+            genus_formula(3, FaceVector({3: -1}))
+
 
 class TestInvarianceSuite:
     def test_par2_all_zero(self):
