@@ -12,7 +12,7 @@ import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 from operator import add
 
 from .digraph import (
@@ -29,6 +29,7 @@ from .digraph import (
     excise,
     forget,
     simplify,
+    strongly_connected_components,
     subgraph,
     validate_morphism,
     validate_undirected_morphism,
@@ -267,12 +268,11 @@ class CoverCertificate:
 class SearchStats:
     """What one cover search did.  Each candidate tried before the deadline,
     enumerated (candidates) or a double cover (double_covers), is counted in
-    exactly one of noncanonical, disconnected, edge_cut and planarity_tests."""
+    exactly one of disconnected, edge_cut and planarity_tests."""
 
     fibre_vectors: int = 0
     candidates: int = 0
     double_covers: int = 0
-    noncanonical: int = 0
     disconnected: int = 0
     edge_cut: int = 0
     planarity_tests: int = 0
@@ -331,43 +331,33 @@ def _fiber_vectors_within_bound(
     yield from extend(0, 0, 0)
 
 
-def _fibre_symmetries(base: DiGraph, sizes: dict[str, int], slots: list, root: str) -> list:
-    """Each fibre permutation (fixing the root's fibre vertex 0) as a table:
-    for each slot in sorted order, the index of the slot whose value moves
-    there and the map applied to that value.  No tables past 20000
-    permutations, so duplicates are kept."""
-    perm_space = 1
-    for v, k in sizes.items():
-        perm_space *= math.factorial(k - 1 if v == root else k)
-        if perm_space > 20000:
-            return []
-    per_vertex = [
-        [(0,) + p for p in permutations(range(1, k))] if v == root else list(permutations(range(k)))
-        for v, k in sizes.items()
-    ]
-    tables, pairs, ordered = [], {}, sorted(slots)
-    for combo in product(*per_vertex):
-        perm_of = dict(zip(sizes, combo))
-        moved = {}
-        for index, (eid, i) in enumerate(slots):
-            u, w = base.ends(eid)
-            pair = (index, perm_of[w])
-            moved[(eid, perm_of[u][i])] = pairs.setdefault(pair, pair)  # shared, to save memory
-        tables.append(tuple(moved[slot] for slot in ordered))
-    return tables
-
-
-def _is_canonical(combo: tuple, order: list[int], tables: list) -> bool:
-    """No table maps the assignment to a lexicographically smaller one; both
-    are read in sorted slot order, `order` giving the current one."""
-    for table in tables:
-        for pos, (k, vmap) in zip(order, table):
-            image, value = vmap[combo[k]], combo[pos]
-            if image != value:
-                if image < value:
-                    return False
-                break
-    return True
+def _assignments(targets: list[str], free: list[bool], sizes: dict[str, int]):
+    """Each assignment of a copy of its target to every slot, in product
+    order, in which each vertex's copies first appear over its free slots in
+    the order 0, 1, 2, ...: a free slot takes a copy its target has shown so
+    far or the next one.  An explicit stack walks the slots."""
+    n = len(targets)
+    shown = dict.fromkeys(sizes, 0)
+    combo = [-1] * n  # the copy at each slot, -1 before its first
+    before = [0] * n  # shown[target] when the slot was entered
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(combo)
+            i -= 1
+            continue
+        t, j = targets[i], combo[i] + 1
+        if not j:
+            before[i] = shown[t]
+        if j == (min(sizes[t], before[i] + 1) if free[i] else sizes[t]):
+            combo[i] = -1
+            shown[t] = before[i]
+            i -= 1
+        else:
+            combo[i] = j
+            if free[i]:
+                shown[t] = max(before[i], j + 1)
+            i += 1
 
 
 def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGraph, GraphMorphism]:
@@ -384,39 +374,54 @@ def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGr
     return total, GraphMorphism(total, base, p, q)
 
 
-def _candidates(spec: CoverSearchSpec, tally: Counter, early=()):
+def _candidates(spec: CoverSearchSpec, tally: Counter, bipartite: bool, early=()):
     """Each fibre vector within the bound as a block ("candidates", sizes,
-    slots, assignments, tables, genus bound): the fibre size of each base
-    vertex, the (base edge, source fibre vertex) slots in base order, every
-    assignment of one target fibre vertex per slot in product order, the
-    vector's _fibre_symmetries tables, and spec.genus_bound.  The blocks of
-    `early` come before the first vector with a fibre above 1: right after
-    the all-ones vector, the base itself, or first when the bound cuts that
-    one."""
+    slots, assignments, genus bound): the fibre size of each base vertex, the
+    (base edge, source fibre vertex) slots, their _assignments, and
+    spec.genus_bound; the Euler cut takes girth floor 4 when every cover is
+    bipartite.  The blocks of `early` come before the first vector with a
+    fibre above 1: right after the all-ones vector, the base itself, or
+    first when the bound cuts that one.
+
+    The slots go vertex by vertex along breadth-first walks over the arcs,
+    one from the least vertex of each source strongly connected component,
+    in topological order.  A slot is free when its target comes later in
+    the walks than its source.  Relabelling each vertex's copies in walk
+    order, so that they first appear over its free slots as 0, 1, 2, ...,
+    moves no earlier slot, so every cover is isomorphic to an assignment
+    kept.  With fibres of at most 2 a cover matches exactly one, up to
+    relabelling the copies of each walk's root, which no free slot enters."""
     base = spec.base
     vectors = _fiber_vectors_within_bound(
         [len(base.out_edges(v)) for v in base.vertices],
         spec.max_fiber,
-        min(3, undirected_girth(base)),
+        min(4 if bipartite else 3, undirected_girth(base)),
         spec.genus_bound,
     )
+    walk: dict[str, int] = {}  # each vertex's place in the walks
+    for root in (min(c) for c in reversed(strongly_connected_components(base))):
+        frontier = [] if root in walk else [root]
+        walk.setdefault(root, len(walk))
+        for x in frontier:
+            for y in map(base.dst, base.out_edges(x)):
+                if y not in walk:
+                    walk[y] = len(walk)
+                    frontier.append(y)
     for vec in vectors:
         if max(vec) > 1:
             yield from early
             early = ()
         tally["fibre_vectors"] += 1
         sizes = dict(zip(base.vertices, vec))
-        slots = [
-            (eid, i) for v in base.vertices for eid in base.out_edges(v) for i in range(sizes[v])
-        ]
-        assignments = product(*(range(sizes[base.dst(eid)]) for eid, _ in slots))
-        tables = _fibre_symmetries(base, sizes, slots, base.vertices[0])
-        yield "candidates", sizes, slots, assignments, tables, spec.genus_bound
+        slots = [(eid, i) for v in walk for eid in base.out_edges(v) for i in range(sizes[v])]
+        targets = [base.dst(eid) for eid, _ in slots]
+        free = [walk[base.dst(eid)] > walk[base.src(eid)] for eid, _ in slots]
+        yield "candidates", sizes, slots, _assignments(targets, free, sizes), spec.genus_bound
 
 
 def _double_covers(base: DiGraph, bipartite: bool):
     """The base's Z2-voltage double covers as one "double_covers" block of the
-    enumeration's shape, every fibre 2, no symmetry tables and genus bound 0.
+    enumeration's shape, every fibre 2 and genus bound 0.
     An arc u -> v at copy i goes to copy i ^ s{u, v}, one voltage per support
     pair (loops keep 0).  A breadth-first spanning forest keeps 0, and the
     co-tree voltages run in Gray-code order past all zeros (two copies of the
@@ -452,7 +457,7 @@ def _double_covers(base: DiGraph, bipartite: bool):
                 combo[k] ^= 1
             yield tuple(combo)
 
-    yield "double_covers", dict.fromkeys(base.vertices, 2), slots, lifts(), (), 0
+    yield "double_covers", dict.fromkeys(base.vertices, 2), slots, lifts(), 0
 
 
 def _connected(n: int, pairs) -> bool:
@@ -493,20 +498,19 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     is within the bound.
 
     Every assignment of one target fibre vertex per (base edge, source fibre
-    vertex) yields a cover; conversely every cover with fibres within the
-    bound arises this way.  The blocks of _candidates bring them, with the
-    _double_covers lifts right after the all-ones vector: all-2 covers that
-    product order reaches last, which answer only "found", with no
-    genus_exact call.  Only this loop reads the clock, once before each
-    candidate, and counts it under its block's kind; then come the steps,
-    the last three on the integer vertex pairs of its loopless simple support:
-    1. canonical: one that a table of its block (a lift's has none) maps to
-       a smaller one (in sorted slot order) is skipped, so "exhausted"
-       refutes existence within the bounds up to fibre relabelling;
-    2. connected (when connected_only), by a closure walk over the pairs;
-    3. the edge cut: a support with more edges than _edge_cap allows is
+    vertex) yields a cover, and every cover with fibres within the bound
+    arises this way.  The blocks of _candidates bring at least one per class
+    of fibre relabellings (one, up to the roots' copies, at fibres up to 2),
+    so "exhausted" refutes existence within the bounds.  The _double_covers
+    lifts come right after the all-ones vector: all-2 covers that the
+    enumeration reaches last, which answer only "found", with no genus_exact
+    call.  Only this loop reads the clock, once before each candidate, and
+    counts it under its block's kind; then come the steps, on the integer
+    vertex pairs of its loopless simple support:
+    1. connected (when connected_only), by a closure walk over the pairs;
+    2. the edge cut: a support with more edges than _edge_cap allows is
        skipped, under the bipartite cap when _bipartite_covers(base);
-    4. the planarity test, _lr_planar.
+    3. the planarity test, _lr_planar.
     Only a planar candidate, or a non-planar one when n > 0, is built as a
     DiGraph, for its certificate or for genus_exact.  Candidates whose genus
     cannot be decided within the rotation budget downgrade "exhausted" to
@@ -517,9 +521,8 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     deadline = _time.monotonic() + spec.time_budget
     tally: Counter = Counter()
     bipartite = _bipartite_covers(base)
-    blocks = _candidates(spec, tally, _double_covers(base, bipartite))
-    for kind, sizes, slots, assignments, tables, bound in blocks:
-        order = sorted(range(len(slots)), key=slots.__getitem__)
+    blocks = _candidates(spec, tally, bipartite, _double_covers(base, bipartite))
+    for kind, sizes, slots, assignments, bound in blocks:
         start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
         sources = [start[base.src(eid)] + i for eid, i in slots]
         offsets = [start[base.dst(eid)] for eid, _ in slots]
@@ -529,9 +532,6 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
             if _time.monotonic() > deadline:
                 return SearchOutcome("budget_exceeded", stats=SearchStats(**tally))
             tally[kind] += 1
-            if not _is_canonical(combo, order, tables):
-                tally["noncanonical"] += 1
-                continue
             pairs = {
                 (a, b) if a < b else (b, a)
                 for a, b in zip(sources, map(add, offsets, combo))

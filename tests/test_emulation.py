@@ -48,7 +48,7 @@ from regulus.corpus import (
     path_4_over_3,
 )
 from regulus import emulation, genus
-from regulus.digraph import weakly_connected
+from regulus.digraph import _closure, weakly_connected
 from regulus.emulation import (
     CoverCertificate,
     SearchOutcome,
@@ -56,8 +56,6 @@ from regulus.emulation import (
     _build_total,
     _edge_cap,
     _fiber_vectors_within_bound,
-    _fibre_symmetries,
-    _is_canonical,
     excise_restrict,
     r_image_morphism,
 )
@@ -70,6 +68,7 @@ from conftest import (
     compose_morphisms,
     identity_morphism,
     loop1,
+    multidigraph,
     multidigraphs,
     random_digraph,
     random_emulator,
@@ -665,38 +664,6 @@ class TestSearchCovers:
         )
         assert out.status == "found"
 
-    def test_isomorph_rejection_keeps_one_per_orbit(self):
-        # every fibre-permutation orbit of assignments must contribute
-        # exactly one canonical representative, also with unequal fibres
-        base = c2()
-        root = "a"
-        for sizes in ({"a": 2, "b": 2}, {"a": 2, "b": 3}, {"a": 3, "b": 2}):
-            slots = [
-                (e, i) for v in base.vertices for e in base.out_edges(v) for i in range(sizes[v])
-            ]
-            order = sorted(range(len(slots)), key=slots.__getitem__)
-            tables = _fibre_symmetries(base, sizes, slots, root)
-            all_assignments = list(product(*(range(sizes[base.dst(e)]) for e, _ in slots)))
-            canonical = [a for a in all_assignments if _is_canonical(a, order, tables)]
-
-            def orbit(combo):
-                seen = set()
-                # the root's fibre vertex 0 is pinned
-                for pa in [(0,) + p for p in permutations(range(1, sizes["a"]))]:
-                    for pb in permutations(range(sizes["b"])):
-                        perm_of = {"a": pa, "b": pb}
-                        mapped = {}
-                        for (eid, i), j in zip(slots, combo):
-                            u, w = base.ends(eid)
-                            mapped[(eid, perm_of[u][i])] = perm_of[w][j]
-                        seen.add(tuple(mapped[s] for s in sorted(mapped)))
-                return frozenset(seen)
-
-            orbits = {orbit(a) for a in all_assignments}
-            assert len(canonical) == len(orbits), sizes
-            for a in canonical:
-                assert orbit(a) in orbits
-
 
 def _circulant(n, steps):
     return DiGraph(
@@ -707,7 +674,9 @@ def _circulant(n, steps):
 
 def _cover_girth_floor(base: DiGraph) -> int:
     """Girth floor valid for every cover of the base: 3 when the base is
-    simple, loopless and free of directed 2-cycles, else weaker."""
+    simple, loopless and free of directed 2-cycles, 4 when its support is
+    also bipartite (a cover maps each cycle onto a closed walk of the base,
+    so it keeps the 2-colouring), else weaker."""
     if any(base.is_loop(e) for e in base.edges):
         return 1
     if simplify(base)[0] != base:
@@ -715,7 +684,7 @@ def _cover_girth_floor(base: DiGraph) -> int:
     pairs = {(s, t) for _, s, t in base.edge_list()}
     if any((t, s) in pairs for s, t in pairs):
         return 2
-    return 3
+    return 4 if nx.is_bipartite(nx.Graph(list(pairs))) else 3
 
 
 def _assignment_canonical(base: DiGraph, sizes: dict[str, int], assignment, root) -> bool:
@@ -750,8 +719,9 @@ def _assignment_canonical(base: DiGraph, sizes: dict[str, int], assignment, root
 
 def _reference_search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     """The cover search as first written: the symmetry check rebuilds every
-    fibre permutation for each candidate, and genus bound 0 has its own
-    branch.  No time budget."""
+    fibre permutation for each candidate, the fibre vectors go through the
+    per-vector Euler check, and genus bound 0 has its own branch.  No time
+    budget."""
     spec.validate()
     base = spec.base
     girth_floor = _cover_girth_floor(base)
@@ -760,9 +730,7 @@ def _reference_search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     base_out = {v: sorted(base.out_edges(v)) for v in base.vertices}
     vorder = sorted(base.vertices)
     out_degrees = [len(base_out[v]) for v in vorder]
-    vectors = _fiber_vectors_within_bound(
-        out_degrees, spec.max_fiber, girth_floor, spec.genus_bound
-    )
+    vectors = _euler_filtered_product(out_degrees, spec.max_fiber, girth_floor, spec.genus_bound)
     for vec in vectors:
         sizes = dict(zip(vorder, vec))
         slots = [(eid, i) for v in vorder for eid in base_out[v] for i in range(sizes[v])]
@@ -822,17 +790,48 @@ def _reference_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
 
 
 def _canonical_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
-    """The candidates search_covers takes past its symmetry check, in order,
-    each built as the DiGraph its certificate would carry."""
+    """The candidates search_covers enumerates, in order, each built as the
+    DiGraph its certificate would carry."""
     tried = []
-    for _, sizes, slots, assignments, tables, _ in emulation._candidates(spec, Counter()):
-        order = sorted(range(len(slots)), key=slots.__getitem__)
-        tried += [
-            _build_total(spec.base, sizes, zip(slots, combo))[0]
-            for combo in assignments
-            if _is_canonical(combo, order, tables)
-        ]
+    blocks = emulation._candidates(spec, Counter(), _bipartite_covers(spec.base))
+    for _, sizes, slots, assignments, _ in blocks:
+        tried += [_build_total(spec.base, sizes, zip(slots, combo))[0] for combo in assignments]
     return tried
+
+
+def _relabelling_class(base: DiGraph, sizes, slots, combo, fixed=()) -> frozenset:
+    """Every assignment (one copy of its target per slot) that relabelling
+    the copies over the base vertices outside `fixed` makes of `combo`: its
+    closure under swapping two neighbouring copies of one vertex."""
+    index = {slot: k for k, slot in enumerate(slots)}
+    swaps = [
+        (v, (*range(c), c + 1, c, *range(c + 2, k)))
+        for v, k in sizes.items()
+        if v not in fixed
+        for c in range(k - 1)
+    ]
+
+    def swapped(a, v, perm):
+        out = [0] * len(a)
+        for (eid, i), j in zip(slots, a):
+            u, w = base.ends(eid)
+            out[index[(eid, perm[i] if u == v else i)]] = perm[j] if w == v else j
+        return tuple(out)
+
+    return _closure([tuple(combo)], lambda a: [swapped(a, v, perm) for v, perm in swaps])
+
+
+def _cover_class(base: DiGraph, total: DiGraph) -> tuple:
+    """The relabelling class of a cover that _build_total made: its fibre
+    sizes and the class of its assignment, the slots in sorted order."""
+    sizes = Counter(v.rsplit("#", 1)[0] for v in total.vertices)
+    assignment = sorted(
+        ((eid, int(i)), int(w.rsplit("#", 1)[1]))
+        for (eid, i), (_, w) in ((e.rsplit("#", 1), ends) for e, ends in total.edges.items())
+    )
+    slots = [slot for slot, _ in assignment]
+    combo = [j for _, j in assignment]
+    return tuple(sorted(sizes.items())), _relabelling_class(base, sizes, slots, combo)
 
 
 def _enumeration_alone(spec: CoverSearchSpec) -> SearchOutcome:
@@ -874,7 +873,15 @@ class TestSearchAgainstReference:
         got, want = _enumeration_alone(spec), _reference_search_covers(spec)
         assert got.status == want.status
         if want.certificate is not None:
-            assert certificate_to_json(got.certificate) == certificate_to_json(want.certificate)
+            fibres = Counter(want.certificate.morphism.p.values())
+            if set(fibres.values()) == {1}:
+                assert certificate_to_json(got.certificate) == certificate_to_json(want.certificate)
+            else:
+                # past the all-ones vector the two orders may reach another
+                # passing cover of the same vector first
+                assert Counter(got.certificate.morphism.p.values()) == fibres
+                got.certificate.verify()
+                assert got.certificate.genus <= genus_bound
         # a planar double cover the phase finds is one the enumeration reaches
         assert search_covers(spec).status == want.status
 
@@ -886,15 +893,72 @@ class TestSearchAgainstReference:
         )
     )
     @example((c2(), 3))
-    def test_tries_the_same_candidates_in_the_same_order(self, case):
+    @example((DiGraph(["a", "b"], [("e0", "a", "b"), ("e1", "b", "a"), ("l", "b", "b")]), 2))
+    def test_tries_the_same_relabelling_classes(self, case):
         base, max_fiber = case
         spec = CoverSearchSpec(base, max_fiber=max_fiber)
-        tried = _canonical_candidates(spec)
-        assert tried == _reference_candidates(spec)
+        tried, want = _canonical_candidates(spec), _reference_candidates(spec)
+        assert {_cover_class(base, t) for t in tried} == {_cover_class(base, t) for t in want}
+        if max_fiber <= 2 and nx.is_strongly_connected(multidigraph(base)):
+            # one walk, from the least vertex, whose copies the reference
+            # pins too: one candidate per class on both sides
+            assert len(tried) == len(want)
         # the search takes every one of them when it finds none
         out = search_covers(spec)
         if out.status == "exhausted":
-            assert out.stats.candidates - out.stats.noncanonical == len(tried)
+            assert out.stats.candidates == len(tried)
+
+
+@st.composite
+def fibred_bases(draw):
+    """A loopless base on up to 4 vertices and 5 arcs, with a fibre size of 1
+    to 3 at each vertex and at most 8 slots in all."""
+    base = excise(draw(search_bases(4, 5)))
+    vec = tuple(draw(st.integers(1, 3)) for _ in base.vertices)
+    sizes = dict(zip(base.vertices, vec))
+    assume(sum(sizes[base.src(e)] for e in base.edges) <= 8)
+    return base, vec
+
+
+class TestAssignments:
+    @settings(max_examples=200, deadline=None)
+    @given(fibred_bases())
+    @example((c2(), (2, 2)))
+    @example((c2(), (2, 3)))
+    @example((c2(), (3, 2)))
+    @example((DiGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "c", "b")]), (2, 2, 2)))
+    @example((DiGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "b")]),
+              (2, 2, 2)))
+    def test_one_assignment_per_relabelling_class(self, case):
+        # against brute force: every product assignment and its class under
+        # relabelling the copies over every vertex
+        base, vec = case
+        spec = CoverSearchSpec(base, max_fiber=max(vec), genus_bound=10)  # no vector is cut
+        blocks = emulation._candidates(spec, Counter(), False)
+        sizes, slots, assignments = next(b[1:4] for b in blocks if tuple(b[1].values()) == vec)
+        listed = list(assignments)
+        generated = set(listed)
+        assert len(generated) == len(listed)
+        every = list(product(*(range(sizes[base.dst(eid)]) for eid, _ in slots)))
+        assert generated <= set(every)
+        seen = set()
+        for combo in every:
+            if combo not in seen:
+                cls = _relabelling_class(base, sizes, slots, combo)
+                seen |= cls
+                assert cls & generated
+        # exact at fibres up to 2 with one walk: its root's copies are the
+        # only relabelling left
+        condensed = nx.condensation(multidigraph(base))
+        sources = [c for c in condensed if condensed.in_degree(c) == 0]
+        if max(vec) <= 2 and len(sources) == 1:
+            fixed = {min(condensed.nodes[sources[0]]["members"])}
+            seen = set()
+            for combo in every:
+                if combo not in seen:
+                    cls = _relabelling_class(base, sizes, slots, combo, fixed)
+                    seen |= cls
+                    assert len(cls & generated) == 1
 
 
 class TestSearchStats:
@@ -908,7 +972,7 @@ class TestSearchStats:
         )
         s = search_covers(spec).stats
         tried = s.candidates + s.double_covers
-        assert tried == s.noncanonical + s.disconnected + s.edge_cut + s.planarity_tests
+        assert tried == s.disconnected + s.edge_cut + s.planarity_tests
         assert s.undecided <= s.genus_exact_calls <= s.planarity_tests
         assert s.fibre_vectors >= (s.candidates > 0)
         if not connected_only:
@@ -961,7 +1025,7 @@ class TestSearchStats:
         s = out.stats
         tried = s.candidates + s.double_covers
         assert tried == reads
-        assert tried == s.noncanonical + s.disconnected + s.edge_cut + s.planarity_tests
+        assert tried == s.disconnected + s.edge_cut + s.planarity_tests
         # the base comes first, then the phase's lifts
         assert s.candidates == (min(reads, 1) if phase else reads)
 
@@ -1181,6 +1245,15 @@ class TestFiberVectorPruning:
     def test_matches_per_vector_euler_check(self, base, max_fiber, genus_bound):
         vorder = sorted(base.vertices)
         out_degrees = [len(base.out_edges(v)) for v in vorder]
-        floor = min(3, undirected_girth(forget(base)))
+        bipartite = nx.is_bipartite(nx.Graph(list(base.edges.values())))
+        floor = min(4 if bipartite else 3, undirected_girth(forget(base)))
         got = list(_fiber_vectors_within_bound(out_degrees, max_fiber, floor, genus_bound))
         assert got == _euler_filtered_product(out_degrees, max_fiber, floor, genus_bound)
+
+    @pytest.mark.parametrize("steps", [(1, 3), (1, 5), (3, 7), (5, 7)])
+    def test_a_bipartite_base_takes_girth_floor_four(self, steps):
+        # the bases of L(8,{1,3}), {1,5}, {3,7} and {5,7}: every cover is
+        # simple and bipartite, so of girth at least 4, and at that floor the
+        # cut of a base with out-degree 2 refutes genus 0 at every fibre size
+        out = search_covers(CoverSearchSpec(_circulant(8, steps), max_fiber=2))
+        assert out.status == "exhausted" and out.stats.fibre_vectors == 0

@@ -3,7 +3,8 @@ the tests.  A name that only its own tests reach is API nobody uses: it goes,
 moves to `tests/`, or is kept below with the reason.  A name counts as
 reached when some module of `src/regulus/` other than `__init__.py` names it
 outside its own definition, or when a benchmark file (`perfbench/*.py`)
-names it."""
+names it.  A private top-level helper must be named in `src/regulus/`
+outside its own definition: one that only tests call goes."""
 
 import ast
 import re
@@ -45,6 +46,15 @@ def named_lines(path: Path) -> dict[str, set[int]]:
     return lines
 
 
+def named_elsewhere(name: str, path: Path, first: int, last: int, uses: dict) -> bool:
+    """Whether a module in `uses` names `name` outside lines first..last of
+    `path`."""
+    return any(
+        any(not (p == path and first <= line <= last) for line in lines.get(name, ()))
+        for p, lines in uses.items()
+    )
+
+
 def unreached() -> list[str]:
     modules = _modules()
     uses = {p: named_lines(p) for p in modules}
@@ -52,10 +62,9 @@ def unreached() -> list[str]:
     out = []
     for path in modules:
         for name, first, last in public_definitions(path):
-            reached = any(
-                any(not (p == path and first <= line <= last) for line in uses[p].get(name, ()))
-                for p in modules
-            ) or re.search(rf"\b{name}\b", bench)
+            reached = named_elsewhere(name, path, first, last, uses) or re.search(
+                rf"\b{name}\b", bench
+            )
             if not reached and name not in KEEP:
                 out.append(f"{path.stem}.{name}")
     return out
@@ -69,3 +78,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_every_kept_name_is_still_defined():
     defined = {name for p in _modules() for name, _, _ in public_definitions(p)}
     assert set(KEEP) <= defined
+
+
+def test_every_private_helper_is_named_in_src():
+    modules = sorted((ROOT / "src" / "regulus").glob("*.py"))
+    uses = {p: named_lines(p) for p in modules}
+    unnamed = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and not named_elsewhere(node.name, path, node.lineno, node.end_lineno, uses)
+    ]
+    assert len(modules) >= 10
+    assert unnamed == []
