@@ -12,7 +12,7 @@ import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import add
 
 from .digraph import (
@@ -38,11 +38,12 @@ from .errors import BudgetError, DomainError, PreconditionError
 from .genus import (
     GenusResult,
     RotationSystem,
+    _girth,
     _lr_planar,
+    _support,
     genus_exact,
     is_planar,
     trace_faces,
-    undirected_girth,
 )
 
 
@@ -268,7 +269,8 @@ class CoverCertificate:
 class SearchStats:
     """What one cover search did.  Each candidate tried before the deadline,
     enumerated (candidates) or a double cover (double_covers), is counted in
-    exactly one of disconnected, edge_cut and planarity_tests."""
+    exactly one of disconnected (enumerated ones only), edge_cut and
+    planarity_tests.  A disconnected base under connected_only counts 0."""
 
     fibre_vectors: int = 0
     candidates: int = 0
@@ -287,33 +289,28 @@ class SearchOutcome:
     stats: SearchStats = SearchStats()
 
 
-def _fiber_vectors_within_bound(
-    out_degrees: list[int], max_fiber: int, girth_floor: int, genus_bound: int
-):
+def _fiber_vectors_within_bound(degrees: list[int], max_fiber: int, faces: int, genus_bound: int):
     """Fibre-size vectors in itertools.product order over 1..max_fiber, less
-    those whose covers the Euler/girth bound puts above genus_bound.
+    those whose covers Euler's formula puts above genus_bound.
 
-    A cover with fibre sizes k has V = sum k_v vertices and E = sum outdeg(v) k_v
-    edges.  When its girth is at least y >= 3 and E >= 2, its genus is at least
-    ceil(1 - V/2 + E(y-2)/(2y)), which exceeds n exactly when
-    2y + sum k_v ((y-2) outdeg(v) - y) > 2yn.  The left side is linear in k,
+    A cover with fibre sizes k has V = sum k_v vertices and at least
+    E = sum d_v k_v support edges, d being the support degrees, and faces of
+    length at least y = faces (3 or 4).  When E >= 2 its genus is at least
+    ceil(1 - V/2 + E(y-2)/(2y)), which exceeds n when
+    2y + sum k_v ((y-2) d_v - y) > 2yn.  The left side is linear in k,
     so a prefix is cut as soon as its least completion (k_v = 1 where the
     coefficient is >= 0, else max_fiber) breaks the bound with E >= 2.
     A prefix that is kept has a kept completion, so the caller's time check
     runs at least once every n * max_fiber steps.
     """
-    n = len(out_degrees)
-    if girth_floor < 3:
-        yield from product(range(1, max_fiber + 1), repeat=n)
-        return
-    y = girth_floor
-    coef = [(y - 2) * d - y for d in out_degrees]
+    n, y = len(degrees), faces
+    coef = [(y - 2) * d - y for d in degrees]
     # least value of sum coef*k and of E over the positions i.. of a completion
     least = [0] * (n + 1)
     least_edges = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         least[i] = least[i + 1] + coef[i] * (1 if coef[i] >= 0 else max_fiber)
-        least_edges[i] = least_edges[i + 1] + out_degrees[i]
+        least_edges[i] = least_edges[i + 1] + degrees[i]
     limit = 2 * y * genus_bound - 2 * y
     vec: list[int] = []
 
@@ -325,7 +322,7 @@ def _fiber_vectors_within_bound(
             return
         for k in range(1, max_fiber + 1):
             vec.append(k)
-            yield from extend(i + 1, value + coef[i] * k, edges + out_degrees[i] * k)
+            yield from extend(i + 1, value + coef[i] * k, edges + degrees[i] * k)
             vec.pop()
 
     yield from extend(0, 0, 0)
@@ -374,14 +371,16 @@ def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGr
     return total, GraphMorphism(total, base, p, q)
 
 
-def _candidates(spec: CoverSearchSpec, tally: Counter, bipartite: bool, early=()):
+def _candidates(spec: CoverSearchSpec, tally: Counter, faces: int, early=()):
     """Each fibre vector within the bound as a block ("candidates", sizes,
     slots, assignments, genus bound): the fibre size of each base vertex, the
     (base edge, source fibre vertex) slots, their _assignments, and
-    spec.genus_bound; the Euler cut takes girth floor 4 when every cover is
-    bipartite.  The blocks of `early` come before the first vector with a
-    fibre above 1: right after the all-ones vector, the base itself, or
-    first when the bound cuts that one.
+    spec.genus_bound.  The Euler cut takes face length `faces`, and d_v counts
+    the out-neighbours w != v of v, a 2-cycle {v, w} only at its smaller end:
+    each copy of v has a support edge into each such fibre, so a cover has
+    at least sum d_v k_v support edges.  The blocks of `early` come before
+    the first vector with a fibre above 1: right after the all-ones vector,
+    the base itself, or first when the bound cuts that one.
 
     The slots go vertex by vertex along breadth-first walks over the arcs,
     one from the least vertex of each source strongly connected component,
@@ -391,13 +390,11 @@ def _candidates(spec: CoverSearchSpec, tally: Counter, bipartite: bool, early=()
     moves no earlier slot, so every cover is isomorphic to an assignment
     kept.  With fibres of at most 2 a cover matches exactly one, up to
     relabelling the copies of each walk's root, which no free slot enters."""
-    base = spec.base
-    vectors = _fiber_vectors_within_bound(
-        [len(base.out_edges(v)) for v in base.vertices],
-        spec.max_fiber,
-        min(4 if bipartite else 3, undirected_girth(base)),
-        spec.genus_bound,
-    )
+    base, view = spec.base, spec.base.int_view
+    arcs = set(zip(view.sources, view.targets))
+    owned = Counter(v for v, w in arcs if v < w or (v > w and (w, v) not in arcs))
+    degrees = [owned[v] for v in range(len(view.outs))]
+    vectors = _fiber_vectors_within_bound(degrees, spec.max_fiber, faces, spec.genus_bound)
     walk: dict[str, int] = {}  # each vertex's place in the walks
     for root in (min(c) for c in reversed(strongly_connected_components(base))):
         frontier = [] if root in walk else [root]
@@ -419,15 +416,15 @@ def _candidates(spec: CoverSearchSpec, tally: Counter, bipartite: bool, early=()
         yield "candidates", sizes, slots, _assignments(targets, free, sizes), spec.genus_bound
 
 
-def _double_covers(base: DiGraph, bipartite: bool):
+def _double_covers(base: DiGraph, faces: int):
     """The base's Z2-voltage double covers as one "double_covers" block of the
     enumeration's shape, every fibre 2 and genus bound 0.
     An arc u -> v at copy i goes to copy i ^ s{u, v}, one voltage per support
     pair (loops keep 0).  A breadth-first spanning forest keeps 0, and the
     co-tree voltages run in Gray-code order past all zeros (two copies of the
-    base): one lift per switching class.  None is planar when its 2|support|
-    edges are over the cap, as whenever the Euler bound cuts the all-2
-    vector."""
+    base): one lift per switching class, connected when the base is.  None
+    is planar when its 2|support| edges are over the cap at face length
+    `faces`, exactly when the Euler cut drops the all-2 vector at genus 0."""
     view = base.int_view
     slots, flips = [], {}  # flips: the slots whose copy each pair's voltage moves
     for e in (e for outs in view.outs for e in outs):
@@ -437,7 +434,7 @@ def _double_covers(base: DiGraph, bipartite: bool):
                 flips.setdefault((a, b), []).append(len(slots))
             slots.append((view.domain[1][e], i))
     nv = len(view.outs)
-    if 2 * len(flips) > _edge_cap(2 * nv, 0, bipartite):
+    if 2 * len(flips) > _edge_cap(2 * nv, 0, faces):
         return
     adjacent, seen, tree = _adjacency(nv, flips), set(), set()
     for root in range(nv):
@@ -465,37 +462,32 @@ def _connected(n: int, pairs) -> bool:
     return len(_closure([0], _adjacency(n, pairs).__getitem__)) == n
 
 
-def _bipartite_covers(base: DiGraph) -> bool:
-    """Whether every cover of the base is bipartite: a 2-colouring of the base
-    lifts through the cover map.  A loop may lift to an edge inside one fibre,
-    so it counts as the odd cycle it is.  Each vertex takes the parity of a
-    walk to it; a graph with an odd cycle keeps an edge within one colour."""
-    view = base.int_view
-    adjacent = _adjacency(len(view.outs), zip(view.sources, view.targets))
-    colour: dict[int, int] = {}
-    for v in range(len(adjacent)):
-        if v not in colour:
-            colour.update(_closure([(v, 0)], lambda x: [(y, 1 - x[1]) for y in adjacent[x[0]]]))
-    return all(colour[a] != colour[b] for a, b in zip(view.sources, view.targets))
+def _face_floor(base: DiGraph) -> int:
+    """Least face length of every cover's loopless simple support: 3 when the
+    base has a loop or its support a triangle, else 4.  An edge inside one
+    fibre lies over a loop, so a triangle in a cover lies over a loop or a
+    triangle of the base."""
+    loop = any(map(base.is_loop, base.edges))
+    return 3 if loop or _girth(len(base.vertices), _support(base).edges) == 3 else 4
 
 
-def _edge_cap(v: int, n: int, bipartite: bool) -> float:
-    """Most edges a simple graph on v vertices can have at genus <= n.
+def _edge_cap(v: int, n: int, faces: int) -> float:
+    """Most edges a simple graph on v vertices with faces of length at least
+    `faces` (3, or 4 when triangle-free) can have at genus <= n.
 
-    On v >= 3 vertices Euler's formula with faces of length >= 3 gives
-    E <= 3(v - 2 + 2n), and with faces of length >= 4 (bipartite) E <=
-    2(v - 2 + 2n).  Bridges joining the components keep the genus and only
+    On v >= 3 vertices Euler's formula gives E <= faces (v - 2 + 2n) /
+    (faces - 2).  Bridges joining the components keep the genus and only
     add edges, so the cap holds for disconnected graphs too.
     """
     if v < 3:
         return math.inf
-    return (2 if bipartite else 3) * (v - 2 + 2 * n)
+    return faces * (v - 2 + 2 * n) // (faces - 2)
 
 
 def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     """Enumerate directed covers of the base with bounded fibres, pruning by
-    the Euler/girth bound, and return the first certificate whose exact genus
-    is within the bound.
+    Euler's formula at the face floor of _face_floor(base), and return the
+    first certificate whose exact genus is within the bound.
 
     Every assignment of one target fibre vertex per (base edge, source fibre
     vertex) yields a cover, and every cover with fibres within the bound
@@ -507,9 +499,12 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     call.  Only this loop reads the clock, once before each candidate, and
     counts it under its block's kind; then come the steps, on the integer
     vertex pairs of its loopless simple support:
-    1. connected (when connected_only), by a closure walk over the pairs;
-    2. the edge cut: a support with more edges than _edge_cap allows is
-       skipped, under the bipartite cap when _bipartite_covers(base);
+    1. connected (when connected_only), by a closure walk over the pairs,
+       for enumerated candidates only.  A cover maps onto the base, so a
+       disconnected base answers "exhausted" before any candidate, and on a
+       connected one each lift's nonzero co-tree voltage joins its copies;
+    2. the edge cut: a support with more edges than _edge_cap allows at the
+       face floor is skipped;
     3. the planarity test, _lr_planar.
     Only a planar candidate, or a non-planar one when n > 0, is built as a
     DiGraph, for its certificate or for genus_exact.  Candidates whose genus
@@ -517,17 +512,19 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     "budget_exceeded".  The outcome's stats count what each step did.
     """
     spec.validate()
-    base = spec.base
+    base, view = spec.base, spec.base.int_view
+    if spec.connected_only and not _connected(len(view.outs), zip(view.sources, view.targets)):
+        return SearchOutcome("exhausted")
     deadline = _time.monotonic() + spec.time_budget
     tally: Counter = Counter()
-    bipartite = _bipartite_covers(base)
-    blocks = _candidates(spec, tally, bipartite, _double_covers(base, bipartite))
+    faces = _face_floor(base)
+    blocks = _candidates(spec, tally, faces, _double_covers(base, faces))
     for kind, sizes, slots, assignments, bound in blocks:
         start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
         sources = [start[base.src(eid)] + i for eid, i in slots]
         offsets = [start[base.dst(eid)] for eid, _ in slots]
         nverts = sum(sizes.values())
-        max_edges = _edge_cap(nverts, bound, bipartite)
+        max_edges = _edge_cap(nverts, bound, faces)
         for combo in assignments:
             if _time.monotonic() > deadline:
                 return SearchOutcome("budget_exceeded", stats=SearchStats(**tally))
@@ -537,7 +534,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
                 for a, b in zip(sources, map(add, offsets, combo))
                 if a != b
             }
-            if spec.connected_only and not _connected(nverts, pairs):
+            if kind == "candidates" and spec.connected_only and not _connected(nverts, pairs):
                 tally["disconnected"] += 1
                 continue
             if len(pairs) > max_edges:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import sys
 from collections import Counter
@@ -52,16 +54,17 @@ from regulus.digraph import _closure, weakly_connected
 from regulus.emulation import (
     CoverCertificate,
     SearchOutcome,
-    _bipartite_covers,
+    SearchStats,
     _build_total,
     _edge_cap,
+    _face_floor,
     _fiber_vectors_within_bound,
     excise_restrict,
     r_image_morphism,
 )
 from regulus.errors import BudgetError
 from regulus.formats import certificate_from_json, certificate_to_json, dumps, loads
-from regulus.genus import GenusResult, genus_exact, is_planar, undirected_girth
+from regulus.genus import GenusResult, genus_exact, is_planar
 
 from conftest import (
     c2,
@@ -664,6 +667,13 @@ class TestSearchCovers:
         )
         assert out.status == "found"
 
+    def test_a_disconnected_base_tries_no_candidate(self):
+        # a triangle with a chord beside an isolated vertex: at fibre 3 every
+        # one of its 73,710 candidates would be disconnected
+        edges = [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"), ("e3", "a", "c")]
+        out = search_covers(CoverSearchSpec(DiGraph(["a", "b", "c", "d"], edges), max_fiber=3))
+        assert out == SearchOutcome("exhausted")
+
 
 def _circulant(n, steps):
     return DiGraph(
@@ -685,6 +695,24 @@ def _cover_girth_floor(base: DiGraph) -> int:
     if any((t, s) in pairs for s, t in pairs):
         return 2
     return 4 if nx.is_bipartite(nx.Graph(list(pairs))) else 3
+
+
+def _nx_face_floor(graph: nx.Graph) -> int:
+    """The face floor from networkx: 3 when the graph has a loop or a
+    triangle, else 4."""
+    simple = nx.Graph(graph)
+    simple.remove_edges_from(list(nx.selfloop_edges(simple)))
+    return 3 if nx.number_of_selfloops(graph) or any(nx.triangles(simple).values()) else 4
+
+
+def _nx_support_degrees(base: DiGraph) -> list[int]:
+    """Each vertex's successors other than itself, in vertex order, from
+    networkx; a 2-cycle counts only at its smaller end."""
+    g = multidigraph(base)
+    return [
+        sum(w != v and not (w < v and g.has_edge(w, v)) for w in set(g.successors(v)))
+        for v in base.vertices
+    ]
 
 
 def _assignment_canonical(base: DiGraph, sizes: dict[str, int], assignment, root) -> bool:
@@ -793,7 +821,7 @@ def _canonical_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
     """The candidates search_covers enumerates, in order, each built as the
     DiGraph its certificate would carry."""
     tried = []
-    blocks = emulation._candidates(spec, Counter(), _bipartite_covers(spec.base))
+    blocks = emulation._candidates(spec, Counter(), _face_floor(spec.base))
     for _, sizes, slots, assignments, _ in blocks:
         tried += [_build_total(spec.base, sizes, zip(slots, combo))[0] for combo in assignments]
     return tried
@@ -886,6 +914,19 @@ class TestSearchAgainstReference:
         assert search_covers(spec).status == want.status
 
     @settings(max_examples=100, deadline=None)
+    @given(search_bases(), st.integers(1, 2), st.integers(0, 1))
+    @example(DiGraph(["a", "b"], []), 2, 0)
+    @example(DiGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "a"), ("l", "c", "c")]), 2, 1)
+    def test_a_disconnected_base_is_exhausted_at_once(self, base, max_fiber, genus_bound):
+        # a cover maps onto the base, and the image of a connected graph is
+        # connected: no candidate is tried, and nothing is counted
+        assume(not nx.is_weakly_connected(multidigraph(base)))
+        bounds = {"max_fiber": max_fiber, "genus_bound": genus_bound}
+        assert search_covers(CoverSearchSpec(base, **bounds)) == SearchOutcome("exhausted")
+        loose = CoverSearchSpec(base, connected_only=False, **bounds)
+        assert search_covers(loose).status == _reference_search_covers(loose).status
+
+    @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(
             st.tuples(search_bases(4, 5), st.integers(1, 2)),
@@ -898,22 +939,31 @@ class TestSearchAgainstReference:
         base, max_fiber = case
         spec = CoverSearchSpec(base, max_fiber=max_fiber)
         tried, want = _canonical_candidates(spec), _reference_candidates(spec)
-        assert {_cover_class(base, t) for t in tried} == {_cover_class(base, t) for t in want}
+        got = [_cover_class(base, t) for t in tried]
+        # the support-edge cut may drop a vector the reference's arc count
+        # keeps, never the other way; compare the vectors the search keeps
+        kept = {sizes for sizes, _ in got}
+        assert kept <= {_cover_class(base, t)[0] for t in want}
+        want = [c for c in (_cover_class(base, t) for t in want) if c[0] in kept]
+        assert set(got) == set(want)
         if max_fiber <= 2 and nx.is_strongly_connected(multidigraph(base)):
             # one walk, from the least vertex, whose copies the reference
             # pins too: one candidate per class on both sides
-            assert len(tried) == len(want)
-        # the search takes every one of them when it finds none
+            assert len(got) == len(want)
+        # the search takes every one of them when it finds none, unless the
+        # base is disconnected and so is every cover
         out = search_covers(spec)
-        if out.status == "exhausted":
+        if out.status == "exhausted" and nx.is_weakly_connected(multidigraph(base)):
             assert out.stats.candidates == len(tried)
 
 
 @st.composite
-def fibred_bases(draw):
-    """A loopless base on up to 4 vertices and 5 arcs, with a fibre size of 1
-    to 3 at each vertex and at most 8 slots in all."""
-    base = excise(draw(search_bases(4, 5)))
+def fibred_bases(draw, loops=False):
+    """A base on up to 4 vertices and 5 arcs, loopless unless `loops`, with a
+    fibre size of 1 to 3 at each vertex and at most 8 slots in all."""
+    base = draw(search_bases(4, 5))
+    if not loops:
+        base = excise(base)
     vec = tuple(draw(st.integers(1, 3)) for _ in base.vertices)
     sizes = dict(zip(base.vertices, vec))
     assume(sum(sizes[base.src(e)] for e in base.edges) <= 8)
@@ -934,7 +984,7 @@ class TestAssignments:
         # relabelling the copies over every vertex
         base, vec = case
         spec = CoverSearchSpec(base, max_fiber=max(vec), genus_bound=10)  # no vector is cut
-        blocks = emulation._candidates(spec, Counter(), False)
+        blocks = emulation._candidates(spec, Counter(), 3)
         sizes, slots, assignments = next(b[1:4] for b in blocks if tuple(b[1].values()) == vec)
         listed = list(assignments)
         generated = set(listed)
@@ -1029,8 +1079,28 @@ class TestSearchStats:
         # the base comes first, then the phase's lifts
         assert s.candidates == (min(reads, 1) if phase else reads)
 
+    def test_every_kind_and_tally_key_is_a_stats_field(self):
+        # the loop counts each try under its block's kind and branches on it,
+        # so a misspelt kind or key would count nothing or skip a step
+        yielded, compared, keys = set(), set(), set()
+        for node in ast.walk(ast.parse(inspect.getsource(emulation))):
+            if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple):
+                yielded.add(ast.literal_eval(node.value.elts[0]))
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(x, ast.Name) and x.id == "kind" for x in operands):
+                    compared |= {x.value for x in operands if isinstance(x, ast.Constant)}
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "tally":
+                key = node.slice
+                keys.add(key.value if isinstance(key, ast.Constant) else ast.unparse(key))
+        assert yielded == {"candidates", "double_covers"}
+        assert compared == {"candidates"}
+        assert keys - {"kind"} >= {"fibre_vectors", "disconnected", "undecided"}
+        assert yielded | compared | (keys - {"kind"}) <= {f.name for f in fields(SearchStats)}
+
     def test_budget_exceeded_keeps_its_counts(self):
-        out = search_covers(CoverSearchSpec(_circulant(6, (1, 3)), time_budget=1e-9))
+        # L7-12's base: the cut keeps its all-ones vector
+        out = search_covers(CoverSearchSpec(_circulant(7, (1, 2)), time_budget=1e-9))
         assert out.status == "budget_exceeded" and out.certificate is None
         assert (out.stats.fibre_vectors, out.stats.candidates) == (1, 0)
 
@@ -1038,12 +1108,13 @@ class TestSearchStats:
 @st.composite
 def nonplanar_loopless_bases(draw):
     """Connected, non-planar, loopless digraphs on 5 or 6 vertices (fewer
-    are planar): each pair joined one way, the other, both or not at all,
-    plus up to 2 parallel arcs."""
+    are planar): each pair joined one way, the other, both or, on 6
+    vertices, not at all (the only non-planar support on 5 is K5), plus up
+    to 2 parallel arcs."""
     vs = [f"v{i}" for i in range(draw(st.integers(5, 6)))]
     edges = []
     for a, b in combinations(vs, 2):
-        way = draw(st.sampled_from(["forward", "back", "both", "none"]))
+        way = draw(st.sampled_from(["forward", "back", "both"] + ["none"] * (len(vs) > 5)))
         edges += [(a, b)] * (way in ("forward", "both")) + [(b, a)] * (way in ("back", "both"))
     edges += draw(st.lists(st.sampled_from(edges or [("v0", "v1")]), max_size=2))
     base = DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(edges)])
@@ -1074,7 +1145,7 @@ class TestDoubleCoverPhase:
         # the bound keeps every fibre vector, so the tries after the base come
         # from the all-2 vector the phase would precede
         k7 = _circulant(7, (1, 2, 3))
-        assert list(emulation._double_covers(k7, False)) == []
+        assert list(emulation._double_covers(k7, 3)) == []
         monkeypatch.setattr(emulation, "_time", _clock(5))
 
         def refuse(g):  # K7 has genus 1, and the search would stop at the base
@@ -1084,6 +1155,18 @@ class TestDoubleCoverPhase:
         out = search_covers(CoverSearchSpec(k7, max_fiber=2, genus_bound=1))
         assert out.status == "budget_exceeded"
         assert (out.stats.candidates, out.stats.double_covers) == (5, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_bases(5, 7))
+    @example(c2())
+    @example(_circulant(5, (1, 2)))
+    def test_every_lift_of_a_connected_base_is_connected(self, base):
+        # so the search skips the connectivity check on them
+        assume(nx.is_weakly_connected(multidigraph(base)))
+        for _, sizes, slots, lifts, _ in emulation._double_covers(base, _face_floor(base)):
+            for combo in lifts:
+                total, _ = _build_total(base, sizes, zip(slots, combo))
+                assert nx.is_weakly_connected(multidigraph(total))
 
     def test_no_genus_exact_call_at_genus_one(self, monkeypatch):
         # genus_exact refuses the base K3,3, so the search goes on to the
@@ -1103,18 +1186,25 @@ class TestDoubleCoverPhase:
 
 
 @st.composite
-def dense_simple_graphs(draw, max_vertices: int, bipartite: bool | None = None):
-    """(vertex count, edge pairs, bipartite) for a simple graph: the complete
-    graph, or the complete bipartite graph on random colour classes, less
-    some edges (a few, or any number)."""
+def dense_simple_graphs(draw, max_vertices: int, kinds=("complete", "bipartite", "triangle-free")):
+    """(vertex count, edge pairs) for a simple graph: the complete graph, the
+    complete bipartite graph on random colour classes, or a maximal
+    triangle-free graph grown from the pairs in random order, less some
+    edges (a few, or any number)."""
     n = draw(st.integers(3, max_vertices))
-    if bipartite is None:
-        bipartite = draw(st.booleans())
+    kind = draw(st.sampled_from(kinds))
     colour = [draw(st.booleans()) for _ in range(n)]
-    pairs = [(a, b) for a, b in combinations(range(n), 2) if not bipartite or colour[a] != colour[b]]
+    pairs = [(a, b) for a, b in combinations(range(n), 2) if kind != "bipartite" or colour[a] != colour[b]]
+    if kind == "triangle-free":
+        adjacent: list[set[int]] = [set() for _ in range(n)]
+        for a, b in draw(st.permutations(pairs)):
+            if not adjacent[a] & adjacent[b]:
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+        pairs = [(a, b) for a, b in pairs if b in adjacent[a]]
     most = draw(st.sampled_from([3, len(pairs)]))
     missing = draw(st.sets(st.sampled_from(pairs), max_size=most)) if pairs else set()
-    return n, [p for p in pairs if p not in missing], bipartite
+    return n, [p for p in pairs if p not in missing]
 
 
 def _undirected(n: int, pairs) -> UndirectedGraph:
@@ -1123,59 +1213,74 @@ def _undirected(n: int, pairs) -> UndirectedGraph:
     )
 
 
+def _has_triangle(g: DiGraph) -> bool:
+    return any(nx.triangles(nx.Graph(list(g.edges.values()))).values())
+
+
 class TestEdgeCapSoundness:
     @settings(max_examples=300, deadline=None)
     @given(dense_simple_graphs(12))
-    @example((5, list(combinations(range(5), 2)), False))  # K5: 10 > 9
-    @example((6, [(a, b) for a in range(3) for b in range(3, 6)], True))  # K3,3: 9 > 8
+    @example((5, list(combinations(range(5), 2))))  # K5: 10 > 9
+    @example((6, [(a, b) for a in range(3) for b in range(3, 6)]))  # K3,3: 9 > 8
     def test_a_cut_graph_is_not_planar(self, case):
-        n, pairs, bipartite = case
+        n, pairs = case
         graph = nx.Graph(pairs)
-        assert nx.is_bipartite(graph) or not bipartite
-        if len(pairs) > _edge_cap(n, 0, bipartite):
+        if len(pairs) > _edge_cap(n, 0, _nx_face_floor(graph)):
             assert not nx.check_planarity(graph)[0]
+
+    def test_the_groetzsch_graph_is_over_the_triangle_free_cap(self):
+        # triangle-free but not bipartite: its 20 edges are over 2(11 - 2)
+        graph = nx.mycielski_graph(4)
+        base = DiGraph([str(v) for v in graph], [(f"e{a}_{b}", str(a), str(b)) for a, b in graph.edges])
+        assert _face_floor(base) == 4 and not nx.is_bipartite(graph)
+        assert graph.number_of_edges() > _edge_cap(11, 0, 4) == 18
+        assert not nx.check_planarity(graph)[0]
 
     @settings(max_examples=100, deadline=None)
     @given(search_bases(4, 5), st.integers(1, 2))
     @example(DiGraph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "a"), ("e2", "c", "b")]), 2)
-    def test_bipartite_bases_have_bipartite_covers(self, base, max_fiber):
-        if _bipartite_covers(base):
-            spec = CoverSearchSpec(base, max_fiber=max_fiber, connected_only=False)
-            for total in _canonical_candidates(spec):
-                assert nx.is_bipartite(nx.Graph(total.edges.values()))
+    @example(_circulant(5, (1,)), 2)  # a pentagon: triangle-free, not bipartite
+    def test_triangle_free_bases_have_triangle_free_covers(self, base, max_fiber):
+        # without loops no edge lies inside a fibre, so each triangle of a
+        # cover lies over a triangle of the base
+        base = excise(base)
+        assume(not _has_triangle(base))
+        spec = CoverSearchSpec(base, max_fiber=max_fiber, genus_bound=10, connected_only=False)
+        for total in _canonical_candidates(spec):  # no vector is cut
+            assert not _has_triangle(total)
 
     @settings(max_examples=200, deadline=None)
     @given(dense_simple_graphs(10), st.sets(st.integers(0, 9), max_size=2))
-    @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)], True), set())  # a square
-    @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)], True), {2})  # and a loop
-    def test_bipartite_covers_matches_networkx(self, case, loops):
-        n, pairs, _ = case
+    @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)]), set())  # a square
+    @example((4, [(0, 1), (1, 2), (2, 3), (0, 3)]), {2})  # and a loop
+    @example((5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), set())  # a pentagon
+    def test_face_floor_matches_networkx(self, case, loops):
+        n, pairs = case
         edges = [(f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(pairs)]
         edges += [(f"l{v}", f"v{v}", f"v{v}") for v in loops if v < n]
         base = DiGraph([f"v{i}" for i in range(n)], edges)
-        want = nx.is_bipartite(nx.Graph(list(base.edges.values())))
-        assert _bipartite_covers(base) == want
+        assert _face_floor(base) == _nx_face_floor(nx.Graph(list(base.edges.values())))
 
     def test_a_loop_rules_out_the_bipartite_cap(self):
-        # the support a - b is bipartite, but the loop lifts to a0 -> a1,
+        # the support a - b has no triangle, but the loop lifts to a0 -> a1,
         # closing the triangle a0, a1, b0
         base = DiGraph(["a", "b"], [("e0", "a", "b"), ("e1", "b", "a"), ("l", "a", "a")])
-        assert not _bipartite_covers(base)
+        assert _face_floor(base) == 3
         candidates = _canonical_candidates(CoverSearchSpec(base, max_fiber=2))
-        assert not all(nx.is_bipartite(nx.Graph(c.edges.values())) for c in candidates)
+        assert any(map(_has_triangle, candidates))
 
     # A graph above the genus-1 cap has average degree above 6, or above 4
-    # when bipartite.  Bipartite ones are decided at once; among the others
-    # K8 and K8 - e are, but K8 less two or three edges can take more than
-    # 10^6 rotation links, so those two stand for them.
+    # when triangle-free.  Bipartite ones are decided at once; among the
+    # others K8 and K8 - e are, but K8 less two or three edges can take more
+    # than 10^6 rotation links, so those two stand for them.
     @settings(max_examples=100, deadline=None)
-    @given(dense_simple_graphs(10, bipartite=True))
-    @example((8, list(combinations(range(8), 2)), False))  # K8: 28 > 24, genus 2
-    @example((8, list(combinations(range(8), 2))[1:], False))  # K8 - e: 27 > 24, genus 2
-    @example((9, [(a, b) for a in range(4) for b in range(4, 9)], True))  # K4,5: 20 > 18
+    @given(dense_simple_graphs(10, kinds=("bipartite",)))
+    @example((8, list(combinations(range(8), 2))))  # K8: 28 > 24, genus 2
+    @example((8, list(combinations(range(8), 2))[1:]))  # K8 - e: 27 > 24, genus 2
+    @example((9, [(a, b) for a in range(4) for b in range(4, 9)]))  # K4,5: 20 > 18
     def test_a_cut_graph_has_genus_above_one(self, case):
-        n, pairs, bipartite = case
-        if len(pairs) > _edge_cap(n, 1, bipartite):
+        n, pairs = case
+        if len(pairs) > _edge_cap(n, 1, _nx_face_floor(nx.Graph(pairs))):
             assert genus_exact(_undirected(n, pairs), budget=10**6).genus > 1
 
 
@@ -1234,6 +1339,38 @@ def _euler_filtered_product(out_degrees, max_fiber, girth_floor, genus_bound):
     return kept
 
 
+@st.composite
+def dense_bases(draw):
+    """Digraphs on 3 to 6 vertices with most pairs joined one way, the other
+    or both, plus up to 2 more arcs, which may be loops or parallel."""
+    vs = [f"v{i}" for i in range(draw(st.integers(3, 6)))]
+    edges = []
+    for a, b in combinations(vs, 2):
+        way = draw(st.sampled_from(["forward", "back", "both", "both", "none"]))
+        edges += [(a, b)] * (way in ("forward", "both")) + [(b, a)] * (way in ("back", "both"))
+    vertex = st.sampled_from(vs)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    return DiGraph(vs, [(f"e{i}", s, t) for i, (s, t) in enumerate(edges)])
+
+
+def _kept_vectors(spec: CoverSearchSpec) -> list[tuple[int, ...]]:
+    """The fibre vectors whose blocks _candidates yields, in order."""
+    blocks = emulation._candidates(spec, Counter(), _face_floor(spec.base))
+    return [tuple(sizes.values()) for _, sizes, *_ in blocks]
+
+
+def _every_cover(base: DiGraph, vec):
+    """The loopless simple support of the cover of every product assignment
+    of the vector, as a networkx graph."""
+    sizes = dict(zip(base.vertices, vec))
+    slots = [(eid, i) for eid in base.edges for i in range(sizes[base.src(eid)])]
+    for combo in product(*(range(sizes[base.dst(eid)]) for eid, _ in slots)):
+        total, _ = _build_total(base, sizes, zip(slots, combo))
+        support = nx.Graph(list(total.edges.values()))
+        support.remove_edges_from(list(nx.selfloop_edges(support)))
+        yield support
+
+
 class TestFiberVectorPruning:
     @settings(max_examples=300, deadline=None)
     @given(small_bases(), st.integers(1, 3), st.integers(0, 2))
@@ -1242,18 +1379,59 @@ class TestFiberVectorPruning:
     @example(_circulant(5, (1, 2)), 2, 0)  # only the all-ones vector is refuted
     @example(_circulant(7, (1, 2, 3)), 3, 0)  # every vector is refuted
     @example(_circulant(9, (1, 2, 3, 4)), 2, 3)  # positive coefficients, some vectors kept
+    @example(_circulant(8, (1, 3, 5)), 3, 0)  # 2-cycles: counted at one end
     def test_matches_per_vector_euler_check(self, base, max_fiber, genus_bound):
-        vorder = sorted(base.vertices)
-        out_degrees = [len(base.out_edges(v)) for v in vorder]
-        bipartite = nx.is_bipartite(nx.Graph(list(base.edges.values())))
-        floor = min(4 if bipartite else 3, undirected_girth(forget(base)))
-        got = list(_fiber_vectors_within_bound(out_degrees, max_fiber, floor, genus_bound))
-        assert got == _euler_filtered_product(out_degrees, max_fiber, floor, genus_bound)
+        # degrees and face floor from networkx, on the support edges
+        degrees = _nx_support_degrees(base)
+        floor = _nx_face_floor(nx.Graph(list(base.edges.values())))
+        want = _euler_filtered_product(degrees, max_fiber, floor, genus_bound)
+        assert list(_fiber_vectors_within_bound(degrees, max_fiber, floor, genus_bound)) == want
+        spec = CoverSearchSpec(base, max_fiber=max_fiber, genus_bound=genus_bound)
+        assert _kept_vectors(spec) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(fibred_bases(loops=True))
+    @example((c2(), (2, 3)))  # one 2-cycle: max(2, 3) edges, not 2 + 3
+    @example((DiGraph(["a", "b"], [("e0", "a", "b"), ("e1", "a", "b"), ("l", "a", "a")]), (3, 2)))
+    def test_every_cover_has_the_support_floor(self, case):
+        base, vec = case
+        floor = sum(d * k for d, k in zip(_nx_support_degrees(base), vec))
+        for support in _every_cover(base, vec):
+            assert support.number_of_edges() >= floor
+
+    # networkx checks every cover of each dropped vector with at most 4,096
+    # assignments; 7 vertices would take several times as long
+    @settings(max_examples=20, deadline=None)
+    @given(dense_bases())
+    @example(DiGraph(list("abcde"), [(f"e{s}{t}", s, t) for s, t in permutations("abcde", 2)]))
+    def test_a_dropped_vector_has_no_planar_cover(self, base):
+        kept = set(_kept_vectors(CoverSearchSpec(base, max_fiber=2)))
+        for vec in product((1, 2), repeat=len(base.vertices)):
+            sizes = dict(zip(base.vertices, vec))
+            if vec in kept or math.prod(sizes[base.dst(e)] ** sizes[base.src(e)] for e in base.edges) > 4096:
+                continue
+            for support in _every_cover(base, vec):
+                assert not nx.check_planarity(support)[0]
 
     @pytest.mark.parametrize("steps", [(1, 3), (1, 5), (3, 7), (5, 7)])
     def test_a_bipartite_base_takes_girth_floor_four(self, steps):
-        # the bases of L(8,{1,3}), {1,5}, {3,7} and {5,7}: every cover is
-        # simple and bipartite, so of girth at least 4, and at that floor the
-        # cut of a base with out-degree 2 refutes genus 0 at every fibre size
+        # the bases of L(8,{1,3}), {1,5}, {3,7} and {5,7}: bipartite, so every
+        # cover is triangle-free and its faces have length at least 4, and at
+        # that floor the cut of a base with out-degree 2 refutes genus 0 at
+        # every fibre size
         out = search_covers(CoverSearchSpec(_circulant(8, steps), max_fiber=2))
+        assert out.status == "exhausted" and out.stats.fibre_vectors == 0
+
+    @pytest.mark.parametrize(
+        "k, steps, max_fiber",
+        [(8, (1, 3, 5), 2), (8, (1, 3, 7), 2), (8, (1, 5, 7), 2), (8, (3, 5, 7), 2),
+         (10, (1, 4), 3), (11, (1, 3), 3), (13, (1, 5), 3)],
+        ids=["L8-135", "L8-137", "L8-157", "L8-357", "L10-14", "L11-13", "L13-15"],
+    )
+    def test_a_triangle_free_base_is_cut_at_every_vector(self, k, steps, max_fiber):
+        # three letters on L(8, S): each 2-cycle counts at one end, which at
+        # fibre 3 leaves some vectors of {1,3,5} and {3,5,7}; two letters on
+        # an odd cycle of the step, triangle-free but not bipartite: every
+        # coefficient is 0
+        out = search_covers(CoverSearchSpec(_circulant(k, steps), max_fiber=max_fiber))
         assert out.status == "exhausted" and out.stats.fibre_vectors == 0
