@@ -85,11 +85,8 @@ class Automaton:
         q_graph, can = quotient(self.graph, relation)
         labels = {ce: self.semi.label(ce) for ce in q_graph.edges}
         semi_min = SemiAutomaton(q_graph, self.alphabet, labels)
-        a_min = Automaton(
-            semi_min,
-            {can.p[next(iter(self.initials))]},
-            {can.p[f] for f in self.finals},
-        )
+        initial = can.p[next(iter(self.initials))]
+        a_min = Automaton(semi_min, {initial}, {can.p[f] for f in self.finals})
         return a_min, SemiMorphism(self.semi, semi_min, can, {x: x for x in self.alphabet})
 
     @cached_property

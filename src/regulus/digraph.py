@@ -7,7 +7,6 @@ operation is a pure function, so everything here is safe to share freely.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -34,6 +33,21 @@ class IntView(NamedTuple):
     targets: tuple[int, ...]
     outs: tuple[tuple[int, ...], ...]
     domain: tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def _int_view(sources: tuple[int, ...], targets: tuple[int, ...], domain: tuple) -> IntView:
+    """The integer view with these edge ends over (vertex ids, edge ids)."""
+    outs: list[list[int]] = [[] for _ in domain[0]]
+    for j, s in enumerate(sources):
+        outs[s].append(j)
+    return IntView(sources, targets, tuple(map(tuple, outs)), domain)
+
+
+def _born(cls: type, **attrs):
+    """A value of cls given its fields and kept results outright, unchecked."""
+    x = object.__new__(cls)
+    vars(x).update(attrs)
+    return x
 
 
 @dataclass(frozen=True, init=False)
@@ -64,13 +78,8 @@ class DiGraph:
     def int_view(self) -> IntView:
         """The graph on integers."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        sources = tuple(index[s] for s, _ in self.edges.values())
-        outs: list[list[int]] = [[] for _ in index]
-        for j, s in enumerate(sources):
-            outs[s].append(j)
-        targets = tuple(index[t] for _, t in self.edges.values())
-        domain = (self.vertices, tuple(self.edges))
-        return IntView(sources, targets, tuple(map(tuple, outs)), domain)
+        sources, targets = (tuple(index[ends[k]] for ends in self.edges.values()) for k in (0, 1))
+        return _int_view(sources, targets, (self.vertices, tuple(self.edges)))
 
     def src(self, eid: str) -> str:
         return self.edges[eid][0]
@@ -110,8 +119,12 @@ class DiGraph:
     def edge_list(self) -> list[tuple[str, str, str]]:
         return [(e, s, t) for e, (s, t) in self.edges.items()]
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.vertices, tuple(self.edges.items())))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"DiGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -162,8 +175,12 @@ class UndirectedGraph:
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.vertices, tuple(self.edges.items())))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"UndirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -184,28 +201,44 @@ class _Maps:
         object.__setattr__(self, "q", MappingProxyType(dict(self.q)))
 
     def is_surjective(self) -> bool:
-        return set(self.p.values()) == set(self.target.vertices) and set(
-            self.q.values()
-        ) == set(self.target.edges)
+        t = self.target
+        return set(self.p.values()) == set(t.vertices) and set(self.q.values()) == set(t.edges)
+
+    @cached_property
+    def _int_maps(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """p and q as the target position of each source position, ids taken
+        in sorted order; None when a map is not total or leaves the target."""
+        source, p, q = self.source, self.p, self.q
+        vertex_at = dict(zip(self.target.vertices, count()))
+        edge_at = dict(zip(self.target.edges, count()))
+        try:
+            maps = (tuple([vertex_at[p[v]] for v in source.vertices]),
+                    tuple([edge_at[q[e]] for e in source.edges]))
+        except KeyError:
+            return None
+        return maps if len(p) + len(q) == len(maps[0]) + len(maps[1]) else None
 
 
 @dataclass(frozen=True)
 class GraphMorphism(_Maps):
     """A pair of total maps (p on vertices, q on edges) between digraphs.
-    What its emulator, cover and isomorphism checks return is kept on first
-    use; an invalid morphism, which raises, keeps nothing."""
-
-    def is_injective(self) -> bool:
-        return len(set(self.p.values())) == len(self.p) and len(set(self.q.values())) == len(
-            self.q
-        )
+    Its emulator, cover and isomorphism checks run on `_int_maps` and the
+    graphs' integer views, and `validate_morphism` only explains a failure.
+    Each check's answer is kept on first use; on an invalid morphism the
+    emulator and cover checks raise every time.  A quotient projection is
+    born with its integer maps and its factorization (`relations.quotient`),
+    never with a verdict."""
 
     def is_isomorphism(self) -> bool:
         return self._isomorphism
 
     @cached_property
     def _isomorphism(self) -> bool:
-        return validate_morphism(self).ok and self.is_surjective() and self.is_injective()
+        maps = _positions(self)
+        if maps is None:
+            return validate_morphism(self).ok  # False, or raises on maps that are not total
+        (p, q), t = maps, self.target
+        return len(set(p)) == len(p) == len(t.vertices) and len(set(q)) == len(q) == len(t.edges)
 
     @cached_property
     def _emulator(self) -> ValidationReport:
@@ -214,6 +247,21 @@ class GraphMorphism(_Maps):
     @cached_property
     def _cover(self) -> ValidationReport:
         return _directed_lifts(self, True)
+
+    @cached_property
+    def _factorization(self) -> tuple | None:
+        """`relations.factorize`'s split of a directed emulator, else None: its
+        fibres' relation r and iota, which sends each representative of the
+        quotient by r where this morphism does, an isomorphism by
+        construction."""
+        from .relations import canonical_relation, quotient
+
+        if not self._emulator.ok:
+            return None
+        r = canonical_relation(self)
+        q, _ = quotient(self.source, r)
+        return r, GraphMorphism(q, self.target, {v: self.p[v] for v in q.vertices},
+                                {e: self.q[e] for e in q.edges})
 
 
 @dataclass(frozen=True)
@@ -251,10 +299,8 @@ def _vertex_images(m: _Maps, kind: str) -> ValidationReport:
         extra_e = sorted(m.q.keys() - m.source.edges.keys())
         raise DomainError(f"{kind} maps name unknown vertices {extra_v[:3]} edges {extra_e[:3]}")
     tv = set(m.target.vertices)
-    if not tv.issuperset(m.p.values()):
-        return next(ValidationReport(False, "vertex image outside target", (v, w))
-                    for v, w in m.p.items() if w not in tv)
-    return ValidationReport(True)
+    return next((ValidationReport(False, "vertex image outside target", (v, w))
+                 for v, w in m.p.items() if w not in tv), ValidationReport(True))
 
 
 def validate_morphism(m: GraphMorphism) -> ValidationReport:
@@ -275,43 +321,59 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _star_lifts(phi, ends: slice, cover: bool, missing: str) -> ValidationReport:
+def _star_lifts(phi: _Maps, incidences: tuple, cover: bool, missing: str) -> ValidationReport:
     """The lifting condition of every emulator and cover predicate, on a valid
-    morphism onto the target's vertices.  An edge lies in the star of each of
-    its `ends`: its source for out-stars, every end for undirected stars.
-    Each pair of a target edge f and a source vertex x whose image has f in
-    its star needs a lift, a source edge over f with x in its star; a cover
-    needs exactly one.  The witness is the first failing pair, missing lifts
-    before repeated ones, taking target edges and then source vertices in id
-    order."""
-    source = phi.source.edges
-    lifts = [(f, x) for e, f in phi.q.items() for x in source[e][ends]]
+    morphism onto the target's vertices, decided on positions: `_int_maps`
+    and the (edge, vertex) incidences of the source's stars and then of the
+    target's.  An edge lies in the star of its source for out-stars, of each
+    end for undirected stars.  Each pair of a target edge f and a source
+    vertex x whose image has f in its star needs a lift, a source edge over f
+    with x in its star; a cover needs exactly one.  The witness is the least
+    failing pair, missing lifts before repeated ones, as (f, x) ids; least
+    positions are least ids."""
+    p, q = phi._int_maps
+    source_stars, target_stars = incidences
+    lifts = [(q[e], x) for e, x in source_stars]
     lifted = set(lifts)
+    images = [0] * len(phi.target.vertices)  # the preimages of each target vertex
+    for y in p:
+        images[y] += 1
     # the morphism is valid, so every lifted pair is a needed one, and none is
     # missing when there are as many lifted pairs as needed ones
-    images = Counter(phi.p.values())
-    needed = sum(images[y] for f_ends in phi.target.edges.values() for y in f_ends[ends])
-    if len(lifted) < needed:
-        unlifted = (
-            (f, x) for f, f_ends in phi.target.edges.items() for x, y in phi.p.items()
-            if y in f_ends[ends] and (f, x) not in lifted
-        )
-        return ValidationReport(False, missing, min(unlifted))
-    if cover and len(lifts) > len(lifted):
+    if len(lifted) < sum([images[y] for _, y in target_stars]):
+        f, x = min((f, x) for f, y in target_stars for x, image in enumerate(p)
+                   if image == y and (f, x) not in lifted)
+    elif cover and len(lifts) > len(lifted):
         lifts.sort()
-        repeated = next(a for a, b in zip(lifts, lifts[1:]) if a == b)
-        return ValidationReport(False, "lift not unique", repeated)
-    return ValidationReport(True)
+        (f, x), missing = next(a for a, b in zip(lifts, lifts[1:]) if a == b), "lift not unique"
+    else:
+        return ValidationReport(True)
+    return ValidationReport(False, missing, (tuple(phi.target.edges)[f], phi.source.vertices[x]))
+
+
+def _positions(phi: GraphMorphism) -> tuple | None:
+    """phi's `_int_maps` when its edge map preserves sources and targets."""
+    maps = phi._int_maps
+    if maps is None:
+        return None
+    (p, q), s, t = maps, phi.source.int_view, phi.target.int_view
+    for ends, image_ends in ((s.sources, t.sources), (s.targets, t.targets)):
+        if [p[x] for x in ends] != [image_ends[f] for f in q]:
+            return None
+    return maps
 
 
 def _directed_lifts(phi: GraphMorphism, cover: bool) -> ValidationReport:
-    base = validate_morphism(phi)
-    if not base.ok:
+    maps = _positions(phi)
+    if maps is None:
+        base = validate_morphism(phi)  # raises on maps that are not total
         raise DomainError(f"invalid morphism: {base.reason} at {base.witness}")
-    unhit = set(phi.target.vertices).difference(phi.p.values())
-    if unhit:
-        return ValidationReport(False, "vertex map not surjective", tuple(sorted(unhit)[:2]))
-    return _star_lifts(phi, slice(0, 1), cover, "missing outgoing lift")
+    vs = phi.target.vertices
+    if len(set(maps[0])) < len(vs):
+        unhit = sorted(set(range(len(vs))).difference(maps[0]))[:2]
+        return ValidationReport(False, "vertex map not surjective", tuple(vs[y] for y in unhit))
+    stars = enumerate(phi.source.int_view.sources), list(enumerate(phi.target.int_view.sources))
+    return _star_lifts(phi, stars, cover, "missing outgoing lift")
 
 
 def validate_undirected_morphism(m: UndirectedMorphism) -> ValidationReport:
@@ -336,10 +398,8 @@ def simplify(g: DiGraph) -> tuple[DiGraph, GraphMorphism]:
     parallel edges is the lexicographically least member.
     """
     classes: dict[tuple[str, str], str] = {}
-    for eid in sorted(g.edges):
-        bnd = g.ends(eid)
-        if bnd not in classes:
-            classes[bnd] = eid
+    for eid, ends in g.edges.items():  # in id order
+        classes.setdefault(ends, eid)
     simple = DiGraph(g.vertices, [(rep, s, t) for (s, t), rep in classes.items()])
     q = {eid: classes[g.ends(eid)] for eid in g.edges}
     rho = GraphMorphism(g, simple, {v: v for v in g.vertices}, q)
@@ -369,12 +429,9 @@ def bidirect(h: UndirectedGraph) -> DiGraph:
     """Orient every non-loop edge both ways; loops stay single directed loops."""
     edges = []
     for eid, ends in h.edges.items():
-        if len(ends) == 1:
-            (x,) = ends
-            edges.append((bidirect_edge_id(eid, x, x), x, x))
-        else:
-            x, y = ends
-            edges.append((bidirect_edge_id(eid, x, y), x, y))
+        x, y = ends[0], ends[-1]  # a loop has one end
+        edges.append((bidirect_edge_id(eid, x, y), x, y))
+        if x != y:
             edges.append((bidirect_edge_id(eid, y, x), y, x))
     return DiGraph(h.vertices, edges)
 
@@ -410,28 +467,12 @@ def pullback(
     vertex_ids = [pair_id(u, v) for u, v in vs]
     if len(set(vertex_ids)) != len(vertex_ids):
         raise DomainError("pullback pair ids collide; rename vertices without ',' or '()'")
-    g = DiGraph(
-        vertex_ids,
-        [
-            (
-                pair_id(e, f),
-                pair_id(phi.source.src(e), psi.source.src(f)),
-                pair_id(phi.source.dst(e), psi.source.dst(f)),
-            )
-            for e, f in es
-        ],
-    )
-    pi1 = GraphMorphism(
-        g,
-        phi.source,
-        {pair_id(u, v): u for u, v in vs},
-        {pair_id(e, f): e for e, f in es},
-    )
-    pi2 = GraphMorphism(
-        g,
-        psi.source,
-        {pair_id(u, v): v for u, v in vs},
-        {pair_id(e, f): f for e, f in es},
+    s1, s2 = phi.source, psi.source
+    g = DiGraph(vertex_ids, [(pair_id(e, f), pair_id(s1.src(e), s2.src(f)),
+                              pair_id(s1.dst(e), s2.dst(f))) for e, f in es])
+    pi1, pi2 = (
+        GraphMorphism(g, m.source, {pair_id(*v): v[k] for v in vs}, {pair_id(*e): e[k] for e in es})
+        for k, m in enumerate((phi, psi))
     )
     return g, pi1, pi2
 
@@ -567,31 +608,19 @@ def contract_cycle(g: DiGraph, cycle: DirectedCycle) -> DiGraph:
     while fresh in others:
         fresh += "'"
     cyc_edge_set = set(es)
-    new_edges = []
-    for e, s, t in g.edge_list():
-        if e in cyc_edge_set:
-            continue
-        ns = fresh if s in cyc_vertices else s
-        nt = fresh if t in cyc_vertices else t
-        new_edges.append((e, ns, nt))
+    new_edges = [(e, *(fresh if x in cyc_vertices else x for x in ends))
+                 for e, ends in g.edges.items() if e not in cyc_edge_set]
     return DiGraph(others + [fresh], new_edges)
 
 
 def subgraph(g: DiGraph, vertices: Iterable[str], edges: Iterable[str]) -> DiGraph:
     """Restriction to the given vertices and edges; edges survive only when
     their endpoints are both kept."""
-    vs = set(vertices)
-    es = set(edges)
-    unknown_v = vs - set(g.vertices)
-    unknown_e = es - set(g.edges)
+    vs, es = set(vertices), set(edges)
+    unknown_v, unknown_e = vs - set(g.vertices), es - g.edges.keys()
     if unknown_v or unknown_e:
         raise DomainError(
             f"subgraph selects unknown items: {sorted(unknown_v)[:3]} {sorted(unknown_e)[:3]}"
         )
-    kept = [
-        (e, s, t)
-        for e, s, t in g.edge_list()
-        if e in es and s in vs and t in vs
-    ]
-    return DiGraph(vs, kept)
+    return DiGraph(vs, [(e, s, t) for e, s, t in g.edge_list() if e in es and s in vs and t in vs])
 

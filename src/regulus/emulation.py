@@ -12,7 +12,7 @@ import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add
 
 from .digraph import (
@@ -70,9 +70,8 @@ def extract_cover(phi: GraphMorphism) -> GraphMorphism:
     if not rep.ok:
         raise DomainError(f"not a directed emulator: {rep.reason} at {rep.witness}")
     keep: dict[tuple[str, str], str] = {}
-    for e in sorted(phi.source.edges):
-        key = (phi.source.src(e), phi.q[e])
-        keep.setdefault(key, e)
+    for e in phi.source.edges:  # in id order
+        keep.setdefault((phi.source.src(e), phi.q[e]), e)
     kept_edges = set(keep.values())
     sub = subgraph(phi.source, phi.source.vertices, kept_edges)
     return GraphMorphism(sub, phi.target, dict(phi.p), {e: phi.q[e] for e in kept_edges})
@@ -106,7 +105,11 @@ def _undirected_lifts(phi: UndirectedMorphism, cover: bool) -> ValidationReport:
         raise DomainError(f"invalid undirected morphism: {base.reason}")
     if not phi.is_surjective():
         return ValidationReport(False, "not an epimorphism")
-    return _star_lifts(phi, slice(None), cover, "missing lift")
+    stars = []  # each (edge, end) pair of the source and of the target, as positions
+    for h in (phi.source, phi.target):
+        at = dict(zip(h.vertices, count()))
+        stars.append([(j, at[x]) for j, ends in enumerate(h.edges.values()) for x in ends])
+    return _star_lifts(phi, stars, cover, "missing lift")
 
 
 def is_undirected_emulator(phi: UndirectedMorphism) -> ValidationReport:
@@ -126,14 +129,8 @@ def adjunction_transfer(phi: GraphMorphism, h: UndirectedGraph) -> UndirectedMor
     double = bidirect(h)
     if phi.target != double:
         raise DomainError("morphism target is not the bidirection of the given graph")
-    first_of = {}
-    for eid, ends in h.edges.items():
-        if len(ends) == 1:
-            first_of[bidirect_edge_id(eid, ends[0], ends[0])] = eid
-        else:
-            a, b = ends
-            first_of[bidirect_edge_id(eid, a, b)] = eid
-            first_of[bidirect_edge_id(eid, b, a)] = eid
+    first_of = {bidirect_edge_id(eid, x, y): eid for eid, ends in h.edges.items()
+                for x, y in ((ends[0], ends[-1]), (ends[-1], ends[0]))}  # a loop has one end
     q = {e: first_of[f] for e, f in phi.q.items()}
     out = UndirectedMorphism(forget(phi.source), h, dict(phi.p), q)
     check = validate_undirected_morphism(out)
@@ -174,12 +171,8 @@ def lift_direction(phi: UndirectedMorphism, direction: DiGraph) -> GraphMorphism
     chosen = {e: direction.ends(e) for e in direction.edges}
     edges = []
     q = {}
-    for e in phi.source.edges:
-        ends = phi.source.ends(e)
-        if len(ends) == 1:
-            x = y = ends[0]
-        else:
-            x, y = ends
+    for e, ends in phi.source.edges.items():
+        x, y = ends[0], ends[-1]  # a loop has one end
         img = phi.q[e]
         ix, iy = chosen[img]
         if (phi.p[x], phi.p[y]) == (ix, iy):
@@ -197,21 +190,15 @@ def r_image_morphism(phi: GraphMorphism) -> GraphMorphism:
     """Push a morphism through parallel-edge simplification on both sides."""
     rs, rho_s = simplify(phi.source)
     rt, rho_t = simplify(phi.target)
-    q = {}
-    for e in rs.edges:
-        q[e] = rho_t.q[phi.q[e]]
-    return GraphMorphism(rs, rt, dict(phi.p), q)
+    return GraphMorphism(rs, rt, dict(phi.p), {e: rho_t.q[phi.q[e]] for e in rs.edges})
 
 
 def excise_restrict(phi: GraphMorphism) -> GraphMorphism:
     """Restrict a morphism to the loopless part: drop source edges whose
     image (or self) is a loop.  Emulators stay emulators."""
     tgt = excise(phi.target)
-    keep = [
-        e
-        for e in phi.source.edges
-        if not phi.source.is_loop(e) and not phi.target.is_loop(phi.q[e])
-    ]
+    keep = [e for e in phi.source.edges
+            if not phi.source.is_loop(e) and not phi.target.is_loop(phi.q[e])]
     src = subgraph(phi.source, phi.source.vertices, keep)
     return GraphMorphism(src, tgt, dict(phi.p), {e: phi.q[e] for e in keep})
 

@@ -308,10 +308,8 @@ def undirected_to_dot(g: UndirectedGraph) -> str:
     lines = ["graph G {"]
     for v in g.vertices:
         lines.append(f"  {_dot_id(v)};")
-    for e in g.edges:
-        ends = g.ends(e)
-        a = ends[0]
-        b = ends[0] if len(ends) == 1 else ends[1]
+    for e, ends in g.edges.items():
+        a, b = ends[0], ends[-1]  # a loop has one end
         lines.append(f"  {_dot_id(a)} -- {_dot_id(b)} [label={_dot_id(e)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, product
+from types import MappingProxyType
 from typing import Iterable
 
 from .digraph import (
     DiGraph,
     GraphMorphism,
+    _born,
+    _int_view,
     strongly_connected_components,
 )
 from .emulation import is_directed_emulator
@@ -144,9 +147,7 @@ def _built(g: DiGraph, vector: Iterable[int]) -> AutomaticRelation:
     """A relation that a layer construction made on g, given by its canonical
     class vector over g's domain.  The construction makes it automatic on g
     and numbers it canonically, so it is neither checked nor renumbered."""
-    r = object.__new__(AutomaticRelation)
-    vars(r).update(domain=g.int_view.domain, vector=tuple(vector), verified_on=g)
-    return r
+    return _born(AutomaticRelation, domain=g.int_view.domain, vector=tuple(vector), verified_on=g)
 
 
 def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
@@ -219,17 +220,34 @@ def _require_automatic(g: DiGraph, r: AutomaticRelation, what: str) -> None:
 
 def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
     """Quotient graph with class-representative ids (least member) and the
-    canonical projection, which is a directed emulator."""
+    canonical projection, which is a directed emulator.  Both are built from
+    r's vector and g's integer view, with no second validation: class k's
+    representative is the first position numbered k, so representatives come
+    in sorted id order.  The quotient is born with its integer view, vertex k
+    being class k; the projection with its maps as positions and with its
+    factorization, r and the quotient's identity.  No verdict is born."""
     report = is_automatic(g, r)
     if not report.ok:
         raise DomainError(f"relation is not automatic: {report.clause} at {report.witness}")
-    vrep = {v: c[0] for c in r.vertex_classes for v in c}
-    erep = {e: c[0] for c in r.edge_classes for e in c}
-    q = DiGraph(
-        [c[0] for c in r.vertex_classes],
-        [(c[0], vrep[g.src(c[0])], vrep[g.dst(c[0])]) for c in r.edge_classes],
-    )
-    return q, GraphMorphism(g, q, vrep, erep)
+    view, n = g.int_view, len(g.vertices)
+    vertices, edges = view.domain
+    vclass = r.vector[:n]
+    nv = max(vclass, default=-1) + 1
+    maps = vclass, tuple([k - nv for k in r.vector[n:]])
+    # each class's first position; classes are numbered in first-seen order
+    vfirst, efirst = ([seen.setdefault(k, i) for i, k in enumerate(m) if k not in seen]
+                      for m, seen in zip(maps, ({}, {})))
+    vids, eids = tuple(map(vertices.__getitem__, vfirst)), tuple(map(edges.__getitem__, efirst))
+    ends = [tuple([vclass[side[j]] for j in efirst]) for side in (view.sources, view.targets)]
+    q = _born(DiGraph, vertices=vids, int_view=_int_view(*ends, (vids, eids)),
+              edges=MappingProxyType({e: (vids[s], vids[t]) for e, s, t in zip(eids, *ends)}))
+    identity = _born(GraphMorphism, source=q, target=q, p=MappingProxyType(dict(zip(vids, vids))),
+                     q=MappingProxyType(dict(zip(eids, eids))),
+                     _int_maps=(tuple(range(len(vids))), tuple(range(len(eids)))))
+    can = _born(GraphMorphism, source=g, target=q, _int_maps=maps, _factorization=(r, identity),
+                p=MappingProxyType(dict(zip(vertices, map(vids.__getitem__, maps[0])))),
+                q=MappingProxyType(dict(zip(edges, map(eids.__getitem__, maps[1])))))
+    return q, can
 
 
 def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
@@ -240,28 +258,25 @@ def is_cover_relation(g: DiGraph, r: AutomaticRelation) -> bool:
 
 
 def canonical_relation(phi: GraphMorphism) -> AutomaticRelation:
-    """The relation identifying the fibres of a verified directed emulator."""
+    """The relation identifying the fibres of a verified directed emulator,
+    numbered on its integer maps and automatic on its source."""
     report = is_directed_emulator(phi)
     if not report.ok:
         raise DomainError(f"not a directed emulator: {report.reason}")
-    g = phi.source
-    keys = [*map(phi.p.__getitem__, g.vertices), *map(phi.q.__getitem__, g.edges)]
-    return _built(g, AutomaticRelation(g.int_view.domain, keys).vector)
+    r = AutomaticRelation(phi.source.int_view.domain, [*phi._int_maps[0], *phi._int_maps[1]])
+    object.__setattr__(r, "verified_on", phi.source)
+    return r
 
 
 def factorize(phi: GraphMorphism) -> tuple[AutomaticRelation, GraphMorphism]:
     """Split a directed emulator uniquely as an isomorphism after the
-    canonical quotient projection; the classes are phi's fibres, so iota is
-    an isomorphism by construction."""
-    r = canonical_relation(phi)
-    q, can = quotient(phi.source, r)
-    iota = GraphMorphism(
-        q,
-        phi.target,
-        {c[0]: phi.p[c[0]] for c in r.vertex_classes},
-        {c[0]: phi.q[c[0]] for c in r.edge_classes},
-    )
-    return r, iota
+    canonical quotient projection: once phi is checked, its split is read
+    where it is kept (`GraphMorphism._factorization`).  A quotient
+    projection is born with it; any other emulator splits on first use."""
+    report = is_directed_emulator(phi)
+    if not report.ok:
+        raise DomainError(f"not a directed emulator: {report.reason}")
+    return phi._factorization
 
 
 @dataclass(frozen=True)
@@ -341,12 +356,8 @@ def complete_final_systems(g: DiGraph) -> FinalSystemReport:
     once."""
     comps = strongly_connected_components(g)
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    has_out = set()
-    for e, s, t in g.edge_list():
-        if comp_of[s] != comp_of[t]:
-            has_out.add(comp_of[s])
-    sinks = [c for i, c in enumerate(comps) if i not in has_out]
-    reps = tuple(sorted(min(c) for c in sinks))
+    has_out = {comp_of[s] for s, t in g.edges.values() if comp_of[s] != comp_of[t]}
+    reps = tuple(sorted(min(c) for i, c in enumerate(comps) if i not in has_out))
     return FinalSystemReport(reps, len(reps))
 
 

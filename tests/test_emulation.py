@@ -146,7 +146,7 @@ class TestKeptVerdicts:
             for check in checks:
                 fresh = GraphMorphism(m.source, m.target, dict(m.p), dict(m.q))
                 assert check(m) == check(fresh)
-        assert kept(m) == {"_emulator", "_cover", "_isomorphism"}
+        assert kept(m) == {"_emulator", "_cover", "_isomorphism", "_int_maps"}
 
     def test_each_predicate_keeps_its_own_verdict(self):
         # an emulator that is no cover: its kept emulator verdict does not
@@ -164,7 +164,7 @@ class TestKeptVerdicts:
         for check in (is_directed_emulator, is_directed_cover) * 2:
             with pytest.raises(DomainError):
                 check(m)
-        assert kept(m) == {"_isomorphism"}
+        assert kept(m) == {"_isomorphism", "_int_maps"}
 
 
 def exposed_maps() -> dict:

@@ -3,6 +3,7 @@ neither the fields it was derived from nor the kept result itself can be
 assigned, and each kept result equals the one computed on a fresh equal
 value."""
 
+import ast
 import importlib
 from dataclasses import FrozenInstanceError, fields
 from functools import cached_property
@@ -19,10 +20,13 @@ from regulus import (
     GraphMorphism,
     SemiAutomaton,
     UndirectedGraph,
+    enumerate_automatic_relations,
+    factorize,
     forget,
     is_automatic,
     is_directed_cover,
     minimize,
+    quotient,
     tautological,
 )
 from regulus.corpus import fork_nonemulator, z6_automaton
@@ -54,12 +58,17 @@ def keep_all(h):
 
 
 def holders() -> dict:
-    """One value of each class that keeps results, with every result kept."""
+    """One value of each class that keeps results, and each value a quotient
+    is born with (the quotient, its projection and the identity its
+    factorization holds), with every result kept."""
     g = c2()
     r = AutomaticRelation.from_classes([["a", "b"]], [["e1", "e2"]])
     assert is_automatic(g, r).ok
     values = [g, forget(g), tautological(g), z6_automaton(), fork_nonemulator(), r]
-    return {type(h).__name__: keep_all(h) for h in values}
+    named = {type(h).__name__: h for h in values}
+    q, can = quotient(g, r)
+    named.update(quotient=q, projection=can, iota=factorize(can)[1])
+    return {name: keep_all(h) for name, h in named.items()}
 
 
 @pytest.mark.parametrize("holder", sorted(holders()))
@@ -122,7 +131,9 @@ def test_each_kept_result_equals_a_fresh_one(rnd, semi, data):
     a = random_complete_dfa(rnd, max_states=4)
     m = data.draw(st.sampled_from([random_emulator, random_morphism_into]))(rnd, g, max_fiber=2)
     keys = [rnd.randrange(3) for _ in range(len(g.vertices) + len(g.edges))]
-    values = [g, forget(g), semi, a, minimize(a)[0], m, AutomaticRelation(g.int_view.domain, keys)]
+    q, can = quotient(g, data.draw(st.sampled_from(enumerate_automatic_relations(g))))
+    values = [g, forget(g), semi, a, minimize(a)[0], m, AutomaticRelation(g.int_view.domain, keys),
+              q, can, can._factorization[1]]
     for h in values:
         names = kept_names(type(h))
         for name in data.draw(st.permutations(names)):
@@ -149,3 +160,50 @@ def test_every_class_that_keeps_a_result_is_a_frozen_dataclass():
     assert {"DiGraph", "UndirectedGraph", "GraphMorphism", "SemiAutomaton", "Automaton",
             "AutomaticRelation", "PlanarityReport"} <= holding
     assert loose == []
+
+
+BUILDERS = {"relations._built", "relations.quotient"}  # the only callers of digraph._born
+
+
+def born_calls() -> list[tuple[str, ast.Call]]:
+    """Each call in src/regulus that builds a value bypassing its
+    constructor, by `digraph._born` or by `object.__new__` and
+    `vars(x).update`, with the function it is in."""
+    calls = []
+    for path in sorted((ROOT / "src" / "regulus").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                raw = isinstance(f, ast.Attribute) and (
+                    (f.attr == "__new__" and getattr(f.value, "id", None) == "object")
+                    or (f.attr == "update" and getattr(getattr(f.value, "func", None), "id", None)
+                        == "vars"))
+                if raw or getattr(f, "id", None) == "_born":
+                    calls.append((f"{path.stem}.{getattr(top, 'name', '')}", node))
+    return calls
+
+
+def test_only_the_named_builders_bypass_a_constructor():
+    # a value built without its constructor is sound only while its builder
+    # makes what it is born with agree; so few places may do it
+    calls = born_calls()
+    raw = {where for where, call in calls if getattr(call.func, "id", None) != "_born"}
+    assert raw == {"digraph._born"}
+    assert {where for where, call in calls if where != "digraph._born"} == BUILDERS
+
+
+def test_every_born_name_is_a_field_or_a_kept_result():
+    # what a builder hands a value is one of its fields, or a result the
+    # value would compute and keep itself, so a fresh copy can recompute it
+    import regulus
+
+    born = [call for where, call in born_calls() if where in BUILDERS]
+    assert len(born) == 4
+    for call in born:
+        cls = getattr(regulus, call.args[0].id)
+        names = {k.arg for k in call.keywords}
+        allowed = {f.name for f in fields(cls)} | set(kept_names(cls))
+        assert None not in names and names <= allowed, (cls.__name__, names - allowed)
+        assert {f.name for f in fields(cls)} <= names, cls.__name__
