@@ -178,7 +178,7 @@ def _relation_check(args, g, r):
     rep = is_automatic(g, r)
     payload = {"automatic": rep.ok, "cover": is_cover_relation(g, r) if rep.ok else False}
     if not rep.ok:
-        payload["clause"] = rep.clause
+        payload["clause"] = rep.reason
         payload["witness"] = list(rep.witness)
     elif args.roundtrip:
         payload["mn_roundtrip"] = automatic_to_mn_roundtrip(g, r).ok

@@ -18,18 +18,19 @@ from .errors import DomainError
 from .semiauto import SemiAutomaton
 
 
+def _letter_sum_automaton(k: int, letters) -> Automaton:
+    """L(k, S): the words over the letters S in Z/k whose letter sum is 0
+    mod k, on states 0..k-1 with edge t<i>_<j> from i to i + j labelled j."""
+    edges = [(f"t{i}_{j}", str(i), str((i + j) % k)) for i in range(k) for j in letters]
+    labels = {f"t{i}_{j}": str(j) for i in range(k) for j in letters}
+    semi = SemiAutomaton(DiGraph(map(str, range(k)), edges), set(map(str, letters)), labels)
+    return Automaton(semi, {"0"}, {"0"})
+
+
 def z6_automaton() -> Automaton:
     """Words over Z/6 whose letter sum is 0 mod 6; already minimal, its graph
     is the complete simple digraph on six vertices plus one loop each."""
-    states = [str(i) for i in range(6)]
-    edges, labels = [], {}
-    for i in range(6):
-        for j in range(6):
-            eid = f"t{i}_{j}"
-            edges.append((eid, str(i), str((i + j) % 6)))
-            labels[eid] = str(j)
-    semi = SemiAutomaton(DiGraph(states, edges), {str(j) for j in range(6)}, labels)
-    return Automaton(semi, {"0"}, {"0"})
+    return _letter_sum_automaton(6, range(6))
 
 
 def z6_unrolled12() -> Automaton:
@@ -49,15 +50,7 @@ def z6_unrolled12() -> Automaton:
 def z7_123_automaton() -> Automaton:
     """Words over {1,2,3} in Z/7 summing to 0 mod 7; its graph has outdegree 3
     and no short cycles, so no deterministic automaton for it is planar."""
-    states = [str(i) for i in range(7)]
-    edges, labels = [], {}
-    for i in range(7):
-        for j in (1, 2, 3):
-            eid = f"t{i}_{j}"
-            edges.append((eid, str(i), str((i + j) % 7)))
-            labels[eid] = str(j)
-    semi = SemiAutomaton(DiGraph(states, edges), {"1", "2", "3"}, labels)
-    return Automaton(semi, {"0"}, {"0"})
+    return _letter_sum_automaton(7, (1, 2, 3))
 
 
 def abc_mod7_automaton() -> Automaton:

@@ -161,21 +161,6 @@ class UndirectedGraph:
         return len(self.edges[eid]) == 1
 
     @cached_property
-    def _star(self) -> Mapping[str, tuple[str, ...]]:
-        star: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for eid, ends in self.edges.items():
-            for x in ends:
-                star[x].append(eid)
-        return MappingProxyType({v: tuple(es) for v, es in star.items()})
-
-    def star(self, v: str) -> tuple[str, ...]:
-        """Edges incident to v (loops listed once)."""
-        try:
-            return self._star[v]
-        except KeyError:
-            raise DomainError(f"unknown vertex {v!r}") from None
-
-    @cached_property
     def _hash(self) -> int:
         return hash((self.vertices, tuple(self.edges.items())))
 
@@ -498,6 +483,17 @@ def _adjacency(n: int, pairs) -> list[list[int]]:
     return adjacent
 
 
+def _component_of(n: int, pairs) -> list[int]:
+    """Each vertex of 0..n-1 named by the least vertex of its component
+    along the pairs."""
+    adjacent, label = _adjacency(n, pairs), [-1] * n
+    for v in range(n):
+        if label[v] < 0:
+            for x in _closure([v], adjacent.__getitem__):
+                label[x] = v
+    return label
+
+
 def ancestors(g: DiGraph, w: str) -> frozenset[str]:
     """All vertices with a walk to w, including w itself."""
     return _closure([w], lambda x: map(g.src, g.in_edges(x)))
@@ -524,23 +520,8 @@ def reachability(g: DiGraph) -> ReachabilityReport:
 
 
 def weakly_connected(g: DiGraph) -> bool:
-    def neighbours(x: str) -> list[str]:
-        return [y for e in g.out_edges(x) + g.in_edges(x) for y in g.ends(e)]
-
-    return not g.vertices or len(_closure(g.vertices[:1], neighbours)) == len(g.vertices)
-
-
-def components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
-    """Connected components as (sorted vertex ids, sorted edge ids), in the
-    order of their least vertex."""
-    comps: list[tuple[list[str], list[str]]] = []
-    seen: set[str] = set()
-    for start in g.vertices:
-        if start not in seen:
-            vs = _closure([start], lambda x: [y for e in g.star(x) for y in g.ends(e)])
-            seen |= vs
-            comps.append((sorted(vs), sorted({e for x in vs for e in g.star(x)})))
-    return comps
+    view = g.int_view
+    return len(set(_component_of(len(g.vertices), zip(view.sources, view.targets)))) <= 1
 
 
 def strongly_connected_components(g: DiGraph) -> list[frozenset[str]]:

@@ -358,7 +358,7 @@ def _build_total(base: DiGraph, sizes: dict[str, int], assignment) -> tuple[DiGr
     return total, GraphMorphism(total, base, p, q)
 
 
-def _candidates(spec: CoverSearchSpec, tally: Counter, faces: int, early=()):
+def _candidates(spec: CoverSearchSpec, faces: int, early=()):
     """Each fibre vector within the bound as a block ("candidates", sizes,
     slots, assignments, genus bound): the fibre size of each base vertex, the
     (base edge, source fibre vertex) slots, their _assignments, and
@@ -395,7 +395,6 @@ def _candidates(spec: CoverSearchSpec, tally: Counter, faces: int, early=()):
         if max(vec) > 1:
             yield from early
             early = ()
-        tally["fibre_vectors"] += 1
         sizes = dict(zip(base.vertices, vec))
         slots = [(eid, i) for v in walk for eid in base.out_edges(v) for i in range(sizes[v])]
         targets = [base.dst(eid) for eid, _ in slots]
@@ -484,7 +483,7 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     lifts come right after the all-ones vector: all-2 covers that the
     enumeration reaches last, which answer only "found", with no genus_exact
     call.  Only this loop reads the clock, once before each candidate, and
-    counts it under its block's kind; then come the steps, on the integer
+    counts each vector and each candidate; then come the steps, on the integer
     vertex pairs of its loopless simple support:
     1. connected (when connected_only), by a closure walk over the pairs,
        for enumerated candidates only.  A cover maps onto the base, so a
@@ -505,8 +504,9 @@ def search_covers(spec: CoverSearchSpec) -> SearchOutcome:
     deadline = _time.monotonic() + spec.time_budget
     tally: Counter = Counter()
     faces = _face_floor(base)
-    blocks = _candidates(spec, tally, faces, _double_covers(base, faces))
+    blocks = _candidates(spec, faces, _double_covers(base, faces))
     for kind, sizes, slots, assignments, bound in blocks:
+        tally["fibre_vectors"] += kind == "candidates"
         start = dict(zip(base.vertices, accumulate(sizes.values(), initial=0)))
         sources = [start[base.src(eid)] + i for eid, i in slots]
         offsets = [start[base.dst(eid)] for eid, _ in slots]

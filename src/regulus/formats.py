@@ -11,7 +11,7 @@ Unknown keys (such as a "description") are ignored on input.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .automaton import Automaton, LanguageSample
 from .digraph import DiGraph, GraphMorphism, UndirectedGraph, UndirectedMorphism
@@ -176,40 +176,23 @@ def sample_to_json(s: LanguageSample) -> dict:
 
 # -- morphisms ---------------------------------------------------------------
 
-def morphism_to_json(m: GraphMorphism) -> dict:
-    return {
-        "source": digraph_to_json(m.source),
-        "target": digraph_to_json(m.target),
-        "p": dict(m.p),
-        "q": dict(m.q),
-    }
+def morphism_to_json(m: GraphMorphism | UndirectedMorphism) -> dict:
+    return {"source": to_json(m.source), "target": to_json(m.target),
+            "p": dict(m.p), "q": dict(m.q)}
+
+
+def _morphism(data: dict, kind: type, read_graph: Callable) -> GraphMorphism | UndirectedMorphism:
+    """A morphism of `kind` between the graphs that `read_graph` reads."""
+    return kind(read_graph(_mapping(data, "source")), read_graph(_mapping(data, "target")),
+                _string_map(data, "p"), _string_map(data, "q"))
 
 
 def morphism_from_json(data: dict) -> GraphMorphism:
-    return GraphMorphism(
-        digraph_from_json(_mapping(data, "source")),
-        digraph_from_json(_mapping(data, "target")),
-        _string_map(data, "p"),
-        _string_map(data, "q"),
-    )
-
-
-def undirected_morphism_to_json(m: UndirectedMorphism) -> dict:
-    return {
-        "source": undirected_to_json(m.source),
-        "target": undirected_to_json(m.target),
-        "p": dict(m.p),
-        "q": dict(m.q),
-    }
+    return _morphism(data, GraphMorphism, digraph_from_json)
 
 
 def undirected_morphism_from_json(data: dict) -> UndirectedMorphism:
-    return UndirectedMorphism(
-        undirected_from_json(_mapping(data, "source")),
-        undirected_from_json(_mapping(data, "target")),
-        _string_map(data, "p"),
-        _string_map(data, "q"),
-    )
+    return _morphism(data, UndirectedMorphism, undirected_from_json)
 
 
 def is_undirected_morphism_payload(data: dict) -> bool:
@@ -281,7 +264,7 @@ def to_json(obj) -> dict:
 _TO_JSON = {
     DiGraph: digraph_to_json, UndirectedGraph: undirected_to_json,
     SemiAutomaton: semi_to_json, Automaton: automaton_to_json, LanguageSample: sample_to_json,
-    GraphMorphism: morphism_to_json, UndirectedMorphism: undirected_morphism_to_json,
+    GraphMorphism: morphism_to_json, UndirectedMorphism: morphism_to_json,
     SemiMorphism: semi_morphism_to_json, AutomaticRelation: relation_to_json,
     RotationSystem: rotation_to_json, CoverCertificate: certificate_to_json,
 }

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .digraph import (
-    DiGraph, UndirectedGraph, _adjacency, components, excise, forget, opposite, simplify
+    DiGraph, UndirectedGraph, _adjacency, _component_of, excise, forget, opposite, simplify
 )
 from .errors import BudgetError, DomainError, PreconditionError
 
@@ -116,11 +117,11 @@ def trace_faces(
         for i, d in enumerate(idx):
             rot_next[d] = idx[(i + 1) % len(idx)]
     next_dart = [rot_next[d ^ 1] for d in range(nd)]
-    comps = components(g)
-    comp_of = {vid[v]: i for i, (comp_vs, _) in enumerate(comps) for v in comp_vs}
+    comp = _component_of(len(vid), zip(vertex_of[::2], vertex_of[1::2]))
+    euler = Counter(comp)  # V - E + F of each component, keyed by its least vertex
+    euler.subtract(comp[v] for v in vertex_of[::2])
     # the rotation is total, so next_dart is a permutation: walk each orbit once
     counts: dict[int, int] = {}
-    faces = [0] * len(comps)
     visited = bytearray(nd)
     for d in range(nd):
         if visited[d]:
@@ -131,16 +132,13 @@ def trace_faces(
             length += 1
             cur = next_dart[cur]
         counts[length] = counts.get(length, 0) + 1
-        faces[comp_of[vertex_of[d]]] += 1
+        euler[comp[vertex_of[d]]] += 1
 
     genus = 0
-    for (comp_vs, comp_es), fcount in zip(comps, faces):
-        if not comp_es:
-            continue
-        euler = len(comp_vs) - len(comp_es) + fcount
-        if euler % 2 != 0:
+    for c in sorted({comp[v] for v in vertex_of}):  # the components with an edge
+        if euler[c] % 2 != 0:
             raise DomainError("face trace produced an odd Euler characteristic")
-        comp_genus = (2 - euler) // 2
+        comp_genus = (2 - euler[c]) // 2
         if comp_genus < 0:
             raise DomainError("face trace produced a negative genus")
         genus += comp_genus
@@ -197,9 +195,9 @@ def _support(g: DiGraph | UndirectedGraph) -> _Support:
     return _Support(g.vertices, edges)
 
 
-def _rotation(g: UndirectedGraph, support: _Support, nbrs: list[list[int]]) -> RotationSystem:
-    """The rotation system of g given by an embedding of its support, as each
-    vertex's support neighbours in clockwise order.
+def _rotation(g: UndirectedGraph, support: _Support, nbrs) -> RotationSystem:
+    """The rotation system of g given by an embedding of its support: pairs
+    (vertex, its support neighbours in clockwise order), in the witness's order.
 
     Each neighbour stands for its pair's edges, in id order at the pair's
     smaller end and reversed at the other, so that each edge bounds a bigon
@@ -207,8 +205,8 @@ def _rotation(g: UndirectedGraph, support: _Support, nbrs: list[list[int]]) -> R
     pair of ends, forming a monogon.  Neither changes the genus.
     """
     rot: dict[str, list[str]] = {}
-    for v, (name, ws) in enumerate(zip(support.vertices, nbrs)):
-        toks = rot[name] = []
+    for v, ws in nbrs:
+        toks = rot[support.vertices[v]] = []
         for w in ws:
             es = support.edges[min(v, w), max(v, w)]
             toks += (f"{e}+" for e in es) if v < w else (f"{e}-" for e in reversed(es))
@@ -492,7 +490,7 @@ def is_planar(g: DiGraph | UndirectedGraph) -> PlanarityReport:
     if nbrs is None:
         return PlanarityReport(False, support=support)
     ug = forget(g) if isinstance(g, DiGraph) else g
-    witness = _rotation(ug, support, nbrs)
+    witness = _rotation(ug, support, enumerate(nbrs))
     _, genus = trace_faces(ug, witness)
     if genus != 0:
         raise DomainError("planar witness failed verification")
@@ -507,7 +505,7 @@ def euler_lower_bound(g: UndirectedGraph, girth_floor: int = 3) -> int:
     """
     if girth_floor < 3:
         raise DomainError("girth_floor must be at least 3")
-    if len(components(g)) > 1:
+    if len(set(_component_of(len(g.vertices), _support(g).edges))) > 1:
         raise PreconditionError("euler lower bound requires a connected graph")
     girth = undirected_girth(g)
     if girth < girth_floor:
@@ -784,21 +782,27 @@ def genus_exact(g: DiGraph | UndirectedGraph, budget: float | None = None) -> Ge
     if budget is None:
         budget = rotation_budget()
     ug = forget(g) if isinstance(g, DiGraph) else g
+    support = _support(ug)
+    comp = _component_of(len(support.vertices), support.edges)
+    members: dict[int, list[int]] = {}  # each component's vertices, by least vertex
+    local = []  # each vertex's position in its component
+    for v, c in enumerate(comp):
+        local.append(len(members.setdefault(c, [])))
+        members[c].append(v)
+    pairs: dict[int, list[tuple[int, int]]] = {c: [] for c in members}
+    for a, b in support.edges:
+        pairs[comp[a]].append((local[a], local[b]))
     total = 0
-    rotations: dict[str, tuple[str, ...]] = {}
-
-    for comp_vs, comp_es in components(ug):
-        comp = UndirectedGraph(comp_vs, [(e, ug.ends(e)) for e in comp_es])
-        support = _support(comp)
-        n = len(comp_vs)
-        nbrs = _lr_planar(n, support.edges)
+    placed = []  # (vertex, clockwise neighbours), component by component
+    for c, vs in members.items():
+        n = len(vs)
+        nbrs = _lr_planar(n, pairs[c])
         if nbrs is None:
-            girth = _girth(n, support.edges)
-            comp_genus, nbrs = _search_min_genus(n, support.edges, girth, 1, budget)
+            comp_genus, nbrs = _search_min_genus(n, pairs[c], _girth(n, pairs[c]), 1, budget)
             total += comp_genus
-        rotations.update(_rotation(comp, support, nbrs).rotations)
+        placed += ((v, [vs[w] for w in ws]) for v, ws in zip(vs, nbrs))
 
-    witness = RotationSystem(rotations)
+    witness = _rotation(ug, support, placed)
     _, traced = trace_faces(ug, witness)
     if traced != total:
         raise DomainError("genus witness failed re-verification")

@@ -10,7 +10,7 @@ one is exactly a directed emulation onto the quotient graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, product
 from types import MappingProxyType
@@ -19,6 +19,7 @@ from typing import Iterable
 from .digraph import (
     DiGraph,
     GraphMorphism,
+    ValidationReport,
     _born,
     _int_view,
     strongly_connected_components,
@@ -64,7 +65,7 @@ class AutomaticRelation:
 
     domain: tuple
     vector: tuple[int, ...]
-    verified_on: DiGraph | None = None
+    verified_on: DiGraph | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, domain: tuple, vector: Iterable):
         keys = tuple(vector)
@@ -99,19 +100,6 @@ class AutomaticRelation:
     @staticmethod
     def identity(g: DiGraph) -> "AutomaticRelation":
         return _built(g, range(len(g.vertices) + len(g.edges)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AutomaticRelation)
-            and self.vector == other.vector
-            and (self.domain is other.domain or self.domain == other.domain)
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.vector))
-
-    def __repr__(self):
-        return f"AutomaticRelation({self.domain!r}, {self.vector!r})"
 
     @cached_property
     def _partition(self) -> tuple:
@@ -159,24 +147,14 @@ def relation_leq(r1: AutomaticRelation, r2: AutomaticRelation) -> bool:
     return m & r2.mask == m
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    ok: bool
-    clause: str = ""
-    witness: tuple = ()
-
-    def __bool__(self):
-        return self.ok
+_AUTOMATIC = ValidationReport(True)
 
 
-_AUTOMATIC = RelationReport(True)
-
-
-def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
+def is_automatic(g: DiGraph, r: AutomaticRelation) -> ValidationReport:
     """Check compatibility and bisimilarity on the class numbers and the
-    graph's integer ends.  A failing report names the violated clause and the
-    first witness met going through the classes in order, and each class's
-    members in order.  A relation verified on this graph object before, or
+    graph's integer ends.  A failing report's reason names the violated
+    clause, and its witness is the first one met going through the classes
+    in order, and each class's members in order.  A relation verified on this graph object before, or
     built on it by the layer, is not checked again; recording a verdict is
     the check's only effect on r."""
     if r.verified_on is g:
@@ -198,13 +176,13 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
                 bad = (k, j, "dst")
     if bad is not None:
         k, j, end = bad
-        return RelationReport(False, "compatibility", (edges[first[k]], edges[j], end))
+        return ValidationReport(False, "compatibility", (edges[first[k]], edges[j], end))
     # each edge class needs an edge out of every vertex of its source class;
     # canonical classes are first seen in class order
     fanout = set(zip(eclass, sources))
     if len(fanout) != sum([vclass.count(vclass[sources[j0]]) for j0 in first.values()]):
         return next(
-            RelationReport(False, "bisimilarity", (vertices[x], edges[j0]))
+            ValidationReport(False, "bisimilarity", (vertices[x], edges[j0]))
             for k, j0 in first.items() for x, c in enumerate(vclass)
             if c == vclass[sources[j0]] and (k, x) not in fanout
         )
@@ -215,7 +193,7 @@ def is_automatic(g: DiGraph, r: AutomaticRelation) -> RelationReport:
 def _require_automatic(g: DiGraph, r: AutomaticRelation, what: str) -> None:
     rep = is_automatic(g, r)
     if not rep.ok:
-        raise DomainError(f"{what}: {rep.clause}")
+        raise DomainError(f"{what}: {rep.reason}")
 
 
 def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
@@ -228,7 +206,7 @@ def quotient(g: DiGraph, r: AutomaticRelation) -> tuple[DiGraph, GraphMorphism]:
     factorization, r and the quotient's identity.  No verdict is born."""
     report = is_automatic(g, r)
     if not report.ok:
-        raise DomainError(f"relation is not automatic: {report.clause} at {report.witness}")
+        raise DomainError(f"relation is not automatic: {report.reason} at {report.witness}")
     view, n = g.int_view, len(g.vertices)
     vertices, edges = view.domain
     vclass = r.vector[:n]

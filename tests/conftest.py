@@ -95,6 +95,36 @@ def compose_morphisms(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphi
     )
 
 
+def undirected_star(g: UndirectedGraph, v: str) -> tuple[str, ...]:
+    """The edges incident to v in id order, a loop listed once."""
+    return tuple(e for e, ends in g.edges.items() if v in ends)
+
+
+def reference_components(g: UndirectedGraph) -> list[tuple[list[str], list[str]]]:
+    """Connected components as (sorted vertex ids, sorted edge ids), in the
+    order of their least vertex: a depth-first walk over the stars."""
+    seen: set[str] = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        vs = []
+        while stack:
+            x = stack.pop()
+            vs.append(x)
+            for e in undirected_star(g, x):
+                for y in g.ends(e):
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        vset = set(vs)
+        es = [e for e in g.edges if g.ends(e)[0] in vset]
+        comps.append((sorted(vs), sorted(es)))
+    return comps
+
+
 def k_complete(n):
     vs = [f"v{i}" for i in range(n)]
     return UndirectedGraph(

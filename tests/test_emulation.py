@@ -77,6 +77,7 @@ from conftest import (
     random_emulator,
     random_morphism_into,
     random_undirected_emulator,
+    undirected_star,
 )
 
 
@@ -452,8 +453,8 @@ class TestStarPredicatesAgainstDefinition:
             (is_directed_emulator, True, DiGraph.out_edges, False, "missing outgoing lift"),
             (is_directed_cover, True, DiGraph.out_edges, True, "missing outgoing lift"),
             (incoming_emulator, True, DiGraph.in_edges, False, "missing outgoing lift"),
-            (is_undirected_emulator, False, UndirectedGraph.star, False, "missing lift"),
-            (is_undirected_cover, False, UndirectedGraph.star, True, "missing lift"),
+            (is_undirected_emulator, False, undirected_star, False, "missing lift"),
+            (is_undirected_cover, False, undirected_star, True, "missing lift"),
         ],
         ids=["emulator", "cover", "incoming", "undirected-emulator", "undirected-cover"],
     )
@@ -821,7 +822,7 @@ def _canonical_candidates(spec: CoverSearchSpec) -> list[DiGraph]:
     """The candidates search_covers enumerates, in order, each built as the
     DiGraph its certificate would carry."""
     tried = []
-    blocks = emulation._candidates(spec, Counter(), _face_floor(spec.base))
+    blocks = emulation._candidates(spec, _face_floor(spec.base))
     for _, sizes, slots, assignments, _ in blocks:
         tried += [_build_total(spec.base, sizes, zip(slots, combo))[0] for combo in assignments]
     return tried
@@ -984,7 +985,7 @@ class TestAssignments:
         # relabelling the copies over every vertex
         base, vec = case
         spec = CoverSearchSpec(base, max_fiber=max(vec), genus_bound=10)  # no vector is cut
-        blocks = emulation._candidates(spec, Counter(), 3)
+        blocks = emulation._candidates(spec, 3)
         sizes, slots, assignments = next(b[1:4] for b in blocks if tuple(b[1].values()) == vec)
         listed = list(assignments)
         generated = set(listed)
@@ -1355,7 +1356,7 @@ def dense_bases(draw):
 
 def _kept_vectors(spec: CoverSearchSpec) -> list[tuple[int, ...]]:
     """The fibre vectors whose blocks _candidates yields, in order."""
-    blocks = emulation._candidates(spec, Counter(), _face_floor(spec.base))
+    blocks = emulation._candidates(spec, _face_floor(spec.base))
     return [tuple(sizes.values()) for _, sizes, *_ in blocks]
 
 

@@ -475,7 +475,7 @@ class TestCliVerbs:
             False, "vertex image outside target", ("iso", "zzz")
         )
         f = tmp_path / "m.json"
-        f.write_text(formats.dumps(formats.undirected_morphism_to_json(bad)))
+        f.write_text(formats.dumps(formats.morphism_to_json(bad)))
         for verb in ("check", "check-cover"):
             assert main(["emu", verb, str(f)]) == 3
             out, err = capsys.readouterr()
@@ -485,7 +485,7 @@ class TestCliVerbs:
         m = path_4_over_3()
         source = UndirectedGraph([*m.source.vertices, "iso"], m.source.edges.items())
         f = tmp_path / "m.json"
-        f.write_text(formats.dumps(formats.undirected_morphism_to_json(
+        f.write_text(formats.dumps(formats.morphism_to_json(
             UndirectedMorphism(source, m.target, m.p, m.q)
         )))
         for verb in ("check", "check-cover"):

@@ -24,7 +24,6 @@ from regulus import (
     is_planar,
     trace_faces,
 )
-from regulus.digraph import components
 from regulus.genus import (
     GenusResult,
     _lr_planar,
@@ -44,6 +43,8 @@ from conftest import (
     multidigraphs,
     par2,
     random_digraph,
+    reference_components,
+    undirected_star,
 )
 
 
@@ -196,7 +197,7 @@ def _reference_genus_exact(g, budget):
     """genus_exact along the reference path."""
     ug = forget(g) if isinstance(g, DiGraph) else g
     total, rotations = 0, {}
-    for comp_vs, comp_es in components(ug):
+    for comp_vs, comp_es in reference_components(ug):
         comp = UndirectedGraph(comp_vs, [(e, ug.ends(e)) for e in comp_es])
         support, groups = _reference_support(comp)
         support_rot = _reference_planar_embedding_support(support)
@@ -305,7 +306,7 @@ class TestTraceFaces:
             rotations = {}
             for v in g.vertices:
                 darts = []
-                for e in g.star(v):
+                for e in undirected_star(g, v):
                     for tok, at in dart_tokens(g, e):
                         if at == v:
                             darts.append(tok)
@@ -392,7 +393,7 @@ class TestGenusExact:
         # reaches genus n, also for every n below that minimum; and
         # genus_exact must reach the summed minimum
         best = 0
-        for vs, es in components(g):
+        for vs, es in reference_components(g):
             if not es:
                 continue
             comp = UndirectedGraph(vs, [(e, g.ends(e)) for e in es])
@@ -717,14 +718,14 @@ class TestSupport:
         nbrs = [data.draw(st.permutations(ws)) for ws in nbrs]
         simple, groups = _reference_support(g)
         support_rot = _tokens(simple, nbrs)
-        rot = _rotation(g, support, nbrs)
+        rot = _rotation(g, support, enumerate(nbrs))
         reference = _insert_multiedges_and_loops(g, groups, support_rot)
         assert list(rot.rotations.items()) == list(reference.rotations.items())
         assert trace_faces(g, rot)[1] == trace_faces(simple, RotationSystem(support_rot))[1]
 
-    def test_genus_exact_builds_one_undirected_graph_per_component(self, monkeypatch):
-        # the rotation search reads the support's integer pairs, so no
-        # simple graph is built beside the component
+    def test_genus_exact_builds_no_undirected_graph(self, monkeypatch):
+        # components are split on the support's integer pairs, so no graph
+        # is built per component, nor a simple graph beside one
         import regulus.genus
 
         built = []
@@ -734,9 +735,14 @@ class TestSupport:
                 built.append(args)
                 super().__init__(*args)
 
+        three = UndirectedGraph(
+            [*k_complete(5).vertices, "x", "y", "z"],
+            [*k_complete(5).edges.items(), ("l", ("x",)), ("p", ("x", "y")), ("q", ("x", "y"))],
+        )
         monkeypatch.setattr(regulus.genus, "UndirectedGraph", Counted)
         assert genus_exact(k_complete(7)).genus == 1
-        assert len(built) == 1
+        assert genus_exact(three).genus == 1
+        assert built == []
 
     def test_non_planar_component_builds_its_support_once(self, monkeypatch):
         # the rotation search takes its girth from the support the planarity
@@ -835,7 +841,7 @@ class TestEulerLowerBound:
             girth = undirected_girth(g)
             if girth < 3:
                 continue
-            if len(components(g)) != 1:
+            if len(reference_components(g)) != 1:
                 continue
             floor = 3 if girth == math.inf else min(int(girth), 5)
             assert euler_lower_bound(g, floor) <= genus_exact(g).genus
@@ -863,7 +869,7 @@ class TestGenusFormula:
                 g = DiGraph(vs, edges)
                 res = genus_exact(g)
                 faces, traced = trace_faces(forget(g), res.witness)
-                if len(components(forget(g))) != 1:
+                if len(reference_components(forget(g))) != 1:
                     continue
                 assert genus_formula(m, faces) == Fraction(traced)
 

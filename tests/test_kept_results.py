@@ -101,8 +101,6 @@ def test_the_contents_of_a_kept_result_cannot_be_written():
     g = DiGraph(["a", "b"], [("e", "a", "b")])
     with pytest.raises(TypeError):
         g._stars[0]["a"] = ()
-    with pytest.raises(TypeError):
-        forget(g)._star["a"] = ()
     with pytest.raises(AttributeError):
         g.int_view.outs = ((), ())
     assert isinstance(g.int_view, IntView)

@@ -73,7 +73,7 @@ class TestIsAutomatic:
         r = AutomaticRelation.from_classes([["x", "y"]], [["e"]])
         report = is_automatic(g, r)
         assert not report.ok
-        assert report.clause == "bisimilarity"
+        assert report.reason == "bisimilarity"
         assert report.witness[0] == "y"
 
     def test_non_partition_rejected(self):
@@ -763,7 +763,7 @@ class TestAgainstReferences:
             return
         for _ in range(2):  # the second answer may be a remembered one
             rep = is_automatic(g, r)
-            assert (rep.ok, rep.clause, rep.witness) == want
+            assert (rep.ok, rep.reason, rep.witness) == want
 
     def test_is_automatic_on_every_partition_pair(self):
         # every vertex x edge partition pair of a few small graphs, so that
@@ -777,7 +777,7 @@ class TestAgainstReferences:
                     r = AutomaticRelation.from_classes(vpart, epart)
                     want = _reference_is_automatic(g, r)
                     rep = is_automatic(g, r)
-                    assert (rep.ok, rep.clause, rep.witness) == want
+                    assert (rep.ok, rep.reason, rep.witness) == want
                     seen.add((want[1], want[2][2:]))
         assert seen == {("", ()), ("bisimilarity", ()),
                         ("compatibility", ("src",)), ("compatibility", ("dst",))}
@@ -808,7 +808,7 @@ class TestAgainstReferences:
         # same ids, but both edges leave a: b lacks an e1-related edge
         f = DiGraph(["a", "b"], [("e1", "a", "b"), ("e2", "a", "b")])
         rep = is_automatic(f, r)
-        assert (rep.ok, rep.clause, rep.witness) == (False, "bisimilarity", ("b", "e1"))
+        assert (rep.ok, rep.reason, rep.witness) == (False, "bisimilarity", ("b", "e1"))
         assert is_automatic(g, r).ok and is_automatic(h, r).ok
 
     @settings(max_examples=200, deadline=None)
@@ -825,7 +825,7 @@ class TestAgainstReferences:
         )
         for graph in (g, h, g, DiGraph(vs, g.edge_list()), h, g):
             rep = is_automatic(graph, r)
-            assert (rep.ok, rep.clause, rep.witness) == _reference_is_automatic(graph, r)
+            assert (rep.ok, rep.reason, rep.witness) == _reference_is_automatic(graph, r)
 
     @settings(max_examples=300, deadline=None)
     @given(multidigraphs(), st.data())
@@ -886,8 +886,8 @@ class TestAgainstReferences:
             assert unchecked.domain == r.domain
             assert unchecked.domain is not r.domain
             want_report, got_report = is_automatic(g, fresh), is_automatic(g, r)
-            assert (got_report.ok, got_report.clause, got_report.witness) == (
-                want_report.ok, want_report.clause, want_report.witness)
+            assert (got_report.ok, got_report.reason, got_report.witness) == (
+                want_report.ok, want_report.reason, want_report.witness)
 
     @settings(max_examples=200, deadline=None)
     @given(multidigraphs(), st.data())
